@@ -543,6 +543,8 @@ def _entry_from_obj(obj: dict, lineno: int) -> CatalogEntry:
     rho = obj["root_lengths"]
     if not isinstance(sym, bool):
         raise CatalogFormatError(f"line {lineno}: symmetrizable must be a boolean")
+    if not isinstance(obj["compact"], bool):
+        raise CatalogFormatError(f"line {lineno}: compact must be a boolean")
     if sym:
         if (
             not isinstance(d, list)
@@ -571,7 +573,7 @@ def _entry_from_obj(obj: dict, lineno: int) -> CatalogEntry:
         canonical_id=obj["id"],
         rank=rank,
         matrix=matrix,
-        compact=bool(obj["compact"]),
+        compact=obj["compact"],
         symmetrizable=sym,
         symmetrizer=tuple(d) if d is not None else None,
         root_lengths=rho,

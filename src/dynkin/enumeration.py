@@ -5,6 +5,18 @@ a hyperbolic diagram of rank >= 3 (a single heavier edge is already an
 indefinite rank-2 subdiagram), so the whole search lives over a nine-element
 per-pair alphabet: no edge, or one of the eight labels below.
 
+Everything the production search prunes rests on one fact about finite and
+affine diagrams (Kac, *Infinite-dimensional Lie algebras*, Lemma 4.4 and
+Ch. 4): every proper connected subdiagram of a connected finite or affine
+diagram is finite.  Two consequences, the corank lemma:
+
+* in a connected finite or affine diagram on ``k`` vertices, every connected
+  subdiagram on at most ``k - 1`` vertices is finite;
+* in a hyperbolic diagram of rank ``n``, every connected subdiagram on at
+  most ``n - 2`` vertices is finite.  It extends, inside the diagram, to a
+  connected subdiagram on ``n - 1`` vertices, which is finite or affine by
+  definition, and contains it properly.
+
 The production search grows connected diagrams one vertex at a time:
 
 * ``finite_affine_classes(k)`` holds all connected finite-type and affine
@@ -14,15 +26,22 @@ The production search grows connected diagrams one vertex at a time:
   connected *finite* one.
 * ``search_rank(n)`` attaches one vertex to every finite or affine class on
   ``n - 1`` vertices and keeps the extensions that pass the hyperbolicity
-  filter.  Affine bases enter only at this last step: a hyperbolic diagram may
-  contain affine subdiagrams of corank 1 and no smaller ones, so admitting
-  affine partial diagrams earlier could never produce a hyperbolic completion.
+  filter.  Affine bases enter only at this last step: by the corank lemma a
+  hyperbolic diagram has affine subdiagrams of corank 1 and no smaller ones.
+
+Each attachment step is told the largest connected subdiagram size the
+target forces to be finite (``k - 1`` for level ``k``, ``n - 2`` for rank
+``n``) and prunes with it: at 2 or more no edge to the new vertex may carry a
+product-4 label, since such an edge is affine; at 3 or more every determined
+connected triple through the new vertex must be finite.  Without those rules
+a determined proper triple only has to avoid being indefinite.  Only branches
+that no admissible target can complete are cut, so the classes found do not
+depend on the pruning.
 
 Candidate filtering uses the corank-1 criterion: a connected indefinite
 diagram is hyperbolic iff every *connected* subdiagram on ``n - 1`` vertices
-is finite or affine (any smaller connected subdiagram extends, inside the
-diagram, to a connected one on ``n - 1`` vertices, and connected subdiagrams
-of finite or affine type are finite).
+is finite or affine (smaller connected subdiagrams are then finite, by the
+argument above).
 
 Two slower routes act as cross-checks and share nothing structural with the
 production search:
@@ -106,11 +125,15 @@ def _materialize(base: Rows, chosen: list[tuple[int, int] | None]) -> Rows:
     return tuple(out)
 
 
-def _triples_ok(base: Rows, chosen: list[tuple[int, int] | None], i: int) -> bool:
-    """No fully determined triple through the new vertex may be indefinite.
+def _triples_ok(
+    base: Rows, chosen: list[tuple[int, int] | None], i: int, reject: tuple[str, ...]
+) -> bool:
+    """No fully determined connected triple through the new vertex has a kind in ``reject``.
 
-    Applies only when the triple is a proper subdiagram of the target, which
-    the caller guarantees by skipping this for targets of rank 3.
+    ``reject`` is ``(INDEFINITE,)`` when the triple is only known to be a proper
+    subdiagram of the target, and also holds ``AFFINE`` when the corank lemma
+    forces the triple to be finite.  The caller skips this for targets of rank 3,
+    where the triple is the target itself.
     """
     lab_i = chosen[i]
     for j in range(i):
@@ -128,21 +151,26 @@ def _triples_ok(base: Rows, chosen: list[tuple[int, int] | None], i: int) -> boo
             (base[i][j], 2, -pi),
             (-qj, -qi, 2),
         )
-        if kind_of_rows(triple) == INDEFINITE:
+        if kind_of_rows(triple) in reject:
             return False
     return True
 
 
-def _attach_extensions(base: Rows):
-    """All connected one-vertex extensions of ``base`` over the label alphabet.
+def _attach_extensions(base: Rows, finite_max: int):
+    """All connected one-vertex extensions of ``base`` that can still reach the target.
 
-    Depth-first over the attachment slots; branches die early when a
-    determined proper triple is already indefinite.
+    ``finite_max`` is the largest connected subdiagram size that the target
+    forces to be finite (the corank lemma in the module docstring).  At 2 or
+    more the product-4 labels are dropped; at 3 or more every determined
+    triple through the new vertex must be finite.  Depth-first over the
+    attachment slots, so a branch dies at its first bad triple.
     """
     k = len(base)
     check_triples = k + 1 > 3
+    reject = (INDEFINITE, AFFINE) if finite_max >= 3 else (INDEFINITE,)
+    labels = LABELS if finite_max < 2 else tuple(lab for lab in LABELS if lab[0] * lab[1] < 4)
     chosen: list[tuple[int, int] | None] = [None] * k
-    options = (None,) + tuple(LABELS)
+    options = (None,) + labels
 
     def rec(i: int, any_edge: bool):
         if i == k:
@@ -151,7 +179,7 @@ def _attach_extensions(base: Rows):
             return
         for lab in options:
             chosen[i] = lab
-            if check_triples and lab is not None and not _triples_ok(base, chosen, i):
+            if check_triples and lab is not None and not _triples_ok(base, chosen, i, reject):
                 continue
             yield from rec(i + 1, any_edge or lab is not None)
         chosen[i] = None
@@ -172,7 +200,7 @@ def finite_affine_classes(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
     fins: set[Rows] = set()
     affs: set[Rows] = set()
     for base in finite_affine_classes(k - 1)[0]:
-        for cand in _attach_extensions(base):
+        for cand in _attach_extensions(base, k - 1):
             kind = kind_of_rows(cand)
             if kind == FINITE:
                 fins.add(_canon(cand))
@@ -223,7 +251,7 @@ def search_rank(n: int) -> tuple[Rows, ...]:
     fins, affs = finite_affine_classes(n - 1)
     found: set[Rows] = set()
     for base in fins + affs:
-        for cand in _attach_extensions(base):
+        for cand in _attach_extensions(base, n - 2):
             if hyperbolic_fast_flags(cand)[0]:
                 found.add(_canon(cand))
     return tuple(sorted(found))

@@ -21,6 +21,9 @@ __all__ = [
     "format_matrix_text",
 ]
 
+#: Characters of a bad token quoted in an error message.
+_SHOWN = 40
+
 
 def parse_matrix_text(text: str) -> GeneralizedCartanMatrix:
     rows: list[list[int]] = []
@@ -33,8 +36,11 @@ def parse_matrix_text(text: str) -> GeneralizedCartanMatrix:
             try:
                 row.append(int(tok))
             except ValueError:
+                shown = repr(tok)
+                if len(tok) > _SHOWN:
+                    shown = f"{tok[:_SHOWN]!r}... ({len(tok)} characters)"
                 raise MatrixParseError(
-                    f"line {lineno}: entry {tok!r} is not an integer"
+                    f"line {lineno}: entry {shown} is not an integer"
                 ) from None
         rows.append(row)
     if not rows:
@@ -47,6 +53,10 @@ def parse_matrix_json(text: str) -> GeneralizedCartanMatrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise MatrixParseError("invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise MatrixParseError("invalid JSON: an integer has too many digits") from None
     if isinstance(obj, dict):
         if "matrix" not in obj:
             raise MatrixParseError('JSON object must carry a "matrix" key')

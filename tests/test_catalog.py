@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +93,19 @@ class TestFileFormat:
         text = catalog_to_lines(catalog)
         assert catalog_to_lines(catalog_from_lines(text)) == text
 
+    def test_jobs_output_byte_identical(self, catalog):
+        # A fresh process, so the workers search from scratch instead of
+        # inheriting this session's memoized ranks.
+        code = (
+            "import sys\n"
+            "from dynkin import catalog_to_lines, enumerate_hyperbolic\n"
+            "sys.stdout.write(catalog_to_lines(enumerate_hyperbolic(3, 10, jobs=2)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == catalog_to_lines(catalog)
+
     def test_write_read(self, catalog, tmp_path):
         path = tmp_path / "catalog.jsonl"
         write_catalog(catalog[:5], path)
@@ -157,6 +172,13 @@ class TestFileFormat:
         obj["orbit_semantics"] = "maybe"
         with pytest.raises(CatalogFormatError, match="orbit_semantics"):
             catalog_from_lines(lines_for(obj))
+
+    def test_rejects_non_boolean_compact(self, catalog):
+        for value in ("no", 0, None):
+            obj = entry_obj(catalog[0])
+            obj["compact"] = value
+            with pytest.raises(CatalogFormatError, match="compact must be a boolean"):
+                catalog_from_lines(lines_for(obj))
 
     def test_rejects_duplicate_ids(self, catalog):
         obj = entry_obj(catalog[0])

@@ -152,6 +152,16 @@ class TestErrorPaths:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 100000, "[[" + "9" * 5000 + "]]"], ids=["deep-nesting", "huge-integer"]
+    )
+    def test_hostile_json_is_one_error_line(self, capsys, monkeypatch, text):
+        code, out, err = run(capsys, ["classify"], text, monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["classify", "--input", str(tmp_path / "nope.txt")])
         assert code == 1

@@ -23,14 +23,14 @@ from lie_fixtures import AFFINE_CLASS_COUNTS, FINITE_CLASS_COUNTS
 
 
 class TestFiniteAffineLevels:
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 11))
     def test_counts(self, k):
         fin, aff = finite_affine_classes(k)
         assert len(fin) == FINITE_CLASS_COUNTS[k]
         assert len(aff) == AFFINE_CLASS_COUNTS.get(k, 0)
 
     def test_members_have_claimed_type(self):
-        for k in range(1, 6):
+        for k in range(1, 11):
             fin, aff = finite_affine_classes(k)
             for rows in fin:
                 assert kind_of_rows(rows) == FINITE
@@ -40,7 +40,7 @@ class TestFiniteAffineLevels:
     def test_members_are_canonical_and_distinct(self):
         from dynkin.canonical import canonical_rows
 
-        for k in range(1, 6):
+        for k in range(1, 11):
             fin, aff = finite_affine_classes(k)
             pool = list(fin) + list(aff)
             assert len(set(pool)) == len(pool)

@@ -28,6 +28,12 @@ class TestTextFormat:
         with pytest.raises(MatrixParseError, match="line 2"):
             parse_matrix_text("2 -1\n-x 2\n")
 
+    def test_huge_token_is_clipped_in_message(self):
+        token = "9" * 5000
+        with pytest.raises(MatrixParseError, match=r"\.\.\. \(5000 characters\)") as info:
+            parse_matrix_text(f"2 {token}\n-1 2\n")
+        assert len(str(info.value)) < 200
+
     def test_empty_input(self):
         with pytest.raises(MatrixParseError):
             parse_matrix_text("# nothing here\n")
