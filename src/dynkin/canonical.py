@@ -16,9 +16,21 @@ refinement:
 
 Pointwise tail minimization is sound here because any tail ordering another
 permutation could realize is a within-cell rearrangement, and the ascending
-one is lexicographically least among those.  The number of live states stays
-near the automorphism count of the diagram, which is tiny for every matrix
-this package handles.
+one is lexicographically least among those.
+
+Twin pruning keeps symmetric matrices cheap.  Two vertices are twins when
+swapping them is an automorphism: equal entries against every other vertex,
+in both directions, and ``A[u][v] == A[v][u]``.  Being twins is an
+equivalence relation, and twins always share a cell, since every cell split
+reads entries of placed vertices, which cannot tell twins apart.  Placing a
+twin of ``u`` instead of ``u`` leads to the image of ``u``'s subtree under the
+swap, with the same rows, so each state tries only the first unplaced member
+of each twin class in its first cell (and position 0 the first member of each
+class).  A pruned candidate always has an earlier twin with the same row, so
+the first surviving state, and with it the returned permutation, is the one
+the unpruned search would return.  ``K_n`` and ``2·I_n`` then keep one live
+state.  Symmetry without twins can still multiply states; ``_STATE_CAP``
+bounds that and raises.
 """
 
 from __future__ import annotations
@@ -56,6 +68,28 @@ def _group_by_value(members: list[int], row: tuple[int, ...]) -> list[tuple[int,
     return [tuple(buckets[v]) for v in sorted(buckets)]
 
 
+def _twin_classes(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """For each vertex, the smallest vertex it is a twin of (itself if none)."""
+    n = len(rows)
+    cols = list(zip(*rows))
+    cls = list(range(n))
+    reps: list[int] = []
+    for v in range(n):
+        for u in reps:
+            if _swapped(rows[u], u, v) == rows[v] and _swapped(cols[u], u, v) == cols[v]:
+                cls[v] = u
+                break
+        else:
+            reps.append(v)
+    return cls
+
+
+def _swapped(line: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+    out = list(line)
+    out[u], out[v] = out[v], out[u]
+    return tuple(out)
+
+
 def canonical_rows(
     rows: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -64,10 +98,13 @@ def canonical_rows(
     if n == 1:
         return ((rows[0][0],),), (0,)
 
+    twin = _twin_classes(rows)
     # Position 0: every vertex may lead; its best row sorts the whole tail.
     best: tuple[int, ...] | None = None
     states: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
     for v in range(n):
+        if twin[v] != v:
+            continue
         rest = [u for u in range(n) if u != v]
         row = (rows[v][v], *sorted(rows[v][u] for u in rest))
         if best is None or row < best:
@@ -82,7 +119,11 @@ def canonical_rows(
         best = None
         new_states: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
         for perm, cells in states:
+            tried: set[int] = set()
             for u in cells[0]:
+                if twin[u] in tried:
+                    continue
+                tried.add(twin[u])
                 urow = rows[u]
                 fixed = tuple(urow[p] for p in perm)
                 tail: list[int] = []
@@ -103,7 +144,10 @@ def canonical_rows(
         out.append(best)
         states = new_states
         if len(states) > _STATE_CAP:
-            raise DynkinError("canonical labelling state explosion; matrix too symmetric")
+            raise DynkinError(
+                f"canonical labelling state explosion: {len(states)} live states "
+                f"exceed the cap of {_STATE_CAP}; matrix too symmetric"
+            )
     return tuple(out), states[0][0]
 
 

@@ -1,17 +1,34 @@
 """Cartan type classification: finite, affine, indefinite, hyperbolic.
 
-The trichotomy for an indecomposable GCM is decided through principal minors,
-computed exactly over the integers:
+An indecomposable GCM ``A`` is of exactly one type (Kac, *Infinite-dimensional
+Lie algebras*, Thm. 4.3): finite, affine or indefinite.  For a symmetrizable
+``A``, with ``D A = B`` for a positive diagonal ``D`` and a symmetric ``B``,
+the type is read off ``B`` (Kac, Ch. 4): finite iff ``B`` is positive
+definite, affine iff ``B`` is positive semidefinite of corank 1.
 
-* finite: every principal minor is positive;
-* affine: the determinant is 0 and every proper principal minor is positive;
-* indefinite: everything else.
+:func:`kind_of_rows` decides the type of a connected GCM directly, exactly
+over the integers:
 
-Determinants use fraction-free Bareiss elimination, so no floating point and
-no rational arithmetic appears anywhere on this path.  Equivalent recursive
-form used internally (and cross-checked in the test suite): a matrix is of
-finite type iff its determinant is positive and every one-vertex-deleted
-submatrix is of finite type; affine additionally needs determinant exactly 0.
+* rank 1 is finite; rank 2 with edge product ``p * q`` is finite below 4,
+  affine at 4 and indefinite above;
+* from rank 3 on, every finite or affine GCM is symmetrizable (Kac, Ch. 4; of
+  the connected ones only the affine cycle ``A_l^(1)`` has a cycle at all), so
+  a non-symmetrizable ``A`` is indefinite;
+* a symmetrizable ``A`` has leading principal minors of the same signs as
+  ``B``'s, since ``det A_k = det B_k / (d_1 ... d_k)``.  Sylvester's criterion
+  then decides: every leading minor positive is finite; the first ``n - 1``
+  positive and the determinant 0 is affine (the leading block of ``B`` is
+  positive definite, so by interlacing ``B`` has exactly one eigenvalue 0 and
+  the rest positive); any other sign pattern is indefinite, because every
+  proper subdiagram of a connected finite or affine diagram is finite (Kac,
+  Lemma 4.4), which makes all its proper leading minors positive.
+
+The leading minors are the pivots of fraction-free Bareiss elimination without
+pivoting, so one ``O(n^3)`` elimination decides the type, with no floating
+point and no rational arithmetic.  The independent definitional recursion
+(determinant sign plus every one-vertex deletion componentwise finite) lives
+with the oracle routes in :mod:`dynkin.enumeration`, and the test suite
+compares the two.
 
 Hyperbolicity is a second layer on top: an indecomposable ``A`` of indefinite
 type is hyperbolic when every proper connected induced subdiagram is of finite
@@ -103,11 +120,6 @@ def sub_rows(rows: tuple[tuple[int, ...], ...], mask: int) -> tuple[tuple[int, .
     return tuple(tuple(rows[i][j] for j in idx) for i in idx)
 
 
-def delete_vertex(rows: tuple[tuple[int, ...], ...], k: int) -> tuple[tuple[int, ...], ...]:
-    """Submatrix with 0-based row/column ``k`` removed."""
-    return tuple(row[:k] + row[k + 1 :] for i, row in enumerate(rows) if i != k)
-
-
 # == kind of raw row tuples (internal engine, shared with enumeration) ==
 
 _KIND_CACHE: dict[tuple[tuple[int, ...], ...], str] = {}
@@ -115,6 +127,12 @@ _KIND_CACHE: dict[tuple[tuple[int, ...], ...], str] = {}
 
 def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     """Cartan kind of a *connected* GCM given as raw row tuples.
+
+    Rank 1 and rank 2 have closed forms.  From rank 3 on, a non-symmetrizable
+    matrix is indefinite, and a symmetrizable one is classified by the signs
+    of its leading principal minors (Sylvester's rule, see the module
+    docstring).  The premises are that ``rows`` is connected and that every
+    finite or affine GCM is symmetrizable.
 
     Memoized across calls: the enumeration machinery classifies the same small
     submatrices over and over.
@@ -128,41 +146,68 @@ def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     elif n == 2:
         prod = rows[0][1] * rows[1][0]
         kind = FINITE if prod < 4 else AFFINE if prod == 4 else INDEFINITE
+    elif not _balanced(rows):
+        kind = INDEFINITE
     else:
-        d = det_int(rows)
-        if d > 0:
-            kind = FINITE if _all_deletions_finite(rows) else INDEFINITE
-        elif d == 0:
-            kind = AFFINE if _all_deletions_finite(rows) else INDEFINITE
-        else:
-            kind = INDEFINITE
+        kind = _leading_minor_kind(rows)
     _KIND_CACHE[rows] = kind
     return kind
 
 
-def rows_fully_finite(rows: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether every connected component of ``rows`` is of finite type."""
+def _balanced(rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether ``rows`` is symmetrizable, decided in integers.
+
+    Each vertex gets a weight ``num / den`` forced by the DFS-tree edge that
+    reached it (``d[v] = d[u] * A[u][v] / A[v][u]``); every other edge must
+    satisfy ``d[u] * A[u][v] == d[v] * A[v][u]``, checked by cross-multiplying.
+    """
     n = len(rows)
-    adj = adjacency_bitmasks(rows)
-    unvisited = (1 << n) - 1
-    while unvisited:
-        start = unvisited & -unvisited
-        seen = start
-        frontier = start
-        while frontier:
-            i = frontier.bit_length() - 1
-            frontier &= ~(1 << i)
-            grow = adj[i] & ~seen
-            seen |= grow
-            frontier |= grow
-        if kind_of_rows(sub_rows(rows, seen)) != FINITE:
-            return False
-        unvisited &= ~seen
+    num = [0] * n
+    den = [0] * n
+    for root in range(n):
+        if num[root]:
+            continue
+        num[root] = den[root] = 1
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            row_u = rows[u]
+            num_u, den_u = num[u], den[u]
+            for v in range(n):
+                a = row_u[v]
+                if a == 0 or v == u:
+                    continue
+                b = rows[v][u]
+                if num[v]:
+                    if num_u * a * den[v] != num[v] * b * den_u:
+                        return False
+                else:
+                    num[v] = -num_u * a
+                    den[v] = -den_u * b
+                    stack.append(v)
     return True
 
 
-def _all_deletions_finite(rows: tuple[tuple[int, ...], ...]) -> bool:
-    return all(rows_fully_finite(delete_vertex(rows, k)) for k in range(len(rows)))
+def _leading_minor_kind(rows: tuple[tuple[int, ...], ...]) -> str:
+    """Kind of a connected symmetrizable GCM from the signs of its leading minors.
+
+    Bareiss elimination without pivoting: the k-th pivot is the k-th leading
+    principal minor, and the last one is the determinant.
+    """
+    m: list[list[int]] | tuple[tuple[int, ...], ...] = rows
+    prev = 1
+    while len(m) > 1:
+        top = m[0]
+        pivot = top[0]
+        if pivot <= 0:
+            return INDEFINITE
+        m = [
+            [(x * pivot - row[0] * t) // prev for x, t in zip(row[1:], top[1:])]
+            for row in m[1:]
+        ]
+        prev = pivot
+    det = m[0][0]
+    return FINITE if det > 0 else AFFINE if det == 0 else INDEFINITE
 
 
 def hyperbolic_compact_scan(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, bool]:

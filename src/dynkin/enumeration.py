@@ -44,7 +44,10 @@ is finite or affine (smaller connected subdiagrams are then finite, by the
 argument above).
 
 Two slower routes act as cross-checks and share nothing structural with the
-production search:
+production search.  They classify with the definitional recursion
+(:func:`definitional_kind`: determinant sign, plus every one-vertex deletion
+componentwise finite), memoized per oracle call, never with
+``classify.kind_of_rows``, so the cross-checks test that function as well:
 
 * ``search_rank_oracle`` (ranks 3..5) walks all pair-slot assignments in
   column-major order, aborting a branch only when a fully determined proper
@@ -60,16 +63,7 @@ from __future__ import annotations
 from functools import cache
 
 from .canonical import canonical_rows
-from .classify import (
-    AFFINE,
-    FINITE,
-    INDEFINITE,
-    delete_vertex,
-    det_int,
-    kind_of_rows,
-    rows_fully_finite,
-    sub_rows,
-)
+from .classify import AFFINE, FINITE, INDEFINITE, det_int, kind_of_rows, sub_rows
 from .errors import RankBoundError
 from .gcm import adjacency_bitmasks, mask_connected
 
@@ -80,6 +74,8 @@ __all__ = [
     "search_rank_oracle",
     "search_rank_bruteforce",
     "hyperbolic_fast_flags",
+    "definitional_kind",
+    "rows_fully_finite",
     "ORACLE_RANK_LIMIT",
     "BRUTEFORCE_RANK_LIMIT",
 ]
@@ -260,12 +256,18 @@ def search_rank(n: int) -> tuple[Rows, ...]:
 # == oracle routes ==
 
 
-def _kind_uncached(rows: Rows) -> str:
-    """Cartan kind of connected ``rows`` without caching the full matrix.
+def delete_vertex(rows: Rows, k: int) -> Rows:
+    """Submatrix with 0-based row/column ``k`` removed."""
+    return tuple(row[:k] + row[k + 1 :] for i, row in enumerate(rows) if i != k)
 
-    Submatrix kinds still go through the shared cache; only the top-level
-    entry is kept out of it, since oracle walks touch millions of distinct
-    full-size matrices.
+
+def _kind_uncached(rows: Rows, memo: dict[Rows, str]) -> str:
+    """Cartan kind of connected ``rows`` by the definitional recursion.
+
+    Finite iff the determinant is positive and every one-vertex deletion is
+    componentwise finite; affine iff the determinant is 0 and the same holds.
+    Subdiagram kinds go through ``memo``; ``rows`` itself is kept out of it,
+    since oracle walks touch millions of distinct full-size matrices.
     """
     n = len(rows)
     if n == 1:
@@ -276,21 +278,52 @@ def _kind_uncached(rows: Rows) -> str:
     d = det_int(rows)
     if d < 0:
         return INDEFINITE
-    if all(rows_fully_finite(delete_vertex(rows, v)) for v in range(n)):
+    if all(rows_fully_finite(delete_vertex(rows, v), memo) for v in range(n)):
         return FINITE if d > 0 else AFFINE
     return INDEFINITE
 
 
-def _hyperbolic_by_definition(rows: Rows) -> bool:
+def definitional_kind(rows: Rows, memo: dict[Rows, str] | None = None) -> str:
+    """Cartan kind of connected ``rows`` by definition, memoized in ``memo`` (fresh if omitted)."""
+    memo = {} if memo is None else memo
+    kind = memo.get(rows)
+    if kind is None:
+        kind = memo[rows] = _kind_uncached(rows, memo)
+    return kind
+
+
+def rows_fully_finite(rows: Rows, memo: dict[Rows, str] | None = None) -> bool:
+    """Whether every connected component of ``rows`` is of finite type, by definition."""
+    memo = {} if memo is None else memo
+    n = len(rows)
+    adj = adjacency_bitmasks(rows)
+    unvisited = (1 << n) - 1
+    while unvisited:
+        start = unvisited & -unvisited
+        seen = start
+        frontier = start
+        while frontier:
+            i = frontier.bit_length() - 1
+            frontier &= ~(1 << i)
+            grow = adj[i] & ~seen
+            seen |= grow
+            frontier |= grow
+        if definitional_kind(sub_rows(rows, seen), memo) != FINITE:
+            return False
+        unvisited &= ~seen
+    return True
+
+
+def _hyperbolic_by_definition(rows: Rows, memo: dict[Rows, str]) -> bool:
     """Full scan over every proper connected subdiagram; no shortcuts."""
     n = len(rows)
-    if _kind_uncached(rows) != INDEFINITE:
+    if _kind_uncached(rows, memo) != INDEFINITE:
         return False
     adj = adjacency_bitmasks(rows)
     for mask in range(1, (1 << n) - 1):
         if not mask_connected(mask, adj):
             continue
-        if kind_of_rows(sub_rows(rows, mask)) == INDEFINITE:
+        if definitional_kind(sub_rows(rows, mask), memo) == INDEFINITE:
             return False
     return True
 
@@ -310,6 +343,7 @@ def search_rank_oracle(n: int) -> tuple[Rows, ...]:
     full = (1 << n) - 1
     found: set[Rows] = set()
     options = (None,) + tuple(LABELS)
+    memo: dict[Rows, str] = {}
 
     def newly_determined_ok(i: int, j: int) -> bool:
         # Sets S | {j} with S a nonempty subset of 0..i containing i.
@@ -325,14 +359,14 @@ def search_rank_oracle(n: int) -> tuple[Rows, ...]:
             )
             if not mask_connected((1 << len(rt)) - 1, adjacency_bitmasks(rt)):
                 continue
-            if kind_of_rows(rt) == INDEFINITE:
+            if definitional_kind(rt, memo) == INDEFINITE:
                 return False
         return True
 
     def rec(t: int):
         if t == len(slots):
             rt = tuple(tuple(r) for r in rows)
-            if mask_connected(full, adjacency_bitmasks(rt)) and _hyperbolic_by_definition(rt):
+            if mask_connected(full, adjacency_bitmasks(rt)) and _hyperbolic_by_definition(rt, memo):
                 found.add(_canon(rt))
             return
         i, j = slots[t]
@@ -364,6 +398,7 @@ def search_rank_bruteforce(n: int) -> tuple[Rows, ...]:
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     options = (None,) + tuple(LABELS)
     found: set[Rows] = set()
+    memo: dict[Rows, str] = {}
     for combo in product(options, repeat=len(slots)):
         rows = [[2 if a == b else 0 for b in range(n)] for a in range(n)]
         for (i, j), lab in zip(slots, combo):
@@ -373,6 +408,6 @@ def search_rank_bruteforce(n: int) -> tuple[Rows, ...]:
         rt = tuple(tuple(r) for r in rows)
         if not mask_connected((1 << n) - 1, adjacency_bitmasks(rt)):
             continue
-        if _hyperbolic_by_definition(rt):
+        if _hyperbolic_by_definition(rt, memo):
             found.add(_canon(rt))
     return tuple(sorted(found))

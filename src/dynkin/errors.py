@@ -7,6 +7,18 @@ programming errors with a single ``except`` clause.
 
 from __future__ import annotations
 
+from typing import Callable
+
+#: Characters of an offending value quoted in an error message.
+SHOWN_CHARS = 40
+
+
+def clip(text: str, render: Callable[[str], str] = str) -> str:
+    """``render(text)`` for an error message, cut to 40 characters plus the full length."""
+    if len(text) <= SHOWN_CHARS:
+        return render(text)
+    return f"{render(text[:SHOWN_CHARS])}... ({len(text)} characters)"
+
 
 class DynkinError(ValueError):
     """Base class for all domain errors raised by this package."""

@@ -29,6 +29,7 @@ from .errors import (
     DynkinError,
     MatrixValidationError,
     NotAdjacentError,
+    clip,
 )
 
 __all__ = [
@@ -183,7 +184,8 @@ def _check_axioms(rows: tuple[tuple[int, ...], ...]) -> None:
             raise MatrixValidationError(
                 "diagonal",
                 (i + 1, i + 1),
-                f"diagonal entry {rows[i][i]} at ({i + 1}, {i + 1}); every diagonal entry must be 2",
+                f"diagonal entry {_shown(rows[i][i])} at ({i + 1}, {i + 1}); "
+                "every diagonal entry must be 2",
             )
     for i in range(n):
         for j in range(n):
@@ -191,7 +193,7 @@ def _check_axioms(rows: tuple[tuple[int, ...], ...]) -> None:
                 raise MatrixValidationError(
                     "sign",
                     (i + 1, j + 1),
-                    f"off-diagonal entry {rows[i][j]} at ({i + 1}, {j + 1}) must be <= 0",
+                    f"off-diagonal entry {_shown(rows[i][j])} at ({i + 1}, {j + 1}) must be <= 0",
                 )
     for i in range(n):
         for j in range(n):
@@ -200,8 +202,16 @@ def _check_axioms(rows: tuple[tuple[int, ...], ...]) -> None:
                     "zero-symmetry",
                     (i + 1, j + 1),
                     f"zero-symmetry axiom violated at ({i + 1}, {j + 1}): "
-                    f"entry is 0 but ({j + 1}, {i + 1}) is {rows[j][i]}",
+                    f"entry is 0 but ({j + 1}, {i + 1}) is {_shown(rows[j][i])}",
                 )
+
+
+def _shown(v: int) -> str:
+    """Entry ``v`` for an error message, clipped like every quoted input value."""
+    try:
+        return clip(str(v))
+    except ValueError:  # more digits than the interpreter converts to text
+        return f"<integer of {v.bit_length()} bits>"
 
 
 def validate_gcm(entries: Sequence[Sequence[int]]) -> GeneralizedCartanMatrix:

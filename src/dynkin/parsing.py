@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import MatrixParseError
+from .errors import MatrixParseError, clip
 from .gcm import GeneralizedCartanMatrix, validate_gcm
 
 __all__ = [
@@ -20,9 +20,6 @@ __all__ = [
     "parse_matrix_input",
     "format_matrix_text",
 ]
-
-#: Characters of a bad token quoted in an error message.
-_SHOWN = 40
 
 
 def parse_matrix_text(text: str) -> GeneralizedCartanMatrix:
@@ -36,11 +33,8 @@ def parse_matrix_text(text: str) -> GeneralizedCartanMatrix:
             try:
                 row.append(int(tok))
             except ValueError:
-                shown = repr(tok)
-                if len(tok) > _SHOWN:
-                    shown = f"{tok[:_SHOWN]!r}... ({len(tok)} characters)"
                 raise MatrixParseError(
-                    f"line {lineno}: entry {shown} is not an integer"
+                    f"line {lineno}: entry {clip(tok, repr)} is not an integer"
                 ) from None
         rows.append(row)
     if not rows:

@@ -65,6 +65,57 @@ def cartan_g2() -> list[list[int]]:
     return [[2, -1], [-3, 2]]
 
 
+def _add_vertex(rows: list[list[int]], joins: dict[int, tuple[int, int]]) -> list[list[int]]:
+    """``rows`` plus a last vertex joined to each 1-based ``v`` in ``joins``.
+
+    ``joins[v] = (p, q)`` sets ``A[v][new] = -p`` and ``A[new][v] = -q``.
+    """
+    n = len(rows)
+    out = [list(r) + [0] for r in rows] + [[0] * n + [2]]
+    for v, (p, q) in joins.items():
+        out[v - 1][n] = -p
+        out[n][v - 1] = -q
+    return out
+
+
+# Affine diagrams as one vertex added to a finite one (Kac, Tables Aff 1-3).
+# Where the added edge is multiple, either orientation is affine (for instance
+# C_l^(1), D_(l+1)^(2) and A_(2l)^(2) differ only in the arrows at the ends).
+
+
+def affine_a(n: int) -> list[list[int]]:
+    """A_n^(1): a cycle on n + 1 vertices (a doubled edge for n = 1)."""
+    return _add_vertex(cartan_a(n), {1: (2, 2)} if n == 1 else {1: (1, 1), n: (1, 1)})
+
+
+def affine_b(n: int) -> list[list[int]]:
+    """B_n^(1), n >= 3: a second tip on vertex 2 makes the fork."""
+    return _add_vertex(cartan_b(n), {2: (1, 1)})
+
+
+def affine_c(n: int) -> list[list[int]]:
+    """C_n^(1)-shaped, n >= 2: a double edge at each end of a path."""
+    return _add_vertex(cartan_c(n), {1: (1, 2)})
+
+
+def affine_d(n: int) -> list[list[int]]:
+    """D_n^(1), n >= 4: a fork at each end."""
+    return _add_vertex(cartan_d(n), {2: (1, 1)})
+
+
+def affine_e(n: int) -> list[list[int]]:
+    """E_n^(1): arms 2/2/2, 3/3/1 and 5/2/1 from the branch vertex."""
+    return _add_vertex(cartan_e(n), {{6: 2, 7: 1, 8: 8}[n]: (1, 1)})
+
+
+def affine_f4() -> list[list[int]]:
+    return _add_vertex(cartan_f4(), {1: (1, 1)})
+
+
+def affine_g2() -> list[list[int]]:
+    return _add_vertex(cartan_g2(), {1: (1, 1)})
+
+
 #: name -> matrix for every finite family member used by the tests.
 FINITE_FIXTURES: dict[str, list[list[int]]] = {
     **{f"A{n}": cartan_a(n) for n in range(1, 9)},

@@ -27,8 +27,27 @@ from dynkin import (
     validate_gcm,
 )
 from dynkin.classify import det_int, kind_of_rows
+from dynkin.enumeration import definitional_kind, finite_affine_classes
+from dynkin.gcm import is_indecomposable
+from dynkin.symmetrize import is_symmetrizable, random_gcm
 
-from lie_fixtures import FINITE_FIXTURES, cartan_a, cartan_b, cartan_d
+from lie_fixtures import (
+    FINITE_FIXTURES,
+    affine_a,
+    affine_b,
+    affine_c,
+    affine_d,
+    affine_e,
+    affine_f4,
+    affine_g2,
+    cartan_a,
+    cartan_b,
+    cartan_c,
+    cartan_d,
+    cartan_e,
+    cartan_f4,
+    cartan_g2,
+)
 
 
 def det_cofactor(rows):
@@ -116,6 +135,75 @@ class TestRankTwoLaw:
     )
     def test_product_threshold(self, a, b, kind):
         assert kind_of_rows(((2, -a), (-b, 2))) == kind
+
+
+def relabel(rng, rows):
+    n = len(rows)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return tuple(tuple(rows[perm[i]][perm[j]] for j in range(n)) for i in range(n))
+
+
+def family_pairs(ranks):
+    """(finite, affine extension) for each classical family member of a rank in ``ranks``."""
+    builders = [
+        (1, cartan_a, affine_a),
+        (3, cartan_b, affine_b),
+        (2, cartan_c, affine_c),
+        (4, cartan_d, affine_d),
+    ]
+    for low, finite, affine in builders:
+        for n in ranks:
+            if n >= low:
+                yield finite(n), affine(n)
+    for n in (6, 7, 8):
+        if n in ranks:
+            yield cartan_e(n), affine_e(n)
+    if 4 in ranks:
+        yield cartan_f4(), affine_f4()
+    if 2 in ranks:
+        yield cartan_g2(), affine_g2()
+
+
+class TestSylvesterKind:
+    """``kind_of_rows`` (leading minors) against the definitional recursion."""
+
+    def test_random_connected_agree(self):
+        rng = random.Random(61)
+        seen = {FINITE: 0, AFFINE: 0, INDEFINITE: 0, "unbalanced": 0}
+        checked = 0
+        while checked < 5000:
+            cap = rng.choice((1, 2, 3, 4))
+            density = rng.choice((0.2, 0.35, 0.5, 0.8))
+            A = random_gcm(rng, rng.randint(3, 9), cap, density)
+            if not is_indecomposable(A):
+                continue
+            kind = kind_of_rows(A.rows)
+            assert kind == definitional_kind(A.rows), A.rows
+            seen[kind] += 1
+            seen["unbalanced"] += not is_symmetrizable(A)[0]
+            checked += 1
+        assert all(count >= 50 for count in seen.values()), seen
+
+    def test_classical_families_agree(self):
+        rng = random.Random(67)
+        for finite, affine in family_pairs(range(1, 13)):
+            for rows, expected in ((finite, FINITE), (affine, AFFINE)):
+                rows = relabel(rng, rows)
+                assert kind_of_rows(rows) == definitional_kind(rows) == expected, rows
+
+    def test_high_rank_families(self):
+        rng = random.Random(71)
+        for finite, affine in family_pairs(range(13, 25)):
+            assert kind_of_rows(relabel(rng, finite)) == FINITE
+            assert kind_of_rows(relabel(rng, affine)) == AFFINE
+
+    def test_finite_and_affine_classes_are_symmetrizable(self):
+        # The premise that lets a non-symmetrizable matrix be called indefinite.
+        for k in range(1, 11):
+            fins, affs = finite_affine_classes(k)
+            for rows in fins + affs:
+                assert is_symmetrizable(validate_gcm(rows))[0], rows
 
 
 class TestKnownTypes:

@@ -162,6 +162,15 @@ class TestErrorPaths:
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
 
+    def test_huge_diagonal_entry_is_clipped(self, capsys, monkeypatch):
+        text = "[[" + "9" * 4000 + ", -1], [-1, 2]]"
+        code, out, err = run(capsys, ["classify"], text, monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: diagonal entry ")
+        assert len(err.splitlines()) == 1
+        assert len(err) < 200
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["classify", "--input", str(tmp_path / "nope.txt")])
         assert code == 1

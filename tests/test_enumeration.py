@@ -9,10 +9,11 @@ from __future__ import annotations
 import pytest
 
 from dynkin import RankBoundError
-from dynkin.classify import AFFINE, FINITE, kind_of_rows, rows_fully_finite
+from dynkin.classify import AFFINE, FINITE, kind_of_rows
 from dynkin.enumeration import (
     finite_affine_classes,
     hyperbolic_fast_flags,
+    rows_fully_finite,
     search_rank,
     search_rank_bruteforce,
     search_rank_oracle,

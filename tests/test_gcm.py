@@ -52,6 +52,27 @@ class TestValidation:
         assert info.value.axiom == "zero-symmetry"
         assert info.value.position == (2, 1)
 
+    @pytest.mark.parametrize(
+        "rows,axiom",
+        [
+            ([[2 + 10**4000, -1], [-1, 2]], "diagonal"),
+            ([[2, 10**4000], [-1, 2]], "sign"),
+            ([[2, 0], [1 - 10**4000, 2]], "zero-symmetry"),
+        ],
+        ids=["diagonal", "sign", "zero-symmetry"],
+    )
+    def test_huge_entry_is_clipped_in_message(self, rows, axiom):
+        with pytest.raises(MatrixValidationError) as info:
+            validate_gcm(rows)
+        assert info.value.axiom == axiom
+        assert "... (4001 characters)" in str(info.value)
+        assert len(str(info.value)) < 200
+
+    def test_entry_past_the_digit_limit_is_described(self):
+        with pytest.raises(MatrixValidationError, match=r"<integer of \d+ bits>") as info:
+            validate_gcm([[2, 10**5000], [-1, 2]])
+        assert info.value.axiom == "sign"
+
     def test_rejects_non_square(self):
         with pytest.raises(MatrixValidationError) as info:
             validate_gcm([[2, -1]])
