@@ -40,12 +40,7 @@ from .classify import (
     is_hyperbolic,
     principal_minors,
 )
-from .enumeration import (
-    finite_affine_classes,
-    search_rank,
-    search_rank_bruteforce,
-    search_rank_oracle,
-)
+from .enumeration import finite_affine_classes, search_rank
 from .errors import (
     BudgetExceededError,
     CatalogFormatError,
@@ -71,6 +66,7 @@ from .gcm import (
     matrix_to_diagram,
     validate_gcm,
 )
+from .oracles import search_rank_bruteforce, search_rank_oracle
 from .parsing import (
     format_matrix_text,
     parse_matrix_input,

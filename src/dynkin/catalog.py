@@ -27,6 +27,7 @@ from .classify import (
     AFFINE,
     FINITE,
     hyperbolic_compact_scan,
+    hyperbolic_fast_flags,
     kind_of_rows,
     sub_rows,
 )
@@ -38,6 +39,7 @@ from .gcm import (
     is_indecomposable,
     mask_connected,
     matrix_to_diagram,
+    proper_connected_masks,
     validate_gcm,
 )
 from .symmetrize import bilinear_form, is_symmetrizable, symmetrizer
@@ -104,7 +106,7 @@ def _rank_entries(rank: int, mats: tuple[tuple[tuple[int, ...], ...], ...]) -> l
     entries = []
     for k, rows in enumerate(mats, start=1):
         A = validate_gcm(rows)
-        hyper, compact = hyperbolic_compact_scan(rows)
+        hyper, compact = hyperbolic_fast_flags(rows)
         assert hyper, "enumeration produced a non-hyperbolic matrix"
         sym, _ = is_symmetrizable(A)
         if sym:
@@ -259,15 +261,6 @@ def _edge_products(rows: tuple[tuple[int, ...], ...]) -> list[int]:
     ]
 
 
-def _connected_proper_kinds(rows: tuple[tuple[int, ...], ...]):
-    """(mask, kind) for every proper connected induced subdiagram."""
-    n = len(rows)
-    adj = adjacency_bitmasks(rows)
-    for mask in range(1, (1 << n) - 1):
-        if mask_connected(mask, adj):
-            yield mask, kind_of_rows(sub_rows(rows, mask))
-
-
 def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> CatalogReport:
     """Recheck the structural claims the catalog makes about itself.
 
@@ -276,7 +269,8 @@ def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> Catalo
     root-length bound, orbit bounds) are meaningless on partial input and may
     then fail.  ``height`` seeds the reflection-walk window of the orbit
     cross-check; on mismatch the window is doubled a few times before the
-    check is declared failed.
+    check is declared failed.  An entry outside ``MIN_RANK..MAX_RANK`` is
+    never walked (``2^rank`` work): the subdiagram checks list it as offending.
     """
     checks: list[PropertyCheck] = []
 
@@ -289,8 +283,9 @@ def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> Catalo
 
     by_id = {e.canonical_id: e for e in entries}
 
-    bad = [e.canonical_id for e in entries if not MIN_RANK <= e.rank <= MAX_RANK]
-    add("rank-bound", bad, f"all ranks within {MIN_RANK}..{MAX_RANK}")
+    out_of_range = [e.canonical_id for e in entries if not MIN_RANK <= e.rank <= MAX_RANK]
+    add("rank-bound", out_of_range, f"all ranks within {MIN_RANK}..{MAX_RANK}")
+    walkable = [e for e in entries if MIN_RANK <= e.rank <= MAX_RANK]
 
     bad = []
     seen_ids: set[str] = set()
@@ -309,8 +304,8 @@ def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> Catalo
             bad.append(e.canonical_id)
     add("well-formed", bad, "ids unique, matrices canonical, flags consistent")
 
-    bad = []
-    for e in entries:
+    bad = list(out_of_range)
+    for e in walkable:
         hyper, compact = hyperbolic_compact_scan(e.matrix.rows)
         if not hyper or compact != e.compact:
             bad.append(e.canonical_id)
@@ -343,11 +338,11 @@ def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> Catalo
             bad.append(e.canonical_id)
     add("duality", bad, "transpose classes present, dual pairing is an involution")
 
-    bad = []
-    for e in entries:
-        n = e.rank
-        for mask, kind in _connected_proper_kinds(e.matrix.rows):
-            if kind == AFFINE and mask.bit_count() != n - 1:
+    bad = list(out_of_range)
+    for e in walkable:
+        rows = e.matrix.rows
+        for mask in proper_connected_masks(adjacency_bitmasks(rows)):
+            if mask.bit_count() != e.rank - 1 and kind_of_rows(sub_rows(rows, mask)) == AFFINE:
                 bad.append(e.canonical_id)
                 break
     add(
@@ -382,9 +377,10 @@ def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> Catalo
     for e in entries:
         if e.rank != 3 or not e.symmetrizable:
             continue
+        rows = e.matrix.rows
         has_affine_edge = any(
-            kind == AFFINE
-            for mask, kind in _connected_proper_kinds(e.matrix.rows)
+            kind_of_rows(sub_rows(rows, mask)) == AFFINE
+            for mask in proper_connected_masks(adjacency_bitmasks(rows))
             if mask.bit_count() == 2
         )
         if (not e.compact) != has_affine_edge:

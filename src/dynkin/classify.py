@@ -27,13 +27,18 @@ The leading minors are the pivots of fraction-free Bareiss elimination without
 pivoting, so one ``O(n^3)`` elimination decides the type, with no floating
 point and no rational arithmetic.  The independent definitional recursion
 (determinant sign plus every one-vertex deletion componentwise finite) lives
-with the oracle routes in :mod:`dynkin.enumeration`, and the test suite
-compares the two.
+with the oracle routes in :mod:`dynkin.oracles`, and the test suite compares
+the two.
 
 Hyperbolicity is a second layer on top: an indecomposable ``A`` of indefinite
 type is hyperbolic when every proper connected induced subdiagram is of finite
 or affine type, and compact hyperbolic when every proper connected induced
-subdiagram is of finite type.
+subdiagram is of finite type.  A connected subdiagram on at most ``n - 2``
+vertices lies inside a connected one on ``n - 1`` vertices, and proper
+subdiagrams of finite or affine diagrams are finite (Kac, Lemma 4.4), so the
+connected subdiagrams on ``n - 1`` vertices decide both flags.  The public API
+checks only those (:func:`hyperbolic_fast_flags`); the ``2^n`` walk of
+:func:`hyperbolic_compact_scan` is the definition, kept as the reference.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .gcm import (
     induced_subdiagram,
     is_indecomposable,
     mask_connected,
+    proper_connected_masks,
 )
 
 __all__ = [
@@ -71,6 +77,7 @@ AFFINE = "affine"
 INDEFINITE = "indefinite"
 
 MINOR_RANK_LIMIT = 12
+KIND_CACHE_LIMIT = 1 << 16  # a catalog build memoizes about 24,000 kinds
 
 
 # == exact integer determinants ==
@@ -134,8 +141,8 @@ def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     docstring).  The premises are that ``rows`` is connected and that every
     finite or affine GCM is symmetrizable.
 
-    Memoized across calls: the enumeration machinery classifies the same small
-    submatrices over and over.
+    Memoized across calls, since the enumeration classifies the same small
+    submatrices over and over; the memo starts over at ``KIND_CACHE_LIMIT``.
     """
     cached = _KIND_CACHE.get(rows)
     if cached is not None:
@@ -150,6 +157,8 @@ def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
         kind = INDEFINITE
     else:
         kind = _leading_minor_kind(rows)
+    if len(_KIND_CACHE) >= KIND_CACHE_LIMIT:
+        _KIND_CACHE.clear()
     _KIND_CACHE[rows] = kind
     return kind
 
@@ -210,20 +219,42 @@ def _leading_minor_kind(rows: tuple[tuple[int, ...], ...]) -> str:
     return FINITE if det > 0 else AFFINE if det == 0 else INDEFINITE
 
 
+def hyperbolic_fast_flags(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, bool]:
+    """(hyperbolic, compact) flags of connected ``rows`` via corank-1 subdiagrams.
+
+    Equivalent to :func:`hyperbolic_compact_scan` (see the module docstring).
+    """
+    n = len(rows)
+    if n < 2:
+        return False, False
+    adj = adjacency_bitmasks(rows)
+    full = (1 << n) - 1
+    compact = True
+    for v in range(n):
+        m = full ^ (1 << v)
+        if not mask_connected(m, adj):
+            continue
+        kind = kind_of_rows(sub_rows(rows, m))
+        if kind == INDEFINITE:
+            return False, False
+        if kind == AFFINE:
+            compact = False
+    if kind_of_rows(rows) != INDEFINITE:
+        return False, False
+    return True, compact
+
+
 def hyperbolic_compact_scan(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, bool]:
     """(hyperbolic, compact) flags of connected ``rows`` by full subset scan.
 
     Walks every proper connected induced subdiagram and checks its kind, which
-    is the definition itself with no shortcuts.
+    is the definition itself with no shortcuts; exponential in the rank.
     """
     n = len(rows)
     if n < 2 or kind_of_rows(rows) != INDEFINITE:
         return False, False
-    adj = adjacency_bitmasks(rows)
     compact = True
-    for mask in range(1, (1 << n) - 1):
-        if not mask_connected(mask, adj):
-            continue
+    for mask in proper_connected_masks(adjacency_bitmasks(rows)):
         k = kind_of_rows(sub_rows(rows, mask))
         if k == INDEFINITE:
             return False, False
@@ -296,7 +327,7 @@ def classify_indecomposable(A: GeneralizedCartanMatrix) -> CartanType:
     """Cartan type of an indecomposable GCM (finite / affine / indefinite)."""
     _require_indecomposable(A)
     kind = kind_of_rows(A.rows)
-    hyper, compact = hyperbolic_compact_scan(A.rows)
+    hyper, compact = hyperbolic_fast_flags(A.rows)
     return CartanType(kind=kind, hyperbolic=hyper, compact_hyperbolic=compact)
 
 
@@ -316,7 +347,7 @@ def is_hyperbolic(A: GeneralizedCartanMatrix) -> bool:
     affine type.  Rank 1 is finite and therefore never hyperbolic.
     """
     _require_indecomposable(A)
-    return hyperbolic_compact_scan(A.rows)[0]
+    return hyperbolic_fast_flags(A.rows)[0]
 
 
 def is_compact_hyperbolic(A: GeneralizedCartanMatrix) -> bool:
@@ -326,7 +357,7 @@ def is_compact_hyperbolic(A: GeneralizedCartanMatrix) -> bool:
     (affine subdiagrams excluded).
     """
     _require_indecomposable(A)
-    return hyperbolic_compact_scan(A.rows)[1]
+    return hyperbolic_fast_flags(A.rows)[1]
 
 
 def hyperbolicity_witness(A: GeneralizedCartanMatrix) -> HyperbolicityWitness:
@@ -335,19 +366,11 @@ def hyperbolicity_witness(A: GeneralizedCartanMatrix) -> HyperbolicityWitness:
     kind = kind_of_rows(A.rows)
     if kind != INDEFINITE:
         return HyperbolicityWitness(False, f"matrix is of {kind} type", None)
-    n = A.rank
-    adj = adjacency_bitmasks(A.rows)
-    for size in range(2, n):
-        for comb in combinations(range(n), size):
-            mask = 0
-            for i in comb:
-                mask |= 1 << i
-            if not mask_connected(mask, adj):
-                continue
-            if kind_of_rows(sub_rows(A.rows, mask)) == INDEFINITE:
-                return HyperbolicityWitness(
-                    False,
-                    "proper connected subdiagram of indefinite type",
-                    frozenset(i + 1 for i in comb),
-                )
+    for mask in proper_connected_masks(adjacency_bitmasks(A.rows)):
+        if kind_of_rows(sub_rows(A.rows, mask)) == INDEFINITE:
+            return HyperbolicityWitness(
+                False,
+                "proper connected subdiagram of indefinite type",
+                frozenset(i + 1 for i in range(A.rank) if mask >> i & 1),
+            )
     return HyperbolicityWitness(True, "hyperbolic", None)

@@ -35,9 +35,10 @@ from .catalog import (
     verify_catalog,
 )
 from .classify import classify, kind_of_rows
-from .enumeration import ORACLE_RANK_LIMIT, search_rank, search_rank_oracle
+from .enumeration import search_rank
 from .errors import DynkinError
 from .gcm import GeneralizedCartanMatrix, is_indecomposable, matrix_to_diagram
+from .oracles import ORACLE_RANK_LIMIT, search_rank_oracle
 from .parsing import format_matrix_text, parse_matrix_input
 from .symmetrize import cycle_criterion_agreement, is_symmetrizable, symmetrizer
 from .weyl import orbit_partition

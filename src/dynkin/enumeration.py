@@ -1,4 +1,4 @@
-"""Exhaustive search for hyperbolic diagrams, with independent oracle routes.
+"""Exhaustive pruned search for hyperbolic diagrams.
 
 Edge labels with ``p * q <= 4`` are the only ones that can appear anywhere in
 a hyperbolic diagram of rank >= 3 (a single heavier edge is already an
@@ -38,24 +38,14 @@ a determined proper triple only has to avoid being indefinite.  Only branches
 that no admissible target can complete are cut, so the classes found do not
 depend on the pruning.
 
-Candidate filtering uses the corank-1 criterion: a connected indefinite
-diagram is hyperbolic iff every *connected* subdiagram on ``n - 1`` vertices
-is finite or affine (smaller connected subdiagrams are then finite, by the
-argument above).
+Candidate filtering uses :func:`dynkin.classify.hyperbolic_fast_flags`, the
+corank-1 criterion: a connected indefinite diagram is hyperbolic iff every
+*connected* subdiagram on ``n - 1`` vertices is finite or affine (smaller
+connected subdiagrams are then finite, by the argument above).  It is the
+same test the public classification API runs.
 
-Two slower routes act as cross-checks and share nothing structural with the
-production search.  They classify with the definitional recursion
-(:func:`definitional_kind`: determinant sign, plus every one-vertex deletion
-componentwise finite), memoized per oracle call, never with
-``classify.kind_of_rows``, so the cross-checks test that function as well:
-
-* ``search_rank_oracle`` (ranks 3..5) walks all pair-slot assignments in
-  column-major order, aborting a branch only when a fully determined proper
-  connected subdiagram is already indefinite, which is forced by the
-  definition itself; affine partial diagrams of every size are admitted.
-  Surviving assignments face the full definitional subset scan.
-* ``search_rank_bruteforce`` (ranks 3..4) materializes every assignment with
-  no aborts at all and filters afterwards.
+The independent routes that re-derive the low ranks without any of this
+pruning live in :mod:`dynkin.oracles` and share nothing with this module.
 """
 
 from __future__ import annotations
@@ -63,21 +53,13 @@ from __future__ import annotations
 from functools import cache
 
 from .canonical import canonical_rows
-from .classify import AFFINE, FINITE, INDEFINITE, det_int, kind_of_rows, sub_rows
+from .classify import AFFINE, FINITE, INDEFINITE, hyperbolic_fast_flags, kind_of_rows
 from .errors import RankBoundError
-from .gcm import adjacency_bitmasks, mask_connected
 
 __all__ = [
     "LABELS",
     "finite_affine_classes",
     "search_rank",
-    "search_rank_oracle",
-    "search_rank_bruteforce",
-    "hyperbolic_fast_flags",
-    "definitional_kind",
-    "rows_fully_finite",
-    "ORACLE_RANK_LIMIT",
-    "BRUTEFORCE_RANK_LIMIT",
 ]
 
 Rows = tuple[tuple[int, ...], ...]
@@ -93,9 +75,6 @@ LABELS: tuple[tuple[int, int], ...] = (
     (4, 1),
     (2, 2),
 )
-
-ORACLE_RANK_LIMIT = 5
-BRUTEFORCE_RANK_LIMIT = 4
 
 
 def _canon(rows: Rows) -> Rows:
@@ -205,34 +184,7 @@ def finite_affine_classes(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
     return tuple(sorted(fins)), tuple(sorted(affs))
 
 
-# == hyperbolicity through the corank-1 criterion ==
-
-
-def hyperbolic_fast_flags(rows: Rows) -> tuple[bool, bool]:
-    """(hyperbolic, compact) for connected ``rows`` via corank-1 subdiagrams.
-
-    Checks only the connected subdiagrams on ``n - 1`` vertices; equivalent to
-    the definitional full scan for connected input, and cross-checked against
-    it in the test suite.
-    """
-    n = len(rows)
-    if n < 2:
-        return False, False
-    adj = adjacency_bitmasks(rows)
-    full = (1 << n) - 1
-    compact = True
-    for v in range(n):
-        m = full ^ (1 << v)
-        if not mask_connected(m, adj):
-            continue
-        kind = kind_of_rows(sub_rows(rows, m))
-        if kind == INDEFINITE:
-            return False, False
-        if kind == AFFINE:
-            compact = False
-    if kind_of_rows(rows) != INDEFINITE:
-        return False, False
-    return True, compact
+# == the hyperbolic search ==
 
 
 @cache
@@ -250,164 +202,4 @@ def search_rank(n: int) -> tuple[Rows, ...]:
         for cand in _attach_extensions(base, n - 2):
             if hyperbolic_fast_flags(cand)[0]:
                 found.add(_canon(cand))
-    return tuple(sorted(found))
-
-
-# == oracle routes ==
-
-
-def delete_vertex(rows: Rows, k: int) -> Rows:
-    """Submatrix with 0-based row/column ``k`` removed."""
-    return tuple(row[:k] + row[k + 1 :] for i, row in enumerate(rows) if i != k)
-
-
-def _kind_uncached(rows: Rows, memo: dict[Rows, str]) -> str:
-    """Cartan kind of connected ``rows`` by the definitional recursion.
-
-    Finite iff the determinant is positive and every one-vertex deletion is
-    componentwise finite; affine iff the determinant is 0 and the same holds.
-    Subdiagram kinds go through ``memo``; ``rows`` itself is kept out of it,
-    since oracle walks touch millions of distinct full-size matrices.
-    """
-    n = len(rows)
-    if n == 1:
-        return FINITE
-    if n == 2:
-        prod = rows[0][1] * rows[1][0]
-        return FINITE if prod < 4 else AFFINE if prod == 4 else INDEFINITE
-    d = det_int(rows)
-    if d < 0:
-        return INDEFINITE
-    if all(rows_fully_finite(delete_vertex(rows, v), memo) for v in range(n)):
-        return FINITE if d > 0 else AFFINE
-    return INDEFINITE
-
-
-def definitional_kind(rows: Rows, memo: dict[Rows, str] | None = None) -> str:
-    """Cartan kind of connected ``rows`` by definition, memoized in ``memo`` (fresh if omitted)."""
-    memo = {} if memo is None else memo
-    kind = memo.get(rows)
-    if kind is None:
-        kind = memo[rows] = _kind_uncached(rows, memo)
-    return kind
-
-
-def rows_fully_finite(rows: Rows, memo: dict[Rows, str] | None = None) -> bool:
-    """Whether every connected component of ``rows`` is of finite type, by definition."""
-    memo = {} if memo is None else memo
-    n = len(rows)
-    adj = adjacency_bitmasks(rows)
-    unvisited = (1 << n) - 1
-    while unvisited:
-        start = unvisited & -unvisited
-        seen = start
-        frontier = start
-        while frontier:
-            i = frontier.bit_length() - 1
-            frontier &= ~(1 << i)
-            grow = adj[i] & ~seen
-            seen |= grow
-            frontier |= grow
-        if definitional_kind(sub_rows(rows, seen), memo) != FINITE:
-            return False
-        unvisited &= ~seen
-    return True
-
-
-def _hyperbolic_by_definition(rows: Rows, memo: dict[Rows, str]) -> bool:
-    """Full scan over every proper connected subdiagram; no shortcuts."""
-    n = len(rows)
-    if _kind_uncached(rows, memo) != INDEFINITE:
-        return False
-    adj = adjacency_bitmasks(rows)
-    for mask in range(1, (1 << n) - 1):
-        if not mask_connected(mask, adj):
-            continue
-        if definitional_kind(sub_rows(rows, mask), memo) == INDEFINITE:
-            return False
-    return True
-
-
-def search_rank_oracle(n: int) -> tuple[Rows, ...]:
-    """Oracle enumeration for ranks 3..5: slot walk with definitional aborts only.
-
-    Pair slots are filled in column-major order.  After each assignment every
-    newly determined proper connected subdiagram is classified, and the branch
-    dies if one is indefinite; nothing else is pruned, so affine partial
-    diagrams of any size survive as long as the definition allows them.
-    """
-    if not 3 <= n <= ORACLE_RANK_LIMIT:
-        raise RankBoundError(f"oracle enumeration covers ranks 3..{ORACLE_RANK_LIMIT}, got {n}")
-    slots = [(i, j) for j in range(1, n) for i in range(j)]
-    rows = [[2 if a == b else 0 for b in range(n)] for a in range(n)]
-    full = (1 << n) - 1
-    found: set[Rows] = set()
-    options = (None,) + tuple(LABELS)
-    memo: dict[Rows, str] = {}
-
-    def newly_determined_ok(i: int, j: int) -> bool:
-        # Sets S | {j} with S a nonempty subset of 0..i containing i.
-        top = 1 << i
-        for sub in range(1 << i):
-            mask = sub | top | (1 << j)
-            if mask == full:
-                continue  # the full matrix is judged at the leaf
-            rt = tuple(
-                tuple(rows[a][b] for b in range(n) if mask >> b & 1)
-                for a in range(n)
-                if mask >> a & 1
-            )
-            if not mask_connected((1 << len(rt)) - 1, adjacency_bitmasks(rt)):
-                continue
-            if definitional_kind(rt, memo) == INDEFINITE:
-                return False
-        return True
-
-    def rec(t: int):
-        if t == len(slots):
-            rt = tuple(tuple(r) for r in rows)
-            if mask_connected(full, adjacency_bitmasks(rt)) and _hyperbolic_by_definition(rt, memo):
-                found.add(_canon(rt))
-            return
-        i, j = slots[t]
-        for lab in options:
-            if lab is None:
-                rows[i][j] = rows[j][i] = 0
-            else:
-                rows[i][j] = -lab[0]
-                rows[j][i] = -lab[1]
-            if newly_determined_ok(i, j):
-                rec(t + 1)
-        rows[i][j] = rows[j][i] = 0
-
-    rec(0)
-    return tuple(sorted(found))
-
-
-def search_rank_bruteforce(n: int) -> tuple[Rows, ...]:
-    """Literal enumeration for ranks 3..4: generate every assignment, filter after.
-
-    No aborts of any kind; exists purely to backstop the other two routes.
-    """
-    if not 3 <= n <= BRUTEFORCE_RANK_LIMIT:
-        raise RankBoundError(
-            f"brute-force enumeration covers ranks 3..{BRUTEFORCE_RANK_LIMIT}, got {n}"
-        )
-    from itertools import product
-
-    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    options = (None,) + tuple(LABELS)
-    found: set[Rows] = set()
-    memo: dict[Rows, str] = {}
-    for combo in product(options, repeat=len(slots)):
-        rows = [[2 if a == b else 0 for b in range(n)] for a in range(n)]
-        for (i, j), lab in zip(slots, combo):
-            if lab is not None:
-                rows[i][j] = -lab[0]
-                rows[j][i] = -lab[1]
-        rt = tuple(tuple(r) for r in rows)
-        if not mask_connected((1 << n) - 1, adjacency_bitmasks(rt)):
-            continue
-        if _hyperbolic_by_definition(rt, memo):
-            found.add(_canon(rt))
     return tuple(sorted(found))

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DynkinError,
@@ -281,40 +282,54 @@ def adjacency_bitmasks(rows: Sequence[Sequence[int]]) -> list[int]:
     return adj
 
 
-def mask_connected(mask: int, adj: Sequence[int]) -> bool:
-    """Whether the induced subgraph on bitmask ``mask`` is connected (empty: False)."""
-    if mask == 0:
-        return False
-    start = mask & -mask
-    seen = start
-    frontier = start
+def mask_component(mask: int, adj: Sequence[int]) -> int:
+    """Component of the lowest vertex of non-empty ``mask`` in the subgraph it induces."""
+    seen = frontier = mask & -mask
     while frontier:
         i = frontier.bit_length() - 1
         frontier &= ~(1 << i)
         grow = adj[i] & mask & ~seen
         seen |= grow
         frontier |= grow
-    return seen == mask
+    return seen
+
+
+def mask_components(mask: int, adj: Sequence[int]) -> list[int]:
+    """Connected components of the subgraph induced on ``mask``, lowest vertex first."""
+    out = []
+    while mask:
+        out.append(mask_component(mask, adj))
+        mask ^= out[-1]
+    return out
+
+
+def mask_connected(mask: int, adj: Sequence[int]) -> bool:
+    """Whether the induced subgraph on bitmask ``mask`` is connected (empty: False)."""
+    return mask != 0 and mask_component(mask, adj) == mask
+
+
+def proper_connected_masks(adj: Sequence[int]) -> Iterator[int]:
+    """Each proper connected induced vertex set once, as a bitmask (``2^n`` work).
+
+    By ascending size, then lexicographically by sorted vertex tuple.
+    """
+    n = len(adj)
+    for size in range(1, n):
+        for verts in combinations(range(n), size):
+            mask = 0
+            for i in verts:
+                mask |= 1 << i
+            if mask_connected(mask, adj):
+                yield mask
+
 
 def components(A: GeneralizedCartanMatrix) -> tuple[frozenset[int], ...]:
     """Connected components as 1-based vertex sets, ordered by smallest member."""
-    adj = adjacency_bitmasks(A.rows)
     n = A.rank
-    unvisited = (1 << n) - 1
-    out = []
-    while unvisited:
-        start = unvisited & -unvisited
-        seen = start
-        frontier = start
-        while frontier:
-            i = frontier.bit_length() - 1
-            frontier &= ~(1 << i)
-            grow = adj[i] & ~seen
-            seen |= grow
-            frontier |= grow
-        out.append(frozenset(i + 1 for i in range(n) if seen >> i & 1))
-        unvisited &= ~seen
-    return tuple(out)
+    return tuple(
+        frozenset(i + 1 for i in range(n) if comp >> i & 1)
+        for comp in mask_components((1 << n) - 1, adjacency_bitmasks(A.rows))
+    )
 
 
 def is_indecomposable(A: GeneralizedCartanMatrix) -> bool:

@@ -12,7 +12,8 @@ Two independent implementations of that criterion are provided:
 :func:`is_symmetrizable` (spanning-forest propagation, then each non-tree edge
 is checked and an unbalanced fundamental cycle is reported as a witness) and
 :func:`kac_cycle_oracle` (direct enumeration of all simple cycles, ranks up to
-8), so each can falsify the other in tests.
+8), so each can falsify the other in tests.  :func:`is_symmetrizable`,
+:func:`symmetrizer` and :func:`bilinear_form` all read one BFS forest pass.
 
 All arithmetic is exact: :class:`fractions.Fraction` during propagation,
 integers after normalization.  No floating point.
@@ -68,13 +69,13 @@ class UnbalancedCycleWitness:
 # == spanning-forest propagation ==
 
 
-def _forest_weights(
+def _forest(
     rows: tuple[tuple[int, ...], ...]
-) -> tuple[list[Fraction], list[tuple[int, int]]]:
-    """BFS weights forced by tree edges, plus the non-tree edges (0-based)."""
+) -> tuple[list[Fraction], list[int], list[tuple[int, int]]]:
+    """BFS weights forced by tree edges, parents (-1 at roots), non-tree edges (0-based)."""
     n = len(rows)
     d: list[Fraction | None] = [None] * n
-    tree_edges: set[tuple[int, int]] = set()
+    parent = [-1] * n
     for root in range(n):
         if d[root] is not None:
             continue
@@ -86,15 +87,15 @@ def _forest_weights(
                 if v == u or rows[u][v] == 0 or d[v] is not None:
                     continue
                 d[v] = d[u] * Fraction(rows[u][v], rows[v][u])
-                tree_edges.add((min(u, v), max(u, v)))
+                parent[v] = u
                 queue.append(v)
     nontree = [
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
-        if rows[u][v] != 0 and (u, v) not in tree_edges
+        if rows[u][v] != 0 and parent[u] != v and parent[v] != u
     ]
-    return d, nontree  # type: ignore[return-value]
+    return d, parent, nontree  # type: ignore[return-value]
 
 
 def _tree_path_to_root(u: int, parent: list[int]) -> list[int]:
@@ -102,25 +103,6 @@ def _tree_path_to_root(u: int, parent: list[int]) -> list[int]:
     while parent[path[-1]] >= 0:
         path.append(parent[path[-1]])
     return path
-
-
-def _forest_parents(rows: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Parent array of the same BFS forest used by :func:`_forest_weights`."""
-    n = len(rows)
-    parent = [-2] * n  # -2 unvisited, -1 root
-    for root in range(n):
-        if parent[root] != -2:
-            continue
-        parent[root] = -1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in range(n):
-                if v == u or rows[u][v] == 0 or parent[v] != -2:
-                    continue
-                parent[v] = u
-                queue.append(v)
-    return parent
 
 
 def _fundamental_cycle(u: int, v: int, parent: list[int]) -> list[int]:
@@ -151,6 +133,24 @@ def _cycle_products(rows: tuple[tuple[int, ...], ...], seq: list[int]) -> tuple[
     return fwd, rev
 
 
+def _weights_or_witness(
+    rows: tuple[tuple[int, ...], ...]
+) -> tuple[list[Fraction], UnbalancedCycleWitness | None]:
+    """Forest weights, and the witness of the first unbalanced non-tree edge if any."""
+    d, parent, nontree = _forest(rows)
+    for u, v in nontree:
+        if d[u] * rows[u][v] != d[v] * rows[v][u]:
+            cycle = _normalize_cycle(_fundamental_cycle(u, v, parent))
+            seq = cycle + [cycle[0]]
+            fwd, rev = _cycle_products(rows, seq)
+            return d, UnbalancedCycleWitness(
+                cycle=tuple(x + 1 for x in seq),
+                forward_product=fwd,
+                reverse_product=rev,
+            )
+    return d, None
+
+
 def is_symmetrizable(
     A: GeneralizedCartanMatrix,
 ) -> tuple[bool, UnbalancedCycleWitness | None]:
@@ -160,21 +160,19 @@ def is_symmetrizable(
     edge is checked for balance.  The witness cycle is the fundamental cycle
     of the first unbalanced edge, rotated to start at its smallest vertex.
     """
-    rows = A.rows
-    d, nontree = _forest_weights(rows)
-    for u, v in nontree:
-        if d[u] * rows[u][v] != d[v] * rows[v][u]:
-            parent = _forest_parents(rows)
-            cycle = _normalize_cycle(_fundamental_cycle(u, v, parent))
-            seq = cycle + [cycle[0]]
-            fwd, rev = _cycle_products(rows, seq)
-            witness = UnbalancedCycleWitness(
-                cycle=tuple(x + 1 for x in seq),
-                forward_product=fwd,
-                reverse_product=rev,
-            )
-            return False, witness
-    return True, None
+    _, witness = _weights_or_witness(A.rows)
+    return witness is None, witness
+
+
+def _symmetrizing_weights(A: GeneralizedCartanMatrix) -> list[Fraction]:
+    """Forest weights of ``A``; raises :class:`NotSymmetrizableError` with the witness."""
+    d, witness = _weights_or_witness(A.rows)
+    if witness is not None:
+        raise NotSymmetrizableError(
+            f"matrix is not symmetrizable: cycle {witness.cycle} has direction "
+            f"products {witness.forward_product} and {witness.reverse_product}"
+        )
+    return d
 
 
 # == independent cycle oracle ==
@@ -248,15 +246,7 @@ def symmetrizer(A: GeneralizedCartanMatrix) -> Symmetrization:
     """
     if not is_indecomposable(A):
         raise DecomposableError("symmetrizer requires an indecomposable matrix")
-    ok, witness = is_symmetrizable(A)
-    if not ok:
-        assert witness is not None
-        raise NotSymmetrizableError(
-            f"matrix is not symmetrizable: cycle {witness.cycle} has direction "
-            f"products {witness.forward_product} and {witness.reverse_product}"
-        )
-    weights, _ = _forest_weights(A.rows)
-    return Symmetrization(d=_normalize_weights(list(weights)))
+    return Symmetrization(d=_normalize_weights(_symmetrizing_weights(A)))
 
 
 def is_symmetric(A: GeneralizedCartanMatrix) -> bool:
@@ -270,15 +260,7 @@ def bilinear_form(A: GeneralizedCartanMatrix) -> tuple[tuple[int, ...], ...]:
     Works componentwise, each component normalized on its own, so decomposable
     input is fine.  ``B[i][i] == 2 * d[i]`` and ``B`` is exactly symmetric.
     """
-    ok, witness = is_symmetrizable(A)
-    if not ok:
-        assert witness is not None
-        raise NotSymmetrizableError(
-            f"matrix is not symmetrizable: cycle {witness.cycle} has direction "
-            f"products {witness.forward_product} and {witness.reverse_product}"
-        )
-    raw, _ = _forest_weights(A.rows)
-    d = _componentwise_normalize(A, [w for w in raw])
+    d = _componentwise_normalize(A, _symmetrizing_weights(A))
     n = A.rank
     B = tuple(tuple(d[i] * A.rows[i][j] for j in range(n)) for i in range(n))
     for i in range(n):

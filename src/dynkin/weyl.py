@@ -10,9 +10,10 @@ silently truncating.
 Orbit structure: two simple roots land in the same Weyl orbit whenever they
 are joined by a path of single (label ``(1, 1)``) edges, since such an edge
 gives ``r_i r_j`` mapping one endpoint to the other.  The skeleton partition
-in :func:`orbit_partition` uses only that rule; the reflection-closure
-partition in :func:`orbit_partition_bruteforce` recomputes the same blocks
-from an actual root walk so the two can be compared.
+in :func:`orbit_partition` uses only that rule: its blocks are the components
+of the single-edge skeleton.  The reflection-closure partition in
+:func:`orbit_partition_bruteforce` recomputes the same blocks from an actual
+root walk so the two can be compared.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .errors import BudgetExceededError, DynkinError, WrongTypeError
 from .gcm import (
     DynkinDiagram,
     GeneralizedCartanMatrix,
+    components,
+    diagram_to_matrix,
     is_indecomposable,
     matrix_to_diagram,
 )
@@ -195,21 +198,7 @@ def simply_laced_skeleton(D: DynkinDiagram) -> DynkinDiagram:
 
 def orbit_partition(D: DynkinDiagram) -> OrbitPartition:
     """Orbit blocks of the simple roots: components of the single-edge skeleton."""
-    skel = simply_laced_skeleton(D)
-    parent = list(range(D.rank + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j, _ in skel.edges:
-        parent[find(i)] = find(j)
-    groups: dict[int, set[int]] = {}
-    for v in range(1, D.rank + 1):
-        groups.setdefault(find(v), set()).add(v)
-    return OrbitPartition(tuple(frozenset(g) for g in groups.values()))
+    return OrbitPartition(components(diagram_to_matrix(simply_laced_skeleton(D))))
 
 
 def orbit_partition_bruteforce(

@@ -116,6 +116,17 @@ def affine_g2() -> list[list[int]]:
     return _add_vertex(cartan_g2(), {1: (1, 1)})
 
 
+def path_with_heavy_end(n: int) -> list[list[int]]:
+    """A_(n-1) with one more vertex hung off its end by a (1, 5) edge.
+
+    Indefinite and not hyperbolic; from rank 20 on, a walk over all of its
+    connected subsets takes seconds.
+    """
+    rows = _path_matrix(n)
+    rows[n - 1][n - 2] = -5
+    return rows
+
+
 #: name -> matrix for every finite family member used by the tests.
 FINITE_FIXTURES: dict[str, list[list[int]]] = {
     **{f"A{n}": cartan_a(n) for n in range(1, 9)},

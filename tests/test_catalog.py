@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from dynkin import (
 from dynkin.canonical import canonical_rows
 from dynkin.errors import DynkinError
 
-from lie_fixtures import FINITE_FIXTURES
+from lie_fixtures import FINITE_FIXTURES, path_with_heavy_end
 
 
 def entry_obj(entry) -> dict:
@@ -287,6 +288,41 @@ class TestVerification:
         by_name = {c.name: c for c in report.checks}
         assert not by_name["rank-bound"].passed
         assert "11-001" in by_name["rank-bound"].detail
+
+    def test_out_of_range_entry_is_never_walked(self, catalog, monkeypatch):
+        n = 22
+        obj = {
+            "id": "22-001",
+            "rank": n,
+            "matrix": path_with_heavy_end(n),
+            "compact": False,
+            "symmetrizable": False,
+            "symmetrizer": None,
+            "root_lengths": None,
+            "orbit_blocks": [list(range(1, n + 1))],
+            "orbit_semantics": "unverified",
+            "dual_id": "22-001",
+        }
+        loaded = catalog_from_lines(lines_for(obj))
+        module = importlib.import_module("dynkin.catalog")
+        walked = []
+
+        def spy(real):
+            def wrapper(arg):
+                assert len(arg) <= 10, f"subset walk on rank {len(arg)}"
+                walked.append(len(arg))
+                return real(arg)
+
+            return wrapper
+
+        for name in ("hyperbolic_compact_scan", "proper_connected_masks"):
+            monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        report = verify_catalog(catalog + loaded)
+        assert walked
+        by_name = {c.name: c for c in report.checks}
+        for name in ("rank-bound", "hyperbolic", "affine-subdiagram-corank"):
+            assert not by_name[name].passed
+            assert "22-001" in by_name[name].detail
 
 
 class TestTableEmitters:

@@ -6,7 +6,9 @@ deliberately independent from the Bareiss elimination used by the package.
 
 from __future__ import annotations
 
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,9 +28,10 @@ from dynkin import (
     principal_minors,
     validate_gcm,
 )
-from dynkin.classify import det_int, kind_of_rows
-from dynkin.enumeration import definitional_kind, finite_affine_classes
+from dynkin.classify import det_int, hyperbolic_compact_scan, kind_of_rows
+from dynkin.enumeration import finite_affine_classes
 from dynkin.gcm import is_indecomposable
+from dynkin.oracles import definitional_kind
 from dynkin.symmetrize import is_symmetrizable, random_gcm
 
 from lie_fixtures import (
@@ -47,6 +50,7 @@ from lie_fixtures import (
     cartan_e,
     cartan_f4,
     cartan_g2,
+    path_with_heavy_end,
 )
 
 
@@ -317,3 +321,46 @@ class TestClassifyDispatch:
                 keep = [v for v in range(1, A.rank + 1) if v != drop]
                 for comp in classify(induced_subdiagram(A, keep)):
                     assert comp.type.kind == FINITE
+
+
+class TestPublicHyperbolicityRoute:
+    def test_agrees_with_full_scan_on_random_connected(self):
+        rng = random.Random(2024)
+        seen = Counter()
+        for _ in range(4000):
+            rank = rng.randint(2, 9)
+            A = random_gcm(rng, rank, rng.choice((1, 2, 4)), rng.choice((0.3, 0.5)))
+            if not is_indecomposable(A):
+                continue
+            expected = hyperbolic_compact_scan(A.rows)
+            (comp,) = classify(A)
+            assert (comp.type.hyperbolic, comp.type.compact_hyperbolic) == expected
+            assert (is_hyperbolic(A), is_compact_hyperbolic(A)) == expected
+            seen[expected] += 1
+        assert min(seen[(True, True)], seen[(True, False)], seen[(False, False)]) >= 20
+
+    def test_public_api_never_runs_the_full_scan(self, monkeypatch, unbalanced_triangle):
+        def refuse(rows):
+            raise AssertionError(f"full subset scan on a rank-{len(rows)} matrix")
+
+        module = importlib.import_module("dynkin.classify")
+        monkeypatch.setattr(module, "hyperbolic_compact_scan", refuse)
+        hostile = validate_gcm(path_with_heavy_end(22))
+        for A in (unbalanced_triangle, validate_gcm(cartan_e(8)), hostile):
+            classify(A)
+            is_hyperbolic(A)
+            is_compact_hyperbolic(A)
+        assert classify(hostile)[0].type.kind == INDEFINITE
+        assert not is_hyperbolic(hostile)
+
+
+def test_kind_cache_is_bounded():
+    module = importlib.import_module("dynkin.classify")
+    limit = module.KIND_CACHE_LIMIT
+    module._KIND_CACHE.clear()
+    labels = [(a, b) for a in range(1, 300) for b in range(1, 300)][: limit + 1]
+    for a, b in labels:
+        kind_of_rows(((2, -a), (-b, 2)))
+        assert len(module._KIND_CACHE) <= limit
+    assert ((2, -a), (-b, 2)) in module._KIND_CACHE
+    module._KIND_CACHE.clear()

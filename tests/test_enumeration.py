@@ -6,19 +6,17 @@ live in the acceptance tests; this file keeps the fast cases.
 
 from __future__ import annotations
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 from dynkin import RankBoundError
 from dynkin.classify import AFFINE, FINITE, kind_of_rows
-from dynkin.enumeration import (
-    finite_affine_classes,
-    hyperbolic_fast_flags,
-    rows_fully_finite,
-    search_rank,
-    search_rank_bruteforce,
-    search_rank_oracle,
-)
+from dynkin.enumeration import finite_affine_classes, hyperbolic_fast_flags, search_rank
 from dynkin.classify import hyperbolic_compact_scan
+from dynkin.oracles import rows_fully_finite, search_rank_bruteforce, search_rank_oracle
 
 from lie_fixtures import AFFINE_CLASS_COUNTS, FINITE_CLASS_COUNTS
 
@@ -93,3 +91,44 @@ class TestFastFlags:
     def test_full_finite_helper(self):
         assert rows_fully_finite(((2, -1, 0), (-1, 2, 0), (0, 0, 2)))
         assert not rows_fully_finite(((2, -2), (-2, 2)))
+
+
+def _module_tree(name):
+    path = Path(importlib.import_module(name).__file__)
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _imported_modules(tree):
+    """Last dotted component of every module an import names (and every imported name)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name.rsplit(".", 1)[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.rsplit(".", 1)[-1]
+            yield from (a.name for a in node.names)
+
+
+def _identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+            if node.asname:
+                yield node.asname
+
+
+class TestOracleBoundary:
+    """The oracle routes and the pruned search share nothing."""
+
+    def test_oracles_do_not_reach_into_the_pruned_search(self):
+        tree = _module_tree("dynkin.oracles")
+        assert "enumeration" not in set(_imported_modules(tree))
+        pruned = {"kind_of_rows", "hyperbolic_fast_flags", "_attach_extensions", "search_rank"}
+        assert not pruned & set(_identifiers(tree))
+
+    def test_pruned_search_does_not_import_the_oracles(self):
+        assert "oracles" not in set(_imported_modules(_module_tree("dynkin.enumeration")))

@@ -23,6 +23,7 @@ from dynkin import (
     validate_gcm,
 )
 from dynkin.errors import DynkinError
+from dynkin.gcm import proper_connected_masks
 
 
 class TestValidation:
@@ -220,3 +221,43 @@ class TestInducedSubdiagram:
             induced_subdiagram(unbalanced_triangle, set())
         with pytest.raises(DynkinError):
             induced_subdiagram(unbalanced_triangle, {0, 1})
+
+
+def _connected_by_search(verts, adj):
+    """Plain set-based graph search, independent of the bitmask helpers."""
+    verts = set(verts)
+    todo = [min(verts)]
+    reached = set(todo)
+    while todo:
+        u = todo.pop()
+        for v in verts - reached:
+            if adj[u] >> v & 1:
+                reached.add(v)
+                todo.append(v)
+    return reached == verts
+
+
+class TestProperConnectedMasks:
+    def test_matches_sorted_bruteforce_filter(self):
+        rng = random.Random(7)
+        disconnected = 0
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            prob = rng.choice((0.15, 0.35, 0.7))
+            adj = [0] * n
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < prob:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+            disconnected += not _connected_by_search(range(n), adj)
+
+            def verts(mask):
+                return tuple(i for i in range(n) if mask >> i & 1)
+
+            expected = sorted(
+                (m for m in range(1, 2**n - 1) if _connected_by_search(verts(m), adj)),
+                key=lambda m: (len(verts(m)), verts(m)),
+            )
+            assert list(proper_connected_masks(adj)) == expected
+        assert disconnected > 50
