@@ -32,7 +32,7 @@ from .classify import (
     sub_rows,
 )
 from .enumeration import search_rank
-from .errors import CatalogFormatError, DynkinError, RankBoundError, WrongTypeError
+from .errors import CatalogFormatError, DynkinError, RankBoundError, WrongTypeError, clip
 from .gcm import (
     GeneralizedCartanMatrix,
     adjacency_bitmasks,
@@ -42,6 +42,7 @@ from .gcm import (
     proper_connected_masks,
     validate_gcm,
 )
+from .parsing import load_json
 from .symmetrize import bilinear_form, is_symmetrizable, symmetrizer
 from .weyl import OrbitPartition, highest_root, orbit_partition, orbit_partitions_agree
 
@@ -137,30 +138,20 @@ def _rank_entries(rank: int, mats: tuple[tuple[tuple[int, ...], ...], ...]) -> l
 
 
 def enumerate_hyperbolic(
-    rank_min: int = MIN_RANK, rank_max: int = MAX_RANK, jobs: int = 1
+    rank_min: int = MIN_RANK, rank_max: int = MAX_RANK
 ) -> tuple[CatalogEntry, ...]:
     """Full catalog of hyperbolic classes for ranks ``rank_min..rank_max``.
 
     Deterministic: entries are sorted by rank, then by canonical matrix.
-    ``jobs > 1`` distributes whole ranks over worker processes; the merge
-    order is fixed, so the output does not depend on scheduling.
     """
     if not (MIN_RANK <= rank_min <= rank_max <= MAX_RANK):
         raise RankBoundError(
             f"rank range must satisfy {MIN_RANK} <= min <= max <= {MAX_RANK}, "
             f"got {rank_min}..{rank_max}"
         )
-    ranks = list(range(rank_min, rank_max + 1))
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(min(jobs, len(ranks))) as pool:
-            per_rank = pool.map(search_rank, ranks)
-    else:
-        per_rank = [search_rank(r) for r in ranks]
     out: list[CatalogEntry] = []
-    for rank, mats in zip(ranks, per_rank):
-        out.extend(_rank_entries(rank, mats))
+    for rank in range(rank_min, rank_max + 1):
+        out.extend(_rank_entries(rank, search_rank(rank)))
     return tuple(out)
 
 
@@ -270,7 +261,8 @@ def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> Catalo
     then fail.  ``height`` seeds the reflection-walk window of the orbit
     cross-check; on mismatch the window is doubled a few times before the
     check is declared failed.  An entry outside ``MIN_RANK..MAX_RANK`` is
-    never walked (``2^rank`` work): the subdiagram checks list it as offending.
+    never walked (``2^rank`` work) nor canonically labelled: the subdiagram
+    checks, ``well-formed`` and ``duality`` list it as offending.
     """
     checks: list[PropertyCheck] = []
 
@@ -287,9 +279,9 @@ def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> Catalo
     add("rank-bound", out_of_range, f"all ranks within {MIN_RANK}..{MAX_RANK}")
     walkable = [e for e in entries if MIN_RANK <= e.rank <= MAX_RANK]
 
-    bad = []
+    bad = list(out_of_range)
     seen_ids: set[str] = set()
-    for e in entries:
+    for e in walkable:
         rows = e.matrix.rows
         ok = (
             e.canonical_id not in seen_ids
@@ -330,8 +322,8 @@ def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> Catalo
                 bad.append(e.canonical_id)
     add("symmetrizer", bad, "flags match recomputation; stored weights symmetrize exactly")
 
-    bad = []
-    for e in entries:
+    bad = list(out_of_range)
+    for e in walkable:
         mate = by_id.get(e.dual_id)
         transpose_canon = canonical_rows(tuple(zip(*e.matrix.rows)))[0]
         if mate is None or mate.matrix.rows != transpose_canon or mate.dual_id != e.canonical_id:
@@ -524,15 +516,19 @@ _ENTRY_KEYS = {
 }
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _entry_from_obj(obj: dict, lineno: int) -> CatalogEntry:
     if not isinstance(obj, dict) or set(obj) != _ENTRY_KEYS:
         raise CatalogFormatError(f"line {lineno}: unexpected entry fields")
     try:
         matrix = validate_gcm(obj["matrix"])
-    except DynkinError as exc:
+    except (DynkinError, TypeError) as exc:  # TypeError: not a sequence of rows
         raise CatalogFormatError(f"line {lineno}: bad matrix: {exc}") from None
     rank = obj["rank"]
-    if not isinstance(rank, int) or rank != matrix.rank:
+    if not _is_int(rank) or rank != matrix.rank:
         raise CatalogFormatError(f"line {lineno}: rank field does not match the matrix")
     sym = obj["symmetrizable"]
     d = obj["symmetrizer"]
@@ -545,8 +541,8 @@ def _entry_from_obj(obj: dict, lineno: int) -> CatalogEntry:
         if (
             not isinstance(d, list)
             or len(d) != rank
-            or not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in d)
-            or not isinstance(rho, int)
+            or not all(_is_int(v) and v > 0 for v in d)
+            or not _is_int(rho)
         ):
             raise CatalogFormatError(f"line {lineno}: bad symmetrizer for a symmetrizable entry")
     elif d is not None or rho is not None:
@@ -556,13 +552,13 @@ def _entry_from_obj(obj: dict, lineno: int) -> CatalogEntry:
     blocks = obj["orbit_blocks"]
     if (
         not isinstance(blocks, list)
-        or not all(isinstance(b, list) and b for b in blocks)
+        or not all(isinstance(b, list) and b and all(map(_is_int, b)) for b in blocks)
         or sorted(v for b in blocks for v in b) != list(range(1, rank + 1))
     ):
         raise CatalogFormatError(f"line {lineno}: orbit blocks must partition 1..rank")
     semantics = obj["orbit_semantics"]
     if semantics not in (VERIFIED, UNVERIFIED):
-        raise CatalogFormatError(f"line {lineno}: bad orbit_semantics {semantics!r}")
+        raise CatalogFormatError(f"line {lineno}: bad orbit_semantics {clip(repr(semantics))}")
     if not isinstance(obj["id"], str) or not isinstance(obj["dual_id"], str):
         raise CatalogFormatError(f"line {lineno}: ids must be strings")
     return CatalogEntry(
@@ -593,22 +589,15 @@ def catalog_from_lines(text: str) -> tuple[CatalogEntry, ...]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise CatalogFormatError("empty catalog file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CatalogFormatError(f"line 1: invalid JSON: {exc}") from None
+    header = load_json(lines[0], CatalogFormatError, "line 1: ")
     if not isinstance(header, dict) or header.get("format") != CATALOG_FORMAT:
         raise CatalogFormatError(f"unsupported catalog format; expected {CATALOG_FORMAT!r}")
     entries = []
     ids: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CatalogFormatError(f"line {lineno}: invalid JSON: {exc}") from None
-        entry = _entry_from_obj(obj, lineno)
+        entry = _entry_from_obj(load_json(line, CatalogFormatError, f"line {lineno}: "), lineno)
         if entry.canonical_id in ids:
-            raise CatalogFormatError(f"line {lineno}: duplicate id {entry.canonical_id}")
+            raise CatalogFormatError(f"line {lineno}: duplicate id {clip(entry.canonical_id)}")
         ids.add(entry.canonical_id)
         entries.append(entry)
     return tuple(entries)

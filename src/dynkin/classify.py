@@ -1,27 +1,27 @@
 """Cartan type classification: finite, affine, indefinite, hyperbolic.
 
 An indecomposable GCM ``A`` is of exactly one type (Kac, *Infinite-dimensional
-Lie algebras*, Thm. 4.3): finite, affine or indefinite.  For a symmetrizable
-``A``, with ``D A = B`` for a positive diagonal ``D`` and a symmetric ``B``,
-the type is read off ``B`` (Kac, Ch. 4): finite iff ``B`` is positive
-definite, affine iff ``B`` is positive semidefinite of corank 1.
+Lie algebras*, Thm. 4.3): finite if ``A u > 0`` for some ``u > 0``, affine if
+``A u = 0`` for some ``u > 0``, and indefinite otherwise.
 
 :func:`kind_of_rows` decides the type of a connected GCM directly, exactly
-over the integers:
+over the integers, by the M-matrix argument:
 
 * rank 1 is finite; rank 2 with edge product ``p * q`` is finite below 4,
   affine at 4 and indefinite above;
-* from rank 3 on, every finite or affine GCM is symmetrizable (Kac, Ch. 4; of
-  the connected ones only the affine cycle ``A_l^(1)`` has a cycle at all), so
-  a non-symmetrizable ``A`` is indefinite;
-* a symmetrizable ``A`` has leading principal minors of the same signs as
-  ``B``'s, since ``det A_k = det B_k / (d_1 ... d_k)``.  Sylvester's criterion
-  then decides: every leading minor positive is finite; the first ``n - 1``
-  positive and the determinant 0 is affine (the leading block of ``B`` is
-  positive definite, so by interlacing ``B`` has exactly one eigenvalue 0 and
-  the rest positive); any other sign pattern is indefinite, because every
-  proper subdiagram of a connected finite or affine diagram is finite (Kac,
-  Lemma 4.4), which makes all its proper leading minors positive.
+* a GCM is a Z-matrix: its off-diagonal entries are at most 0;
+* a Z-matrix whose leading principal minors are all positive is a
+  nonsingular M-matrix (Fiedler and Ptak, 1962), so ``A u > 0`` for some
+  ``u > 0`` and ``A`` is finite (Thm. 4.3 (Fin));
+* if the leading minors of orders ``1 .. n-1`` are positive and the
+  determinant is 0, ``A`` is a singular irreducible M-matrix: the leading
+  block ``M`` has ``M^-1 >= 0``, so with ``b <= 0`` the last column above
+  the diagonal, ``(-M^-1 b, 1)`` is a non-negative null vector, positive
+  because ``A`` is connected, and ``A`` is affine (Thm. 4.3 (Aff));
+* any other sign pattern is indefinite: every proper subdiagram of a
+  connected finite or affine diagram is finite (Kac, Lemma 4.4), so all its
+  proper leading minors are positive, and its determinant is positive
+  (finite) or 0 (affine).
 
 The leading minors are the pivots of fraction-free Bareiss elimination without
 pivoting, so one ``O(n^3)`` elimination decides the type, with no floating
@@ -135,11 +135,10 @@ _KIND_CACHE: dict[tuple[tuple[int, ...], ...], str] = {}
 def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     """Cartan kind of a *connected* GCM given as raw row tuples.
 
-    Rank 1 and rank 2 have closed forms.  From rank 3 on, a non-symmetrizable
-    matrix is indefinite, and a symmetrizable one is classified by the signs
-    of its leading principal minors (Sylvester's rule, see the module
-    docstring).  The premises are that ``rows`` is connected and that every
-    finite or affine GCM is symmetrizable.
+    Rank 1 and rank 2 have closed forms.  From rank 3 on the signs of the
+    leading principal minors decide (the M-matrix argument in the module
+    docstring).  The premise is that ``rows`` is connected; symmetrizability
+    is not needed.
 
     Memoized across calls, since the enumeration classifies the same small
     submatrices over and over; the memo starts over at ``KIND_CACHE_LIMIT``.
@@ -153,8 +152,6 @@ def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     elif n == 2:
         prod = rows[0][1] * rows[1][0]
         kind = FINITE if prod < 4 else AFFINE if prod == 4 else INDEFINITE
-    elif not _balanced(rows):
-        kind = INDEFINITE
     else:
         kind = _leading_minor_kind(rows)
     if len(_KIND_CACHE) >= KIND_CACHE_LIMIT:
@@ -163,42 +160,8 @@ def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     return kind
 
 
-def _balanced(rows: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether ``rows`` is symmetrizable, decided in integers.
-
-    Each vertex gets a weight ``num / den`` forced by the DFS-tree edge that
-    reached it (``d[v] = d[u] * A[u][v] / A[v][u]``); every other edge must
-    satisfy ``d[u] * A[u][v] == d[v] * A[v][u]``, checked by cross-multiplying.
-    """
-    n = len(rows)
-    num = [0] * n
-    den = [0] * n
-    for root in range(n):
-        if num[root]:
-            continue
-        num[root] = den[root] = 1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            row_u = rows[u]
-            num_u, den_u = num[u], den[u]
-            for v in range(n):
-                a = row_u[v]
-                if a == 0 or v == u:
-                    continue
-                b = rows[v][u]
-                if num[v]:
-                    if num_u * a * den[v] != num[v] * b * den_u:
-                        return False
-                else:
-                    num[v] = -num_u * a
-                    den[v] = -den_u * b
-                    stack.append(v)
-    return True
-
-
 def _leading_minor_kind(rows: tuple[tuple[int, ...], ...]) -> str:
-    """Kind of a connected symmetrizable GCM from the signs of its leading minors.
+    """Kind of a connected GCM from the signs of its leading principal minors.
 
     Bareiss elimination without pivoting: the k-th pivot is the k-th leading
     principal minor, and the last one is the determinant.
@@ -361,11 +324,17 @@ def is_compact_hyperbolic(A: GeneralizedCartanMatrix) -> bool:
 
 
 def hyperbolicity_witness(A: GeneralizedCartanMatrix) -> HyperbolicityWitness:
-    """Hyperbolicity verdict together with the reason it was reached."""
+    """Hyperbolicity verdict together with the reason it was reached.
+
+    Finite and affine matrices are answered at any rank.  An indefinite one
+    needs the subset walk, restricted to rank <= 12 like :func:`principal_minors`.
+    """
     _require_indecomposable(A)
     kind = kind_of_rows(A.rows)
     if kind != INDEFINITE:
         return HyperbolicityWitness(False, f"matrix is of {kind} type", None)
+    if A.rank > MINOR_RANK_LIMIT:
+        raise RankBoundError(f"witness walk supported up to rank {MINOR_RANK_LIMIT}, got {A.rank}")
     for mask in proper_connected_masks(adjacency_bitmasks(A.rows)):
         if kind_of_rows(sub_rows(A.rows, mask)) == INDEFINITE:
             return HyperbolicityWitness(

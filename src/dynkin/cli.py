@@ -160,7 +160,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    entries = enumerate_hyperbolic(args.min_rank, args.max_rank, jobs=args.jobs)
+    entries = enumerate_hyperbolic(args.min_rank, args.max_rank)
     if args.table_format == "jsonl":
         payload = catalog_to_lines(entries)
     elif args.table_format == "tsv":
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="jsonl",
         help="output format (jsonl is the loadable catalog format)",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, one rank each")
     p.add_argument(
         "--oracle",
         action="store_true",
@@ -285,10 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DynkinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
+    except (DynkinError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

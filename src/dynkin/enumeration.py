@@ -30,13 +30,29 @@ The production search grows connected diagrams one vertex at a time:
   hyperbolic diagram has affine subdiagrams of corank 1 and no smaller ones.
 
 Each attachment step is told the largest connected subdiagram size the
-target forces to be finite (``k - 1`` for level ``k``, ``n - 2`` for rank
-``n``) and prunes with it: at 2 or more no edge to the new vertex may carry a
-product-4 label, since such an edge is affine; at 3 or more every determined
-connected triple through the new vertex must be finite.  Without those rules
-a determined proper triple only has to avoid being indefinite.  Only branches
-that no admissible target can complete are cut, so the classes found do not
-depend on the pruning.
+target forces to be finite (``finite_max``: ``k - 1`` for level ``k``,
+``n - 2`` for rank ``n``) and prunes with it:
+
+* at 2 or more no edge to the new vertex may carry a product-4 label, since
+  such an edge is affine;
+* at 3 or more every determined connected triple through the new vertex must
+  be finite.  Without this rule a determined proper triple only has to avoid
+  being indefinite;
+* the girth rule: the new vertex may take edges to two base vertices ``i``
+  and ``j`` only if their edge distance in the base is at least
+  ``finite_max - 1``.  Proof: a shortest base path from ``i`` to ``j`` has
+  no chords, so with the new vertex it spans a connected subdiagram on
+  ``dist(i, j) + 2`` vertices that contains a cycle.  Finite diagrams are
+  trees (a cycle is never finite: Kac, Ch. 4), so that subdiagram may not be
+  one the target forces to be finite.  Distances are taken in the base,
+  which is valid for the affine cycle bases too: their cycle has ``n - 1``
+  vertices, more than ``finite_max``.  The rule keeps the affine cycle on
+  ``k`` vertices at level ``k`` and the cycles on ``n - 1`` and ``n``
+  vertices at rank ``n``; from ``finite_max = 3`` on it also excludes every
+  triangle through the new vertex.
+
+Only branches that no admissible target can complete are cut, so the classes
+found do not depend on the pruning.
 
 Candidate filtering uses :func:`dynkin.classify.hyperbolic_fast_flags`, the
 corank-1 criterion: a connected indefinite diagram is hyperbolic iff every
@@ -100,27 +116,51 @@ def _materialize(base: Rows, chosen: list[tuple[int, int] | None]) -> Rows:
     return tuple(out)
 
 
-def _triples_ok(
-    base: Rows, chosen: list[tuple[int, int] | None], i: int, reject: tuple[str, ...]
-) -> bool:
-    """No fully determined connected triple through the new vertex has a kind in ``reject``.
+def _distances(base: Rows) -> list[dict[int, int]]:
+    """Edge distances in the connected ``base``, one BFS from each vertex."""
+    out = []
+    for source in range(len(base)):
+        dist = {source: 0}
+        queue = [source]
+        for u in queue:  # the queue grows while it is read
+            for v, a in enumerate(base[u]):
+                if a and v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        out.append(dist)
+    return out
 
-    ``reject`` is ``(INDEFINITE,)`` when the triple is only known to be a proper
-    subdiagram of the target, and also holds ``AFFINE`` when the corank lemma
-    forces the triple to be finite.  The caller skips this for targets of rank 3,
-    where the triple is the target itself.
+
+def _triples_ok(
+    base: Rows,
+    chosen: list[tuple[int, int] | None],
+    i: int,
+    reject: tuple[str, ...],
+    near: set[int],
+) -> bool:
+    """The edge just chosen for slot ``i`` closes no short cycle and no bad triple.
+
+    Two edges from the new vertex, to slots ``i`` and ``j``, close a cycle on
+    ``dist(i, j) + 2`` vertices, so ``j`` must not be in ``near``, the slots
+    closer to ``i`` than the girth rule allows.  No fully determined
+    connected triple through the new vertex may have a kind in ``reject``:
+    ``(INDEFINITE,)`` when the triple is only known to be a proper subdiagram
+    of the target, and also ``AFFINE`` when the corank lemma forces it to be
+    finite.  The caller skips this for targets of rank 3, where the triple is
+    the target itself.
     """
-    lab_i = chosen[i]
+    pi, qi = chosen[i]
     for j in range(i):
         lab_j = chosen[j]
-        if lab_i is None and lab_j is None:
-            continue  # subdiagram of the base, already vetted
         b_ji = base[j][i]
-        edge_count = (b_ji != 0) + (lab_j is not None) + (lab_i is not None)
-        if edge_count < 2:
+        if lab_j is not None:
+            if j in near:
+                return False
+            pj, qj = lab_j
+        elif b_ji:
+            pj = qj = 0
+        else:
             continue  # disconnected triple, components vetted elsewhere
-        pj, qj = lab_j if lab_j is not None else (0, 0)
-        pi, qi = lab_i if lab_i is not None else (0, 0)
         triple = (
             (2, b_ji, -pj),
             (base[i][j], 2, -pi),
@@ -137,13 +177,15 @@ def _attach_extensions(base: Rows, finite_max: int):
     ``finite_max`` is the largest connected subdiagram size that the target
     forces to be finite (the corank lemma in the module docstring).  At 2 or
     more the product-4 labels are dropped; at 3 or more every determined
-    triple through the new vertex must be finite.  Depth-first over the
-    attachment slots, so a branch dies at its first bad triple.
+    triple through the new vertex must be finite; and the new vertex closes
+    no cycle on ``finite_max`` vertices or fewer.  Depth-first over the
+    attachment slots, so a branch dies at its first bad pair or triple.
     """
     k = len(base)
     check_triples = k + 1 > 3
     reject = (INDEFINITE, AFFINE) if finite_max >= 3 else (INDEFINITE,)
     labels = LABELS if finite_max < 2 else tuple(lab for lab in LABELS if lab[0] * lab[1] < 4)
+    near = [{j for j, d in dist.items() if d < finite_max - 1} for dist in _distances(base)]
     chosen: list[tuple[int, int] | None] = [None] * k
     options = (None,) + labels
 
@@ -154,7 +196,11 @@ def _attach_extensions(base: Rows, finite_max: int):
             return
         for lab in options:
             chosen[i] = lab
-            if check_triples and lab is not None and not _triples_ok(base, chosen, i, reject):
+            if (
+                check_triples
+                and lab is not None
+                and not _triples_ok(base, chosen, i, reject, near[i])
+            ):
                 continue
             yield from rec(i + 1, any_edge or lab is not None)
         chosen[i] = None

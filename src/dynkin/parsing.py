@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import MatrixParseError, clip
+from .errors import DynkinError, MatrixParseError, clip
 from .gcm import GeneralizedCartanMatrix, validate_gcm
 
 __all__ = [
@@ -42,15 +42,20 @@ def parse_matrix_text(text: str) -> GeneralizedCartanMatrix:
     return validate_gcm(rows)
 
 
-def parse_matrix_json(text: str) -> GeneralizedCartanMatrix:
+def load_json(text: str, error: type[DynkinError], where: str = "") -> object:
+    """``json.loads`` with every decoder failure raised as ``error``, prefixed by ``where``."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MatrixParseError(f"invalid JSON: {exc}") from None
+        raise error(f"{where}invalid JSON: {exc}") from None
     except RecursionError:
-        raise MatrixParseError("invalid JSON: arrays or objects nested too deeply") from None
+        raise error(f"{where}invalid JSON: arrays or objects nested too deeply") from None
     except ValueError:  # an integer literal past the interpreter's digit limit
-        raise MatrixParseError("invalid JSON: an integer has too many digits") from None
+        raise error(f"{where}invalid JSON: an integer has too many digits") from None
+
+
+def parse_matrix_json(text: str) -> GeneralizedCartanMatrix:
+    obj = load_json(text, MatrixParseError)
     if isinstance(obj, dict):
         if "matrix" not in obj:
             raise MatrixParseError('JSON object must carry a "matrix" key')

@@ -58,7 +58,7 @@ def report(num: int, slug: str, problems: list[str], detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def timed_catalog():
     t0 = time.perf_counter()
-    entries = enumerate_hyperbolic(3, 10, jobs=1)
+    entries = enumerate_hyperbolic(3, 10)
     return entries, time.perf_counter() - t0
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -93,19 +91,6 @@ class TestFileFormat:
     def test_byte_deterministic(self, catalog):
         text = catalog_to_lines(catalog)
         assert catalog_to_lines(catalog_from_lines(text)) == text
-
-    def test_jobs_output_byte_identical(self, catalog):
-        # A fresh process, so the workers search from scratch instead of
-        # inheriting this session's memoized ranks.
-        code = (
-            "import sys\n"
-            "from dynkin import catalog_to_lines, enumerate_hyperbolic\n"
-            "sys.stdout.write(catalog_to_lines(enumerate_hyperbolic(3, 10, jobs=2)))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert proc.stdout == catalog_to_lines(catalog)
 
     def test_write_read(self, catalog, tmp_path):
         path = tmp_path / "catalog.jsonl"

@@ -295,6 +295,16 @@ class TestHyperbolicity:
         assert not is_hyperbolic(validate_gcm(cartan_a(4)))
         assert not is_hyperbolic(validate_gcm([[2, -2], [-2, 2]]))
 
+    def test_witness_rank_cap(self):
+        # the subset walk is exponential: an indefinite matrix above rank 12 raises
+        with pytest.raises(RankBoundError, match="up to rank 12, got 13"):
+            hyperbolicity_witness(validate_gcm(path_with_heavy_end(13)))
+        assert hyperbolicity_witness(validate_gcm(path_with_heavy_end(12))).subset == {11, 12}
+        # finite and affine verdicts need no walk and hold at any rank
+        for rows, kind in ((cartan_a(20), FINITE), (affine_a(19), AFFINE), (affine_d(19), AFFINE)):
+            w = hyperbolicity_witness(validate_gcm(rows))
+            assert (w.hyperbolic, w.reason, w.subset) == (False, f"matrix is of {kind} type", None)
+
 
 class TestClassifyDispatch:
     def test_decomposable_rejected(self):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from dynkin import parse_matrix_input, read_catalog, write_catalog
+from dynkin import catalog_to_lines, parse_matrix_input, read_catalog, write_catalog
 from dynkin.cli import main
 
 
@@ -284,6 +284,35 @@ class TestVerifyCatalog:
         assert code == 3
         assert "FAIL" in out
         assert "verification failed" in err
+
+    def test_out_of_range_entry_is_reported_not_labelled(self, capsys, tmp_path):
+        # four disjoint 5-cycles: loadable, but too symmetric to label canonically
+        n = 20
+        rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for v in range(n):
+            w = v - v % 5 + (v + 1) % 5
+            rows[v][w] = rows[w][v] = -1
+        obj = {
+            "id": "20-001",
+            "rank": n,
+            "matrix": rows,
+            "compact": False,
+            "symmetrizable": True,
+            "symmetrizer": [1] * n,
+            "root_lengths": 1,
+            "orbit_blocks": [list(range(c + 1, c + 6)) for c in range(0, n, 5)],
+            "orbit_semantics": "verified",
+            "dual_id": "20-001",
+        }
+        path = tmp_path / "cycles.jsonl"
+        path.write_text(catalog_to_lines(()) + json.dumps(obj) + "\n")
+        assert len(read_catalog(path)) == 1
+        code, out, err = run(capsys, ["verify-catalog", "--in", str(path)])
+        assert code == 3
+        assert "FAIL rank-bound: offending entries: 20-001" in out.splitlines()
+        for name in ("well-formed", "duality"):
+            assert f"FAIL {name}: offending entries: 20-001" in out.splitlines()
+        assert "error:" not in err
 
     def test_malformed_file_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "broken.jsonl"

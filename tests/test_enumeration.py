@@ -14,7 +14,12 @@ import pytest
 
 from dynkin import RankBoundError
 from dynkin.classify import AFFINE, FINITE, kind_of_rows
-from dynkin.enumeration import finite_affine_classes, hyperbolic_fast_flags, search_rank
+from dynkin.enumeration import (
+    _attach_extensions,
+    finite_affine_classes,
+    hyperbolic_fast_flags,
+    search_rank,
+)
 from dynkin.classify import hyperbolic_compact_scan
 from dynkin.oracles import rows_fully_finite, search_rank_bruteforce, search_rank_oracle
 
@@ -72,6 +77,55 @@ class TestSearchRank:
         assert list(found) == sorted(found)
         for rows in found:
             assert canonical_rows(rows)[0] == rows
+
+
+#: Candidates ``search_rank(n)`` hands to the hyperbolicity filter.
+CANDIDATES_PER_RANK = {3: 400, 4: 206, 5: 277, 6: 313, 7: 313, 8: 372, 9: 416, 10: 421, 11: 420}
+
+
+def _short_cycle_through_last(rows, limit):
+    """Whether a cycle on at most ``limit`` vertices runs through the last vertex.
+
+    Plain search over simple paths that start at the last vertex; it shares
+    nothing with the base distances the pruning uses.
+    """
+    n = len(rows)
+    new = n - 1
+
+    def extend(path):
+        u = path[-1]
+        for v in range(n):
+            if v == u or not rows[u][v]:
+                continue
+            if v == new and len(path) >= 3:
+                return True
+            if v not in path and len(path) < limit and extend(path + [v]):
+                return True
+        return False
+
+    return extend([new])
+
+
+class TestGirthRule:
+    @pytest.mark.parametrize("n", sorted(CANDIDATES_PER_RANK))
+    def test_candidate_counts(self, n):
+        fins, affs = finite_affine_classes(n - 1)
+        count = sum(1 for base in fins + affs for _ in _attach_extensions(base, n - 2))
+        assert count == CANDIDATES_PER_RANK[n]
+
+    def test_no_candidate_closes_a_short_cycle(self):
+        # (bases, finite_max) of every level 2..10 and every rank 3..11
+        steps = [(finite_affine_classes(k - 1)[0], k - 1) for k in range(2, 11)]
+        steps += [(sum(finite_affine_classes(n - 1), ()), n - 2) for n in range(3, 12)]
+        for bases, finite_max in steps:
+            tight = 0
+            for base in bases:
+                for cand in _attach_extensions(base, finite_max):
+                    assert not _short_cycle_through_last(cand, finite_max), cand
+                    tight += _short_cycle_through_last(cand, finite_max + 1)
+            # a cycle on finite_max + 1 vertices (the affine cycle at level k,
+            # a corank-1 cycle at rank n) is still offered
+            assert tight or finite_max < 2, finite_max
 
 
 class TestFastFlags:

@@ -1,0 +1,182 @@
+"""Seeded fuzzing of the command line, in process.
+
+Every case must end in a documented exit code (0 success, 1 domain error,
+2 usage error, 3 verification failure), write at most one ``error:`` line and
+never let an exception escape ``main``.  Three sources of input:
+
+* random GCMs of ranks 1..12 (``random_gcm``) into the matrix commands;
+* hostile matrix text and JSON;
+* single-field mutations of catalog lines into ``verify-catalog``.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import random
+import sys
+
+import dynkin.cli
+from dynkin import catalog_to_lines
+from dynkin.cli import main
+from dynkin.symmetrize import random_gcm
+
+SEED = 20100
+
+EXIT_CODES = {0, 1, 2, 3}
+
+HOSTILE_VALUES = [
+    None,
+    True,
+    0,
+    -1,
+    3,
+    25,
+    2**70,
+    1.5,
+    "",
+    "x",
+    "3-001",
+    [],
+    [[]],
+    [1, "2"],
+    [[1], ["2"]],
+    [[None, 1]],
+    [[2, -1], [-1, 2]],
+    {},
+    {"matrix": [[2]]},
+    [[[[[]]]]],
+]
+
+HOSTILE_MATRICES = [
+    "",
+    "\n\n# only a comment\n",
+    "2 -1\n-1",
+    "2 -1\n-1 2\n3",
+    "2 x\n-1 2",
+    "2 -1.0\n-1 2",
+    "9" * 5000,
+    "2 -1\n-1 " + "9" * 5000,
+    "[" * 100_000,
+    "[[" + "9" * 5000 + "]]",
+    "[[2, -1], [-1, 2]",
+    "[[2, -1], [-1, 2]] trailing",
+    "[]",
+    "[[]]",
+    "[[2], []]",
+    "[2, -1]",
+    '{"rows": [[2]]}',
+    '{"matrix": 5}',
+    '{"matrix": [[2, NaN], [0, 2]]}',
+    '{"matrix": [[2, Infinity], [0, 2]]}',
+    "[[2, true], [0, 2]]",
+    '[["2"]]',
+    "[[2, -1], [0, 2]]",
+    "[[2, 1], [1, 2]]",
+    "[[3]]",
+    "[[-2]]",
+    "null",
+    '"text"',
+    "{",
+    "\x00\x01\x02",
+    "２ －１\n－１ ２",
+    "1_0 0\n0 2",
+]
+
+
+def _run(capsys, monkeypatch, argv, stdin_text=""):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse ends usage errors this way
+        code = exc.code
+    except Exception as exc:  # escaped main: a user would see a traceback
+        code = f"uncaught {exc!r}"[:200]
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _problems(argv, code, out, err):
+    found = []
+    if code not in EXIT_CODES:
+        found.append(f"exit {code!r}")
+    if err.count("error:") > 1:
+        found.append(f"{err.count('error:')} error lines")
+    if len(err) > 1000:  # quoted input is clipped to 40 characters
+        found.append(f"{len(err)} characters on stderr")
+    if "Traceback" in out + err:
+        found.append("traceback")
+    return [f"{argv}: {p}" for p in found]
+
+
+def _matrix_text(rng, rows):
+    if rng.random() < 0.5:
+        return json.dumps(rows if rng.random() < 0.5 else {"matrix": rows})
+    return "\n".join(" ".join(map(str, r)) for r in rows) + "\n"
+
+
+def _matrix_cases(rng):
+    for _ in range(180):
+        rank = rng.randint(1, 12)
+        A = random_gcm(rng, rank, max_label=rng.choice((1, 2, 4)), edge_prob=rng.random())
+        command = rng.choice(("classify", "symmetrize", "orbits", "extend"))
+        argv = [command, "--format", rng.choice(("text", "json"))]
+        if command == "extend":
+            argv += ["--mode", rng.choice(("affine", "overextend"))]
+            argv += ["--zero-vertex", str(rng.randint(-1, rank + 1))]
+        yield argv, _matrix_text(rng, A.to_lists())
+
+
+def _hostile_cases(rng):
+    alphabet = "0123456789-+ \n\t[]{},.:\"#eEx"
+    texts = list(HOSTILE_MATRICES)
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 40))) for _ in range(40)]
+    for text in texts:
+        yield [rng.choice(("classify", "symmetrize", "orbits"))], text
+
+
+def _catalog_cases(rng, lines):
+    """Every entry field set to every hostile value, then the header, then whole lines."""
+    header, entries = lines[0], lines[1:]
+    for key in sorted(json.loads(entries[0])):
+        for value in HOSTILE_VALUES:
+            picked = rng.sample(entries, rng.randint(1, 3))
+            k = rng.randrange(len(picked))
+            obj = json.loads(picked[k])
+            obj[key] = value
+            yield header, picked[:k] + [json.dumps(obj)] + picked[k + 1 :]
+    for key in sorted(json.loads(header)):
+        for value in HOSTILE_VALUES:
+            yield json.dumps({**json.loads(header), key: value}), rng.sample(entries, 1)
+    long_id = json.dumps({**json.loads(entries[0]), "id": "3-" + "x" * 10_000})
+    yield header, [long_id, long_id]  # duplicate id, quoted in the error
+    yield header, [entries[0][:-1]]  # truncated line
+    yield header, ["[" * 100_000]  # nested too deeply for the JSON decoder
+    yield header, ['{"rank": ' + "9" * 5000 + "}"]  # integer past the digit limit
+    yield "\x00", []
+
+
+def test_cli_fuzz(capsys, monkeypatch, tmp_path, catalog):
+    # the symmetrizability cross-check of verify-catalog is not under test here
+    monkeypatch.setattr(dynkin.cli, "EQUIVALENCE_SAMPLES", 10)
+    rng = random.Random(SEED)
+    problems = []
+    cases = 0
+    for argv, text in list(_matrix_cases(rng)) + list(_hostile_cases(rng)):
+        code, out, err = _run(capsys, monkeypatch, argv, text)
+        problems += _problems(argv, code, out, err)
+        cases += 1
+    path = tmp_path / "fuzz.jsonl"
+    for header, entry_lines in _catalog_cases(rng, catalog_to_lines(catalog).splitlines()):
+        path.write_text("\n".join([header, *entry_lines]) + "\n", encoding="utf-8")
+        argv = ["verify-catalog", "--in", str(path), "--height", str(rng.randint(-1, 8))]
+        code, out, err = _run(capsys, monkeypatch, argv)
+        problems += _problems(argv, code, out, err)
+        cases += 1
+    path.write_bytes(b"\xff\xfe not utf-8\n")
+    for argv in (["classify", "--input", str(path)], ["verify-catalog", "--in", str(path)]):
+        code, out, err = _run(capsys, monkeypatch, argv)
+        problems += _problems(argv, code, out, err)
+        cases += 1
+    assert cases >= 400
+    assert not problems, "\n".join(problems[:20])
