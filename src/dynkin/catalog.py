@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .canonical import canonical_rows
@@ -43,7 +42,7 @@ from .gcm import (
     validate_gcm,
 )
 from .parsing import load_json
-from .symmetrize import bilinear_form, is_symmetrizable, symmetrizer
+from .symmetrize import is_symmetrizable, symmetrizer
 from .weyl import OrbitPartition, highest_root, orbit_partition, orbit_partitions_agree
 
 __all__ = [
@@ -162,10 +161,12 @@ def extend_finite_to_affine(A: GeneralizedCartanMatrix) -> GeneralizedCartanMatr
     """Affine extension of an indecomposable finite-type GCM.
 
     A new vertex is prepended at index 1 (existing vertices shift up by one)
-    whose simple root is the negative of the highest root; its pairings with
-    the old vertices come out of the symmetrized bilinear form and are
-    integral by construction, which is asserted.  The result is checked to be
-    of affine type.
+    whose simple root is the negative of the highest root ``theta``.  Its
+    pairings are read off ``A theta``: the new column is ``-(A theta)_j`` and
+    the new row is ``-2 d_j (A theta)_j / (theta, theta)``, where ``d`` is the
+    symmetrizer and ``(theta, theta) = sum_j theta_j d_j (A theta)_j``.  The
+    row is integral by construction, which is asserted, and the result is
+    checked to be of affine type.
     """
     if not is_indecomposable(A):
         raise WrongTypeError("affine extension requires an indecomposable matrix")
@@ -173,18 +174,15 @@ def extend_finite_to_affine(A: GeneralizedCartanMatrix) -> GeneralizedCartanMatr
         raise WrongTypeError("affine extension requires a finite-type matrix")
     n = A.rank
     theta = highest_root(A).coords
-    B = bilinear_form(A)
-    Btheta = [sum(B[j][k] * theta[k] for k in range(n)) for j in range(n)]
-    norm = sum(theta[j] * Btheta[j] for j in range(n))
+    d = symmetrizer(A).d
+    a_theta = [sum(A.rows[j][k] * theta[k] for k in range(n)) for j in range(n)]
+    norm = sum(theta[j] * d[j] * a_theta[j] for j in range(n))
     new_row = []  # entries A[0][j]: highest-root coroot against old roots
-    new_col = []  # entries A[j][0]: old coroots against the new root
     for j in range(n):
-        r = Fraction(-2 * Btheta[j], norm)
-        c = Fraction(-2 * Btheta[j], B[j][j])
-        assert r.denominator == 1 and c.denominator == 1, "pairings must be integers"
-        new_row.append(int(r))
-        new_col.append(int(c))
-    rows = [[2] + new_row] + [[new_col[j]] + list(A.rows[j]) for j in range(n)]
+        r, rem = divmod(-2 * d[j] * a_theta[j], norm)
+        assert rem == 0, "pairings must be integers"
+        new_row.append(r)
+    rows = [[2] + new_row] + [[-a_theta[j]] + list(A.rows[j]) for j in range(n)]
     out = validate_gcm(rows)
     assert is_indecomposable(out), "affine extension must stay connected"
     assert kind_of_rows(out.rows) == AFFINE, "affine extension must be affine"
@@ -252,15 +250,13 @@ def _edge_products(rows: tuple[tuple[int, ...], ...]) -> list[int]:
     ]
 
 
-def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> CatalogReport:
+def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
     """Recheck the structural claims the catalog makes about itself.
 
     Expects the full output of :func:`enumerate_hyperbolic` over ranks 3..10;
     the checks that quantify over the whole catalog (compactness profile,
     root-length bound, orbit bounds) are meaningless on partial input and may
-    then fail.  ``height`` seeds the reflection-walk window of the orbit
-    cross-check; on mismatch the window is doubled a few times before the
-    check is declared failed.  An entry outside ``MIN_RANK..MAX_RANK`` is
+    then fail.  An entry outside ``MIN_RANK..MAX_RANK`` is
     never walked (``2^rank`` work) nor canonically labelled: the subdiagram
     checks, ``well-formed`` and ``duality`` list it as offending.
     """
@@ -268,7 +264,7 @@ def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> Catalo
 
     def add(name: str, offending: list[str], ok_detail: str) -> None:
         if offending:
-            shown = ", ".join(offending[:8]) + (", ..." if len(offending) > 8 else "")
+            shown = ", ".join(map(clip, offending[:8])) + (", ..." if len(offending) > 8 else "")
             checks.append(PropertyCheck(name, False, f"offending entries: {shown}"))
         else:
             checks.append(PropertyCheck(name, True, ok_detail))
@@ -404,9 +400,9 @@ def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> Catalo
             degrees = [len(diagram.neighbors(v)) for v in range(1, 6)]
             labels = sorted(lab.render_class for _, _, lab in diagram.edges)
             if degrees != [2] * 5 or labels != ["arrow2"] + ["single"] * 4:
-                failures.append(f"{e.canonical_id} is not a cycle with a unique double arrow")
+                failures.append(f"{clip(e.canonical_id)} is not a cycle with a unique double arrow")
             if e.symmetrizable:
-                failures.append(f"{e.canonical_id} unexpectedly symmetrizable")
+                failures.append(f"{clip(e.canonical_id)} unexpectedly symmetrizable")
         sym_compact = [e for e in compact_entries if e.symmetrizable]
         if sym_compact and max(e.rank for e in sym_compact) != 4:
             failures.append("max symmetrizable compact rank is not 4")
@@ -455,7 +451,7 @@ def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> Catalo
         PropertyCheck(
             "equal-norm-orbit-split",
             bool(split_found),
-            f"witness: {split_found[0]}"
+            f"witness: {clip(split_found[0])}"
             if split_found
             else "no symmetrizable entry separates equal-norm simple roots into distinct orbits",
         )
@@ -463,7 +459,7 @@ def verify_catalog(entries: tuple[CatalogEntry, ...], height: int = 8) -> Catalo
 
     bad = []
     for e in sym_entries:
-        if e.rank <= 5 and not orbit_partitions_agree(e.matrix, start_height=height):
+        if e.rank <= 5 and not orbit_partitions_agree(e.matrix):
             bad.append(e.canonical_id)
     add(
         "orbit-oracle",

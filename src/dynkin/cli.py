@@ -185,7 +185,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_verify_catalog(args: argparse.Namespace) -> int:
     entries = read_catalog(args.infile)
-    report = verify_catalog(entries, height=args.height)
+    report = verify_catalog(entries)
     for line in report.format_lines():
         print(line)
     seed = int(os.environ.get("DYNKIN_SEED", "0"))
@@ -269,12 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-catalog", help="recheck a catalog file's properties")
     p.add_argument("--in", dest="infile", required=True, metavar="PATH")
-    p.add_argument(
-        "--height",
-        type=int,
-        default=8,
-        help="starting height window of the orbit cross-check (default 8)",
-    )
     p.set_defaults(func=_cmd_verify_catalog)
 
     return parser

@@ -178,7 +178,7 @@ def _check_axioms(rows: tuple[tuple[int, ...], ...]) -> None:
                 raise MatrixValidationError(
                     "integrality",
                     (idx + 1, jdx + 1),
-                    f"entry {v!r} at ({idx + 1}, {jdx + 1}) is not an integer",
+                    f"entry {clip(repr(v))} at ({idx + 1}, {jdx + 1}) is not an integer",
                 )
     for i in range(n):
         if rows[i][i] != 2:

@@ -65,7 +65,7 @@ def parse_matrix_json(text: str) -> GeneralizedCartanMatrix:
     for i, row in enumerate(obj, start=1):
         for j, v in enumerate(row, start=1):
             if not isinstance(v, int) or isinstance(v, bool):
-                raise MatrixParseError(f"entry {v!r} at ({i}, {j}) is not an integer")
+                raise MatrixParseError(f"entry {clip(repr(v))} at ({i}, {j}) is not an integer")
     return validate_gcm(obj)
 
 

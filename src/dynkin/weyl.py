@@ -7,6 +7,14 @@ under reflections; the walk here is restricted to positive roots inside an
 explicit height window, with a hard element budget that raises rather than
 silently truncating.
 
+The highest root of a finite type is not found by closing the root system
+but by a climb (Humphreys, *Introduction to Lie Algebras and Representation
+Theory*, 10.4; Bourbaki, *Lie* VI 1.8): start at a long simple root and,
+while some pairing ``(A beta)_j`` is negative, apply ``r_j``, which raises
+the height by ``-(A beta)_j``.  Reflections keep the length, so the walk
+stays among the long roots and ends at a dominant one, and the only dominant
+long root is the highest root.
+
 Orbit structure: two simple roots land in the same Weyl orbit whenever they
 are joined by a path of single (label ``(1, 1)``) edges, since such an edge
 gives ``r_i r_j`` mapping one endpoint to the other.  The skeleton partition
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, DynkinError, WrongTypeError
+from .errors import BudgetExceededError, DynkinError, WrongTypeError, clip
 from .gcm import (
     DynkinDiagram,
     GeneralizedCartanMatrix,
@@ -30,7 +38,7 @@ from .gcm import (
     matrix_to_diagram,
 )
 from .classify import FINITE, kind_of_rows
-from .symmetrize import bilinear_form
+from .symmetrize import bilinear_form, symmetrizer
 
 __all__ = [
     "RootVector",
@@ -105,7 +113,7 @@ def reflect(A: GeneralizedCartanMatrix, i: int, beta: RootVector) -> RootVector:
 
 
 def _positive_closure(
-    A: GeneralizedCartanMatrix, height: int | None, budget: int
+    A: GeneralizedCartanMatrix, height: int, budget: int
 ) -> set[tuple[int, ...]]:
     """Positive real roots reachable inside the height window (as coord tuples)."""
     n = A.rank
@@ -125,7 +133,7 @@ def _positive_closure(
                 if pairing == 0:
                     continue  # fixed by this reflection
                 gamma = beta[:i] + (ci,) + beta[i + 1 :]
-                if height is not None and sum(gamma) > height:
+                if sum(gamma) > height:
                     continue
                 if gamma in seen:
                     continue
@@ -166,25 +174,35 @@ def root_norm(A: GeneralizedCartanMatrix, beta: RootVector) -> int:
 
 
 def highest_root(A: GeneralizedCartanMatrix) -> RootVector:
-    """Highest root of an indecomposable finite-type GCM.
+    """Highest root of an indecomposable finite-type GCM, found by a climb.
 
-    The full positive system is closed off (finite, so the walk terminates)
-    and the unique root of maximal height is returned; it dominates every
-    positive root componentwise, which is checked.
+    The climb starts at a simple root of largest symmetrizer weight, which is
+    a long root.  While some ``j`` has ``(A beta)_j < 0`` it applies ``r_j``
+    for the most negative one, that is ``beta[j] -= (A beta)_j``, so each step
+    raises the height and the finite root system bounds the walk.
+    Reflections preserve length, and all long roots are Weyl-conjugate, so
+    the walk stays among the long roots and stops at a dominant one.  The
+    only dominant long root is the highest root.
     """
     if not is_indecomposable(A):
         raise WrongTypeError("highest root requires an indecomposable matrix")
     if kind_of_rows(A.rows) != FINITE:
         raise WrongTypeError("highest root is defined for finite type only")
-    roots = _positive_closure(A, None, DEFAULT_BUDGET)
-    top_height = max(sum(c) for c in roots)
-    tops = [c for c in roots if sum(c) == top_height]
-    assert len(tops) == 1, "finite root system must have a unique highest root"
-    theta = tops[0]
-    assert all(
-        all(theta[i] >= c[i] for i in range(A.rank)) for c in roots
-    ), "highest root must dominate every positive root"
-    return RootVector(theta)
+    n = A.rank
+    rows = A.rows
+    d = symmetrizer(A).d
+    start = d.index(max(d))
+    beta = [0] * n
+    beta[start] = 1
+    pairings = [row[start] for row in rows]  # A beta, kept up to date
+    while True:
+        low = min(pairings)
+        if low >= 0:
+            return RootVector(tuple(beta))
+        j = pairings.index(low)
+        beta[j] -= low
+        for i in range(n):
+            pairings[i] -= rows[i][j] * low
 
 
 # == orbit partitions ==
@@ -201,19 +219,18 @@ def orbit_partition(D: DynkinDiagram) -> OrbitPartition:
     return OrbitPartition(components(diagram_to_matrix(simply_laced_skeleton(D))))
 
 
-def orbit_partition_bruteforce(
-    A: GeneralizedCartanMatrix, height: int, budget: int = DEFAULT_BUDGET
-) -> OrbitPartition:
+def orbit_partition_bruteforce(A: GeneralizedCartanMatrix, height: int) -> OrbitPartition:
     """Orbit blocks recovered from an explicit reflection walk.
 
-    Closes the positive roots of height <= ``height``, links any two roots in
-    the window that a simple reflection exchanges, and reads off which simple
-    roots ended up connected.  A window too small to surface a linking chain
-    can split blocks that a larger window would merge, which is why callers
-    compare against :func:`orbit_partition` and widen on mismatch.
+    Closes the positive roots of height <= ``height`` within
+    ``DEFAULT_BUDGET`` elements, links any two roots in the window that a
+    simple reflection exchanges, and reads off which simple roots ended up
+    connected.  A window too small to surface a linking chain can split
+    blocks that a larger window would merge, which is why callers compare
+    against :func:`orbit_partition` and widen on mismatch.
     """
     n = A.rank
-    found = sorted(_positive_closure(A, height, budget))
+    found = sorted(_positive_closure(A, height, DEFAULT_BUDGET))
     index = {c: k for k, c in enumerate(found)}
     parent = list(range(len(found)))
 
@@ -238,29 +255,19 @@ def orbit_partition_bruteforce(
     return OrbitPartition(tuple(frozenset(g) for g in groups.values()))
 
 
-def orbit_partitions_agree(
-    A: GeneralizedCartanMatrix,
-    start_height: int = 8,
-    doublings: int = 3,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
+def orbit_partitions_agree(A: GeneralizedCartanMatrix) -> bool:
     """Whether the reflection-walk partition matches the skeleton partition.
 
     The walk partition can only be too fine (a linking chain may leave the
-    window), so on mismatch the window is doubled up to ``doublings`` times
+    window), so the windows of height 8, 16, 32 and 64 are tried in turn
     before giving up.  A budget overflow also counts as disagreement: the
     claim could not be verified within bounds.
     """
     target = orbit_partition(matrix_to_diagram(A))
-    h = start_height
-    for _ in range(doublings + 1):
-        try:
-            if orbit_partition_bruteforce(A, h, budget) == target:
-                return True
-        except BudgetExceededError:
-            return False
-        h *= 2
-    return False
+    try:
+        return any(orbit_partition_bruteforce(A, h) == target for h in (8, 16, 32, 64))
+    except BudgetExceededError:
+        return False
 
 
 # == serialization of root sets ==
@@ -281,7 +288,14 @@ def roots_from_lines(text: str) -> tuple[RootVector, ...]:
         line = line.strip()
         if not line:
             continue
-        parts = [int(tok.strip()) for tok in line.split(",")]
+        parts = []
+        for tok in line.split(","):
+            try:
+                parts.append(int(tok))
+            except ValueError:
+                raise DynkinError(
+                    f"line {lineno}: entry {clip(tok.strip(), repr)} is not an integer"
+                ) from None
         height, coords = parts[0], tuple(parts[1:])
         if sum(coords) != height:
             raise DynkinError(f"line {lineno}: height {height} does not match coordinates")

@@ -246,11 +246,11 @@ class TestAcceptance:
         for e in entries:
             if e.rank > 5 or not e.symmetrizable:
                 continue
-            if not orbit_partitions_agree(e.matrix, start_height=8):
+            if not orbit_partitions_agree(e.matrix):
                 problems.append(f"{e.canonical_id}: partitions disagree")
             checked += 1
         for name, rows in FINITE_FIXTURES.items():
-            if not orbit_partitions_agree(validate_gcm(rows), start_height=8):
+            if not orbit_partitions_agree(validate_gcm(rows)):
                 problems.append(f"{name}: partitions disagree")
             checked += 1
         elapsed = time.perf_counter() - t0
@@ -318,7 +318,7 @@ class TestAcceptance:
 
     def test_13_property_harness(self, timed_catalog):
         entries, _ = timed_catalog
-        rep = verify_catalog(entries, height=8)
+        rep = verify_catalog(entries)
         failed = [c.name for c in rep.checks if not c.passed]
         problems = [f"failed checks: {failed}"] if failed else []
         report(

@@ -171,6 +171,16 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1
         assert len(err) < 200
 
+    def test_long_string_entry_is_clipped(self, capsys, monkeypatch):
+        text = json.dumps([["x" * 100_000]])
+        code, out, err = run(capsys, ["classify"], text, monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: entry ")
+        assert "(100002 characters)" in err
+        assert len(err.splitlines()) == 1
+        assert len(err) < 200
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["classify", "--input", str(tmp_path / "nope.txt")])
         assert code == 1
@@ -183,6 +193,10 @@ class TestErrorPaths:
         capsys.readouterr()
         with pytest.raises(SystemExit) as info:
             main(["enumerate"])  # --out is required
+        assert info.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(["verify-catalog", "--in", "X", "--height", "8"])  # no window option
         assert info.value.code == 2
         capsys.readouterr()
 
@@ -313,6 +327,33 @@ class TestVerifyCatalog:
         for name in ("well-formed", "duality"):
             assert f"FAIL {name}: offending entries: 20-001" in out.splitlines()
         assert "error:" not in err
+
+    def test_long_string_matrix_entry_is_clipped(self, capsys, tmp_path, catalog):
+        obj = json.loads(catalog_to_lines(catalog[:1]).splitlines()[1])
+        obj["matrix"] = [["x" * 100_000]]
+        path = tmp_path / "string-entry.jsonl"
+        path.write_text(catalog_to_lines(()) + json.dumps(obj) + "\n")
+        code, out, err = run(capsys, ["verify-catalog", "--in", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 2: bad matrix: entry ")
+        assert len(err.splitlines()) == 1
+        assert len(err) < 200
+
+    def test_long_offending_id_is_clipped(self, capsys, tmp_path, catalog):
+        obj = json.loads(catalog_to_lines(catalog[:1]).splitlines()[1])
+        obj["id"] = "3-" + "x" * 100_000  # its dual no longer points back: offending
+        path = tmp_path / "long-id.jsonl"
+        path.write_text(catalog_to_lines(()) + json.dumps(obj) + "\n")
+        code, out, _ = run(capsys, ["verify-catalog", "--in", str(path)])
+        assert code == 3
+        lines = out.splitlines()
+        assert any(
+            line.startswith("FAIL duality: offending entries: ")
+            and line.endswith("... (100002 characters)")
+            for line in lines
+        )
+        assert max(map(len, lines)) < 200
 
     def test_malformed_file_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "broken.jsonl"

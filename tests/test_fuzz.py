@@ -1,7 +1,8 @@
 """Seeded fuzzing of the command line, in process.
 
 Every case must end in a documented exit code (0 success, 1 domain error,
-2 usage error, 3 verification failure), write at most one ``error:`` line and
+2 usage error, 3 verification failure), write at most one ``error:`` line,
+keep every stdout line and the whole of stderr within 1,000 characters, and
 never let an exception escape ``main``.  Three sources of input:
 
 * random GCMs of ranks 1..12 (``random_gcm``) into the matrix commands;
@@ -81,6 +82,8 @@ HOSTILE_MATRICES = [
     "\x00\x01\x02",
     "２ －１\n－１ ２",
     "1_0 0\n0 2",
+    json.dumps([["x" * 100_000]]),
+    json.dumps({"matrix": [[2, "x" * 100_000], [0, 2]]}),
 ]
 
 
@@ -104,6 +107,8 @@ def _problems(argv, code, out, err):
         found.append(f"{err.count('error:')} error lines")
     if len(err) > 1000:  # quoted input is clipped to 40 characters
         found.append(f"{len(err)} characters on stderr")
+    if any(len(line) > 1000 for line in out.splitlines()):
+        found.append(f"a stdout line of {max(map(len, out.splitlines()))} characters")
     if "Traceback" in out + err:
         found.append("traceback")
     return [f"{argv}: {p}" for p in found]
@@ -150,6 +155,10 @@ def _catalog_cases(rng, lines):
             yield json.dumps({**json.loads(header), key: value}), rng.sample(entries, 1)
     long_id = json.dumps({**json.loads(entries[0]), "id": "3-" + "x" * 10_000})
     yield header, [long_id, long_id]  # duplicate id, quoted in the error
+    offending = json.dumps({**json.loads(entries[0]), "id": "3-" + "x" * 100_000})
+    yield header, [offending]  # loads, then fails duality: quoted in the report
+    string_entry = json.dumps({**json.loads(entries[0]), "matrix": [["x" * 100_000]]})
+    yield header, [string_entry]  # non-integer entry, quoted in the error
     yield header, [entries[0][:-1]]  # truncated line
     yield header, ["[" * 100_000]  # nested too deeply for the JSON decoder
     yield header, ['{"rank": ' + "9" * 5000 + "}"]  # integer past the digit limit
@@ -169,7 +178,7 @@ def test_cli_fuzz(capsys, monkeypatch, tmp_path, catalog):
     path = tmp_path / "fuzz.jsonl"
     for header, entry_lines in _catalog_cases(rng, catalog_to_lines(catalog).splitlines()):
         path.write_text("\n".join([header, *entry_lines]) + "\n", encoding="utf-8")
-        argv = ["verify-catalog", "--in", str(path), "--height", str(rng.randint(-1, 8))]
+        argv = ["verify-catalog", "--in", str(path)]
         code, out, err = _run(capsys, monkeypatch, argv)
         problems += _problems(argv, code, out, err)
         cases += 1

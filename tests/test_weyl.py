@@ -11,6 +11,7 @@ from dynkin import (
     DynkinError,
     RootVector,
     WrongTypeError,
+    finite_affine_classes,
     highest_root,
     matrix_to_diagram,
     orbit_partition,
@@ -125,10 +126,20 @@ class TestHighestRoot:
         assert highest_root(fixture("F4")).coords == (2, 4, 3, 2)
 
     def test_dominates_all_roots(self):
-        A = fixture("D5")
-        theta = highest_root(A)
-        for r in real_roots_up_to_height(A, height=theta.height):
-            assert all(t >= c for t, c in zip(theta.coords, r.coords))
+        # every finite class on 1..10 vertices, relabelled: the climb must land
+        # on the closure's unique root of maximal height, which dominates all
+        rng = random.Random(7)
+        for k in range(1, 11):
+            for rows in finite_affine_classes(k)[0]:
+                perm = list(range(k))
+                rng.shuffle(perm)
+                A = validate_gcm([[rows[p][q] for q in perm] for p in perm])
+                theta = highest_root(A)
+                roots = real_roots_up_to_height(A, height=64)  # E8 tops out at 29
+                top = max(r.height for r in roots)
+                assert [r for r in roots if r.height == top] == [theta], rows
+                for r in roots:
+                    assert all(t >= c for t, c in zip(theta.coords, r.coords)), rows
 
     def test_rejects_non_finite(self):
         with pytest.raises(WrongTypeError):
@@ -179,7 +190,7 @@ class TestOrbitPartition:
 
     def test_agreement_helper(self):
         for name in ("A3", "B3", "G2"):
-            assert orbit_partitions_agree(fixture(name), start_height=8)
+            assert orbit_partitions_agree(fixture(name))
 
 
 class TestRootSerialization:
@@ -192,6 +203,13 @@ class TestRootSerialization:
     def test_rejects_inconsistent_height(self):
         with pytest.raises(DynkinError):
             roots_from_lines("3, 1, 0")
+
+    def test_non_integer_token_is_a_domain_error(self):
+        with pytest.raises(DynkinError, match=r"line 2: entry 'x' is not an integer"):
+            roots_from_lines("1, 1, 0\n1, x")
+        with pytest.raises(DynkinError, match=r"\(100000 characters\)") as info:
+            roots_from_lines("1, " + "y" * 100_000)
+        assert len(str(info.value)) < 200
 
     def test_blank_lines_ignored(self):
         assert roots_from_lines("\n1, 1, 0\n\n") == (RootVector((1, 0)),)
