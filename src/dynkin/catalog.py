@@ -76,10 +76,11 @@ UNVERIFIED = "unverified"
 class CatalogEntry:
     """One hyperbolic class in canonical form with its derived attributes.
 
-    ``orbit_semantics`` records what the orbit blocks mean: ``"verified"``
-    when the matrix is symmetrizable (the reflection-walk cross-check in
-    :func:`verify_catalog` applies), ``"unverified"`` otherwise (the skeleton
-    partition is still reported, but no independent confirmation exists).
+    ``orbit_semantics`` is ``"verified"`` when the matrix is symmetrizable and
+    ``"unverified"`` otherwise.  It no longer marks which blocks are checked:
+    the skeleton rule holds for every GCM, and the reflection-walk check in
+    :func:`verify_catalog` covers every entry.  The field stays because the
+    ``dynkin-catalog/1`` format carries it; retiring it needs a format bump.
     """
 
     canonical_id: str
@@ -257,8 +258,9 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
     the checks that quantify over the whole catalog (compactness profile,
     root-length bound, orbit bounds) are meaningless on partial input and may
     then fail.  An entry outside ``MIN_RANK..MAX_RANK`` is
-    never walked (``2^rank`` work) nor canonically labelled: the subdiagram
-    checks, ``well-formed`` and ``duality`` list it as offending.
+    never walked (``2^rank`` work, or a root walk) nor canonically labelled:
+    the subdiagram checks, ``well-formed``, ``duality`` and ``orbit-oracle``
+    list it as offending.
     """
     checks: list[PropertyCheck] = []
 
@@ -457,14 +459,15 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
         )
     )
 
-    bad = []
-    for e in sym_entries:
-        if e.rank <= 5 and not orbit_partitions_agree(e.matrix):
+    bad = list(out_of_range)
+    for e in walkable:
+        stored_ok = e.orbit_blocks == orbit_partition(matrix_to_diagram(e.matrix))
+        if not stored_ok or not orbit_partitions_agree(e.matrix):
             bad.append(e.canonical_id)
     add(
         "orbit-oracle",
         bad,
-        "reflection-walk orbits agree with the skeleton partition (ranks <= 5)",
+        "stored orbit blocks rechecked; reflection-walk orbits agree with the skeleton partition",
     )
 
     return CatalogReport(tuple(checks))
@@ -650,7 +653,7 @@ def catalog_to_latex(entries: tuple[CatalogEntry, ...]) -> str:
     """LaTeX table: index, matrix, symmetrizer (or N.S.), orbit blocks.
 
     The orbit column is left blank for non-symmetrizable entries, whose
-    partition carries no verified reflection-group meaning.
+    symmetrizer column reads N.S.
     """
     out = [
         r"\begin{tabular}{llll}",

@@ -17,11 +17,18 @@ long root is the highest root.
 
 Orbit structure: two simple roots land in the same Weyl orbit whenever they
 are joined by a path of single (label ``(1, 1)``) edges, since such an edge
-gives ``r_i r_j`` mapping one endpoint to the other.  The skeleton partition
-in :func:`orbit_partition` uses only that rule: its blocks are the components
-of the single-edge skeleton.  The reflection-closure partition in
-:func:`orbit_partition_bruteforce` recomputes the same blocks from an actual
-root walk so the two can be compared.
+gives ``r_i r_j`` mapping one endpoint to the other.  The converse holds for
+every GCM, symmetrizable or not.  ``W(A)`` is a Coxeter group on the simple
+reflections, with ``m_ij`` = 2, 3, 4, 6 or infinity as ``a_ij a_ji`` is 0, 1,
+2, 3 or at least 4 (Kac, *Infinite-dimensional Lie algebras*, Prop. 3.13).
+In a Coxeter group ``r_i`` and ``r_j`` are conjugate iff a path of odd
+``m_kl`` joins them (Bourbaki, *Lie*, Ch. IV, Sec. 1, Ex. 3); odd ``m`` means
+``m = 3``, a single edge.  If ``w alpha_i = +-alpha_j`` then
+``w r_i w^-1 = r_j``, and ``-alpha_j = r_j alpha_j``, so simple roots in one
+orbit have conjugate reflections.  Hence the orbit blocks are exactly the
+components of the single-edge skeleton, which is how :func:`orbit_partition`
+computes them.  :func:`orbit_partition_bruteforce` recomputes the blocks from
+an actual root walk so the two can be compared.
 """
 
 from __future__ import annotations
@@ -112,39 +119,59 @@ def reflect(A: GeneralizedCartanMatrix, i: int, beta: RootVector) -> RootVector:
     return RootVector(tuple(coords))
 
 
+def _find(
+    parent: dict[tuple[int, ...], tuple[int, ...]], x: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Class representative of root ``x`` in a union-find forest, halving paths."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _positive_closure(
     A: GeneralizedCartanMatrix, height: int, budget: int
-) -> set[tuple[int, ...]]:
-    """Positive real roots reachable inside the height window (as coord tuples)."""
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Positive real roots reachable inside the height window, linked as they close.
+
+    Returns a union-find forest over the roots found (as coord tuples): each
+    simple root starts its own class, a new root joins the class of the root
+    whose reflection reached it, and a root reached again merges the two
+    classes.  Two roots end up in one class iff a chain of simple reflections
+    inside the window joins them.  Each frontier item carries ``A beta``, so
+    a step ``gamma = beta - (A beta)_i e_i`` updates it as
+    ``A gamma = A beta - (A beta)_i A e_i`` in O(n).
+    """
     n = A.rank
-    rows = A.rows
+    cols = tuple(zip(*A.rows))  # cols[i] = A e_i
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seen: set[tuple[int, ...]] = set(simple)
-    frontier = list(simple)
+    parent = {e: e for e in simple}
+    frontier = list(zip(simple, cols))
     while frontier:
-        nxt: list[tuple[int, ...]] = []
-        for beta in frontier:
+        nxt: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        for beta, a_beta in frontier:
+            h = sum(beta)
             for i in range(n):
-                row = rows[i]
-                pairing = sum(row[j] * beta[j] for j in range(n))
+                pairing = a_beta[i]
                 ci = beta[i] - pairing
                 if ci < 0:
                     continue  # negative root (or off the positive cone)
                 if pairing == 0:
                     continue  # fixed by this reflection
+                if h - pairing > height:
+                    continue
                 gamma = beta[:i] + (ci,) + beta[i + 1 :]
-                if sum(gamma) > height:
+                if gamma in parent:
+                    parent[_find(parent, gamma)] = _find(parent, beta)
                     continue
-                if gamma in seen:
-                    continue
-                if len(seen) >= budget:
+                if len(parent) >= budget:
                     raise BudgetExceededError(
                         f"root closure exceeded budget of {budget} elements"
                     )
-                seen.add(gamma)
-                nxt.append(gamma)
+                parent[gamma] = beta
+                nxt.append((gamma, tuple(a - pairing * c for a, c in zip(a_beta, cols[i]))))
         frontier = nxt
-    return seen
+    return parent
 
 
 def real_roots_up_to_height(
@@ -223,49 +250,38 @@ def orbit_partition_bruteforce(A: GeneralizedCartanMatrix, height: int) -> Orbit
     """Orbit blocks recovered from an explicit reflection walk.
 
     Closes the positive roots of height <= ``height`` within
-    ``DEFAULT_BUDGET`` elements, links any two roots in the window that a
-    simple reflection exchanges, and reads off which simple roots ended up
-    connected.  A window too small to surface a linking chain can split
-    blocks that a larger window would merge, which is why callers compare
-    against :func:`orbit_partition` and widen on mismatch.
+    ``DEFAULT_BUDGET`` elements, linking each root to the roots its simple
+    reflections reach inside the window, and reads off which simple roots
+    ended up in one class.  A window too small to surface a linking chain can
+    split blocks that a larger window would merge.
     """
+    parent = _positive_closure(A, height, DEFAULT_BUDGET)
     n = A.rank
-    found = sorted(_positive_closure(A, height, DEFAULT_BUDGET))
-    index = {c: k for k, c in enumerate(found)}
-    parent = list(range(len(found)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rows = A.rows
-    for c, k in index.items():
-        for i in range(n):
-            pairing = sum(rows[i][j] * c[j] for j in range(n))
-            gamma = c[:i] + (c[i] - pairing,) + c[i + 1 :]
-            other = index.get(gamma)
-            if other is not None:
-                parent[find(k)] = find(other)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    groups: dict[int, set[int]] = {}
-    for i, e in enumerate(simple):
-        groups.setdefault(find(index[e]), set()).add(i + 1)
+    groups: dict[tuple[int, ...], set[int]] = {}
+    for i in range(n):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        groups.setdefault(_find(parent, e), set()).add(i + 1)
     return OrbitPartition(tuple(frozenset(g) for g in groups.values()))
 
 
 def orbit_partitions_agree(A: GeneralizedCartanMatrix) -> bool:
-    """Whether the reflection-walk partition matches the skeleton partition.
+    """Whether the reflection walk in the window of height 8 gives the skeleton partition.
 
-    The walk partition can only be too fine (a linking chain may leave the
-    window), so the windows of height 8, 16, 32 and 64 are tried in turn
-    before giving up.  A budget overflow also counts as disagreement: the
-    claim could not be verified within bounds.
+    One window decides for all of 8, 16, 32 and 64:
+
+    * a single edge ``i - j`` links ``alpha_i`` and ``alpha_j`` through
+      ``alpha_i + alpha_j``, at height 2, so every window of height >= 2 is at
+      least as coarse as the skeleton partition;
+    * widening a window only adds roots and links, so it only merges classes;
+    * hence if a wider window matches the skeleton, window 8, which lies
+      between the two, matches too.
+
+    A budget overflow counts as disagreement: the claim could not be verified
+    within bounds.
     """
     target = orbit_partition(matrix_to_diagram(A))
     try:
-        return any(orbit_partition_bruteforce(A, h) == target for h in (8, 16, 32, 64))
+        return orbit_partition_bruteforce(A, 8) == target
     except BudgetExceededError:
         return False
 
@@ -282,8 +298,11 @@ def roots_to_lines(roots: tuple[RootVector, ...]) -> str:
 
 
 def roots_from_lines(text: str) -> tuple[RootVector, ...]:
-    """Inverse of :func:`roots_to_lines`; heights are revalidated."""
-    out = []
+    """Inverse of :func:`roots_to_lines`; heights and dimensions are revalidated.
+
+    Every line needs at least one coordinate, and as many as the first line.
+    """
+    out: list[RootVector] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -297,6 +316,9 @@ def roots_from_lines(text: str) -> tuple[RootVector, ...]:
                     f"line {lineno}: entry {clip(tok.strip(), repr)} is not an integer"
                 ) from None
         height, coords = parts[0], tuple(parts[1:])
+        if not coords or (out and len(coords) != len(out[0].coords)):
+            expected = f"{len(out[0].coords)}" if out else "at least 1"
+            raise DynkinError(f"line {lineno}: {len(coords)} coordinates, expected {expected}")
         if sum(coords) != height:
             raise DynkinError(f"line {lineno}: height {height} does not match coordinates")
         out.append(RootVector(coords))

@@ -290,22 +290,25 @@ class TestVerification:
         }
         loaded = catalog_from_lines(lines_for(obj))
         module = importlib.import_module("dynkin.catalog")
-        walked = []
+        walked = set()
 
-        def spy(real):
+        def spy(name, rank=len):
+            real = getattr(module, name)
+
             def wrapper(arg):
-                assert len(arg) <= 10, f"subset walk on rank {len(arg)}"
-                walked.append(len(arg))
+                assert rank(arg) <= 10, f"{name} walked rank {rank(arg)}"
+                walked.add(name)
                 return real(arg)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("hyperbolic_compact_scan", "proper_connected_masks"):
-            monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        spy("hyperbolic_compact_scan")
+        spy("proper_connected_masks")
+        spy("orbit_partitions_agree", rank=lambda A: A.rank)
         report = verify_catalog(catalog + loaded)
-        assert walked
+        assert len(walked) == 3
         by_name = {c.name: c for c in report.checks}
-        for name in ("rank-bound", "hyperbolic", "affine-subdiagram-corank"):
+        for name in ("rank-bound", "hyperbolic", "affine-subdiagram-corank", "orbit-oracle"):
             assert not by_name[name].passed
             assert "22-001" in by_name[name].detail
 

@@ -299,6 +299,21 @@ class TestVerifyCatalog:
         assert "FAIL" in out
         assert "verification failed" in err
 
+    def test_stored_orbit_blocks_are_rechecked(self, capsys, tmp_path, catalog):
+        lines = catalog_to_lines(catalog).splitlines()
+        k, obj = next(
+            (k, json.loads(line)) for k, line in enumerate(lines) if '"id":"4-001"' in line
+        )
+        assert obj["orbit_blocks"] != [[1, 2, 3, 4]]
+        obj["orbit_blocks"] = [[1, 2, 3, 4]]  # loadable, but merges two orbits
+        lines[k] = json.dumps(obj)
+        path = tmp_path / "merged-blocks.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, ["verify-catalog", "--in", str(path)])
+        assert code == 3
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL orbit-oracle: offending entries: 4-001"]
+
     def test_out_of_range_entry_is_reported_not_labelled(self, capsys, tmp_path):
         # four disjoint 5-cycles: loadable, but too symmetric to label canonically
         n = 20

@@ -7,7 +7,8 @@ never let an exception escape ``main``.  Three sources of input:
 
 * random GCMs of ranks 1..12 (``random_gcm``) into the matrix commands;
 * hostile matrix text and JSON;
-* single-field mutations of catalog lines into ``verify-catalog``.
+* single-field mutations of catalog lines into ``verify-catalog``, plus a
+  dense in-range entry that the orbit oracle walks.
 """
 
 from __future__ import annotations
@@ -182,6 +183,26 @@ def test_cli_fuzz(capsys, monkeypatch, tmp_path, catalog):
         code, out, err = _run(capsys, monkeypatch, argv)
         problems += _problems(argv, code, out, err)
         cases += 1
+    # in range, so the orbit oracle walks it (4,015 roots in its height-8
+    # window); K_10 with single edges is not hyperbolic, so the report fails
+    n = 10
+    dense = {
+        "id": "10-001",
+        "rank": n,
+        "matrix": [[2 if i == j else -1 for j in range(n)] for i in range(n)],
+        "compact": False,
+        "symmetrizable": True,
+        "symmetrizer": [1] * n,
+        "root_lengths": 1,
+        "orbit_blocks": [list(range(1, n + 1))],
+        "orbit_semantics": "verified",
+        "dual_id": "10-001",
+    }
+    path.write_text(catalog_to_lines(()) + json.dumps(dense) + "\n", encoding="utf-8")
+    argv = ["verify-catalog", "--in", str(path)]
+    code, out, err = _run(capsys, monkeypatch, argv)
+    problems += _problems(argv, code, out, err) + ([] if code == 3 else [f"K_10: exit {code!r}"])
+    cases += 1
     path.write_bytes(b"\xff\xfe not utf-8\n")
     for argv in (["classify", "--input", str(path)], ["verify-catalog", "--in", str(path)]):
         code, out, err = _run(capsys, monkeypatch, argv)

@@ -25,6 +25,7 @@ from dynkin import (
     simply_laced_skeleton,
     validate_gcm,
 )
+from dynkin.symmetrize import random_gcm
 
 from lie_fixtures import (
     FINITE_FIXTURES,
@@ -188,6 +189,17 @@ class TestOrbitPartition:
             expected = orbit_partition(matrix_to_diagram(A))
             assert orbit_partition_bruteforce(A, height=h) == expected, name
 
+    def test_window_two_matches_skeleton(self, catalog):
+        # the lemma behind the single window of orbit_partitions_agree: at
+        # height 2 the walk links alpha_i and alpha_j exactly on single edges
+        rng = random.Random(2)
+        mats = [e.matrix for e in catalog]
+        for _ in range(400):
+            rank, label = rng.randint(2, 6), rng.choice((1, 2, 4))
+            mats.append(random_gcm(rng, rank, max_label=label, edge_prob=rng.random()))
+        for A in mats:
+            assert orbit_partition_bruteforce(A, 2) == orbit_partition(matrix_to_diagram(A)), A.rows
+
     def test_agreement_helper(self):
         for name in ("A3", "B3", "G2"):
             assert orbit_partitions_agree(fixture(name))
@@ -210,6 +222,18 @@ class TestRootSerialization:
         with pytest.raises(DynkinError, match=r"\(100000 characters\)") as info:
             roots_from_lines("1, " + "y" * 100_000)
         assert len(str(info.value)) < 200
+
+    def test_line_without_coordinates(self):
+        with pytest.raises(DynkinError, match=r"line 1: 0 coordinates"):
+            roots_from_lines("0")
+        with pytest.raises(DynkinError, match=r"line 2: 0 coordinates"):
+            roots_from_lines("1, 1, 0\n0")
+
+    def test_coordinate_count_must_match_first_line(self):
+        with pytest.raises(DynkinError, match=r"line 2: 1 coordinates, expected 2"):
+            roots_from_lines("2, 1, 1\n1, 1")
+        with pytest.raises(DynkinError, match=r"line 3: 3 coordinates, expected 2"):
+            roots_from_lines("1, 1, 0\n\n1, 0, 0, 1")
 
     def test_blank_lines_ignored(self):
         assert roots_from_lines("\n1, 1, 0\n\n") == (RootVector((1, 0)),)
