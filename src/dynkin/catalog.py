@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .canonical import canonical_rows
 from .classify import (
@@ -70,6 +71,11 @@ MAX_RANK = 10
 
 VERIFIED = "verified"
 UNVERIFIED = "unverified"
+
+
+def semantics_for(symmetrizable: bool) -> str:
+    """The ``orbit_semantics`` value an entry carries: it follows symmetrizability."""
+    return VERIFIED if symmetrizable else UNVERIFIED
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,7 @@ def _rank_entries(rank: int, mats: tuple[tuple[tuple[int, ...], ...], ...]) -> l
                 symmetrizer=d,
                 root_lengths=rho,
                 orbit_blocks=orbit_partition(matrix_to_diagram(A)),
-                orbit_semantics=VERIFIED if sym else UNVERIFIED,
+                orbit_semantics=semantics_for(sym),
                 dual_id=dual_id,
             )
         )
@@ -251,6 +257,12 @@ def _edge_products(rows: tuple[tuple[int, ...], ...]) -> list[int]:
     ]
 
 
+def _subdiagram_kinds(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, str]]:
+    """(size, kind) of each proper connected subdiagram of ``rows`` (``2^n`` work)."""
+    for mask in proper_connected_masks(adjacency_bitmasks(rows)):
+        yield mask.bit_count(), kind_of_rows(sub_rows(rows, mask))
+
+
 def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
     """Recheck the structural claims the catalog makes about itself.
 
@@ -259,8 +271,7 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
     root-length bound, orbit bounds) are meaningless on partial input and may
     then fail.  An entry outside ``MIN_RANK..MAX_RANK`` is
     never walked (``2^rank`` work, or a root walk) nor canonically labelled:
-    the subdiagram checks, ``well-formed``, ``duality`` and ``orbit-oracle``
-    list it as offending.
+    the checks that walk an entry list it as offending instead.
     """
     checks: list[PropertyCheck] = []
 
@@ -271,15 +282,28 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
         else:
             checks.append(PropertyCheck(name, True, ok_detail))
 
+    in_range = [MIN_RANK <= e.rank <= MAX_RANK for e in entries]
+    out_of_range = [e.canonical_id for e, ok in zip(entries, in_range) if not ok]
+
+    def check(
+        name: str, is_bad: Callable[[CatalogEntry], bool], ok_detail: str, walks: bool = False
+    ) -> None:
+        """Add ``name`` with the entries ``is_bad`` flags.
+
+        A check that ``walks`` an entry lists the out-of-range ids first and
+        never tests those entries; any other check tests every entry.
+        """
+        tested = [e for e, ok in zip(entries, in_range) if ok or not walks]
+        bad = [e.canonical_id for e in tested if is_bad(e)]
+        add(name, out_of_range + bad if walks else bad, ok_detail)
+
     by_id = {e.canonical_id: e for e in entries}
 
-    out_of_range = [e.canonical_id for e in entries if not MIN_RANK <= e.rank <= MAX_RANK]
     add("rank-bound", out_of_range, f"all ranks within {MIN_RANK}..{MAX_RANK}")
-    walkable = [e for e in entries if MIN_RANK <= e.rank <= MAX_RANK]
 
-    bad = list(out_of_range)
     seen_ids: set[str] = set()
-    for e in walkable:
+
+    def malformed(e: CatalogEntry) -> bool:
         rows = e.matrix.rows
         ok = (
             e.canonical_id not in seen_ids
@@ -287,106 +311,93 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
             and len(rows) == e.rank
             and canonical_rows(rows)[0] == rows
             and (e.symmetrizable == (e.symmetrizer is not None) == (e.root_lengths is not None))
-            and e.orbit_semantics == (VERIFIED if e.symmetrizable else UNVERIFIED)
+            and e.orbit_semantics == semantics_for(e.symmetrizable)
         )
         seen_ids.add(e.canonical_id)
-        if not ok:
-            bad.append(e.canonical_id)
-    add("well-formed", bad, "ids unique, matrices canonical, flags consistent")
+        return not ok
 
-    bad = list(out_of_range)
-    for e in walkable:
-        hyper, compact = hyperbolic_compact_scan(e.matrix.rows)
-        if not hyper or compact != e.compact:
-            bad.append(e.canonical_id)
-    add("hyperbolic", bad, "every entry hyperbolic, compact flags agree with the subset scan")
+    check("well-formed", malformed, "ids unique, matrices canonical, flags consistent", walks=True)
 
-    bad = []
-    for e in entries:
-        sym, _ = is_symmetrizable(e.matrix)
-        if sym != e.symmetrizable:
-            bad.append(e.canonical_id)
-            continue
-        if sym:
-            d = e.symmetrizer
-            rows = e.matrix.rows
-            n = e.rank
-            balanced = all(
-                d[i] * rows[i][j] == d[j] * rows[j][i]
-                for i in range(n)
-                for j in range(i + 1, n)
-            )
-            if not balanced or e.root_lengths != len(set(d)):
-                bad.append(e.canonical_id)
-    add("symmetrizer", bad, "flags match recomputation; stored weights symmetrize exactly")
-
-    bad = list(out_of_range)
-    for e in walkable:
-        mate = by_id.get(e.dual_id)
-        transpose_canon = canonical_rows(tuple(zip(*e.matrix.rows)))[0]
-        if mate is None or mate.matrix.rows != transpose_canon or mate.dual_id != e.canonical_id:
-            bad.append(e.canonical_id)
-    add("duality", bad, "transpose classes present, dual pairing is an involution")
-
-    bad = list(out_of_range)
-    for e in walkable:
-        rows = e.matrix.rows
-        for mask in proper_connected_masks(adjacency_bitmasks(rows)):
-            if mask.bit_count() != e.rank - 1 and kind_of_rows(sub_rows(rows, mask)) == AFFINE:
-                bad.append(e.canonical_id)
-                break
-    add(
-        "affine-subdiagram-corank",
-        bad,
-        "every proper connected affine subdiagram has exactly rank-1 vertices",
+    check(
+        "hyperbolic",
+        lambda e: hyperbolic_compact_scan(e.matrix.rows) != (True, e.compact),
+        "every entry hyperbolic, compact flags agree with the subset scan",
+        walks=True,
     )
 
-    bad = []
-    for e in entries:
+    def bad_symmetrizer(e: CatalogEntry) -> bool:
+        sym, _ = is_symmetrizable(e.matrix)
+        if sym != e.symmetrizable:
+            return True
+        if not sym:
+            return False
+        d = e.symmetrizer
+        rows = e.matrix.rows
+        n = e.rank
+        balanced = all(
+            d[i] * rows[i][j] == d[j] * rows[j][i] for i in range(n) for j in range(i + 1, n)
+        )
+        return not balanced or e.root_lengths != len(set(d))
+
+    check(
+        "symmetrizer",
+        bad_symmetrizer,
+        "flags match recomputation; stored weights symmetrize exactly",
+    )
+
+    def bad_dual(e: CatalogEntry) -> bool:
+        mate = by_id.get(e.dual_id)
+        transpose_canon = canonical_rows(tuple(zip(*e.matrix.rows)))[0]
+        return mate is None or mate.matrix.rows != transpose_canon or mate.dual_id != e.canonical_id
+
+    check(
+        "duality",
+        bad_dual,
+        "transpose classes present, dual pairing is an involution",
+        walks=True,
+    )
+    check(
+        "affine-subdiagram-corank",
+        lambda e: any(
+            size != e.rank - 1 and kind == AFFINE
+            for size, kind in _subdiagram_kinds(e.matrix.rows)
+        ),
+        "every proper connected affine subdiagram has exactly rank-1 vertices",
+        walks=True,
+    )
+
+    def corank1_disconnected(e: CatalogEntry) -> bool:
         n = e.rank
         adj = adjacency_bitmasks(e.matrix.rows)
         full = (1 << n) - 1
-        if not any(mask_connected(full ^ (1 << v), adj) for v in range(n)):
-            bad.append(e.canonical_id)
-    add("corank1-connected", bad, "every entry keeps a connected subdiagram on rank-1 vertices")
+        return not any(mask_connected(full ^ (1 << v), adj) for v in range(n))
 
-    bad = []
-    for e in entries:
-        if not e.symmetrizable:
-            continue
-        has4 = any(p == 4 for p in _edge_products(e.matrix.rows))
-        if has4 != (e.rank == 3 and not e.compact):
-            bad.append(e.canonical_id)
-    add(
+    check(
+        "corank1-connected",
+        corank1_disconnected,
+        "every entry keeps a connected subdiagram on rank-1 vertices",
+    )
+    check(
         "product4-edges",
-        bad,
+        lambda e: e.symmetrizable
+        and (4 in _edge_products(e.matrix.rows)) != (e.rank == 3 and not e.compact),
         "symmetrizable entries carry a product-4 edge exactly in rank 3 non-compact",
     )
-
-    bad = []
-    for e in entries:
-        if e.rank != 3 or not e.symmetrizable:
-            continue
-        rows = e.matrix.rows
-        has_affine_edge = any(
-            kind_of_rows(sub_rows(rows, mask)) == AFFINE
-            for mask in proper_connected_masks(adjacency_bitmasks(rows))
-            if mask.bit_count() == 2
-        )
-        if (not e.compact) != has_affine_edge:
-            bad.append(e.canonical_id)
-    add(
+    check(
         "rank3-affine-edge",
-        bad,
+        lambda e: e.rank == 3
+        and e.symmetrizable
+        and e.compact
+        == any(size == 2 and kind == AFFINE for size, kind in _subdiagram_kinds(e.matrix.rows)),
         "rank-3 symmetrizable entries: non-compact iff an edge subdiagram is affine",
     )
-
-    bad = []
-    for e in entries:
-        if e.symmetrizable and e.rank >= 4:
-            if any(p > 3 for p in _edge_products(e.matrix.rows)):
-                bad.append(e.canonical_id)
-    add("max-edge-product", bad, "symmetrizable entries of rank >= 4 keep edge products <= 3")
+    check(
+        "max-edge-product",
+        lambda e: e.symmetrizable
+        and e.rank >= 4
+        and any(p > 3 for p in _edge_products(e.matrix.rows)),
+        "symmetrizable entries of rank >= 4 keep edge products <= 3",
+    )
 
     compact_entries = [e for e in entries if e.compact]
     failures: list[str] = []
@@ -420,9 +431,11 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
         )
     )
 
-    bad = [e.canonical_id for e in entries if e.rank >= 7 and not e.symmetrizable]
-    add("ranks-7-10-symmetrizable", bad, "every entry of rank 7..10 is symmetrizable")
-
+    check(
+        "ranks-7-10-symmetrizable",
+        lambda e: e.rank >= 7 and not e.symmetrizable,
+        "every entry of rank 7..10 is symmetrizable",
+    )
     sym_entries = [e for e in entries if e.symmetrizable]
     bad = [e.canonical_id for e in sym_entries if e.root_lengths > 4]
     four = [e.canonical_id for e in sym_entries if e.root_lengths == 4]
@@ -459,15 +472,12 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
         )
     )
 
-    bad = list(out_of_range)
-    for e in walkable:
-        stored_ok = e.orbit_blocks == orbit_partition(matrix_to_diagram(e.matrix))
-        if not stored_ok or not orbit_partitions_agree(e.matrix):
-            bad.append(e.canonical_id)
-    add(
+    check(
         "orbit-oracle",
-        bad,
+        lambda e: e.orbit_blocks != orbit_partition(matrix_to_diagram(e.matrix))
+        or not orbit_partitions_agree(e.matrix),
         "stored orbit blocks rechecked; reflection-walk orbits agree with the skeleton partition",
+        walks=True,
     )
 
     return CatalogReport(tuple(checks))
@@ -486,22 +496,8 @@ def _has_equal_norm_orbit_split(e: CatalogEntry) -> bool:
 # == file format ==
 
 
-def _entry_to_obj(e: CatalogEntry) -> dict:
-    return {
-        "id": e.canonical_id,
-        "rank": e.rank,
-        "matrix": [list(r) for r in e.matrix.rows],
-        "compact": e.compact,
-        "symmetrizable": e.symmetrizable,
-        "symmetrizer": list(e.symmetrizer) if e.symmetrizer is not None else None,
-        "root_lengths": e.root_lengths,
-        "orbit_blocks": [sorted(b) for b in e.orbit_blocks.blocks],
-        "orbit_semantics": e.orbit_semantics,
-        "dual_id": e.dual_id,
-    }
-
-
-_ENTRY_KEYS = {
+#: Entry fields, in the order of the TSV columns; the JSON lines sort them.
+_ENTRY_KEYS = (
     "id",
     "rank",
     "matrix",
@@ -512,7 +508,23 @@ _ENTRY_KEYS = {
     "orbit_blocks",
     "orbit_semantics",
     "dual_id",
-}
+)
+
+
+def _entry_to_obj(e: CatalogEntry) -> dict:
+    values = (
+        e.canonical_id,
+        e.rank,
+        [list(r) for r in e.matrix.rows],
+        e.compact,
+        e.symmetrizable,
+        list(e.symmetrizer) if e.symmetrizer is not None else None,
+        e.root_lengths,
+        [sorted(b) for b in e.orbit_blocks.blocks],
+        e.orbit_semantics,
+        e.dual_id,
+    )
+    return dict(zip(_ENTRY_KEYS, values))
 
 
 def _is_int(v: object) -> bool:
@@ -520,21 +532,18 @@ def _is_int(v: object) -> bool:
 
 
 def _entry_from_obj(obj: dict, lineno: int) -> CatalogEntry:
-    if not isinstance(obj, dict) or set(obj) != _ENTRY_KEYS:
+    if not isinstance(obj, dict) or set(obj) != set(_ENTRY_KEYS):
         raise CatalogFormatError(f"line {lineno}: unexpected entry fields")
+    ident, rank, rows, compact, sym, d, rho, blocks, semantics, dual = map(obj.get, _ENTRY_KEYS)
     try:
-        matrix = validate_gcm(obj["matrix"])
+        matrix = validate_gcm(rows)
     except (DynkinError, TypeError) as exc:  # TypeError: not a sequence of rows
         raise CatalogFormatError(f"line {lineno}: bad matrix: {exc}") from None
-    rank = obj["rank"]
     if not _is_int(rank) or rank != matrix.rank:
         raise CatalogFormatError(f"line {lineno}: rank field does not match the matrix")
-    sym = obj["symmetrizable"]
-    d = obj["symmetrizer"]
-    rho = obj["root_lengths"]
     if not isinstance(sym, bool):
         raise CatalogFormatError(f"line {lineno}: symmetrizable must be a boolean")
-    if not isinstance(obj["compact"], bool):
+    if not isinstance(compact, bool):
         raise CatalogFormatError(f"line {lineno}: compact must be a boolean")
     if sym:
         if (
@@ -548,29 +557,27 @@ def _entry_from_obj(obj: dict, lineno: int) -> CatalogEntry:
         raise CatalogFormatError(
             f"line {lineno}: non-symmetrizable entry must have null symmetrizer fields"
         )
-    blocks = obj["orbit_blocks"]
     if (
         not isinstance(blocks, list)
         or not all(isinstance(b, list) and b and all(map(_is_int, b)) for b in blocks)
         or sorted(v for b in blocks for v in b) != list(range(1, rank + 1))
     ):
         raise CatalogFormatError(f"line {lineno}: orbit blocks must partition 1..rank")
-    semantics = obj["orbit_semantics"]
     if semantics not in (VERIFIED, UNVERIFIED):
         raise CatalogFormatError(f"line {lineno}: bad orbit_semantics {clip(repr(semantics))}")
-    if not isinstance(obj["id"], str) or not isinstance(obj["dual_id"], str):
+    if not isinstance(ident, str) or not isinstance(dual, str):
         raise CatalogFormatError(f"line {lineno}: ids must be strings")
     return CatalogEntry(
-        canonical_id=obj["id"],
+        canonical_id=ident,
         rank=rank,
         matrix=matrix,
-        compact=obj["compact"],
+        compact=compact,
         symmetrizable=sym,
         symmetrizer=tuple(d) if d is not None else None,
         root_lengths=rho,
         orbit_blocks=OrbitPartition(tuple(frozenset(b) for b in blocks)),
         orbit_semantics=semantics,
-        dual_id=obj["dual_id"],
+        dual_id=dual,
     )
 
 
@@ -613,39 +620,24 @@ def read_catalog(path: str | Path) -> tuple[CatalogEntry, ...]:
 # == table emitters ==
 
 
+def _tsv_cell(value: object) -> str:
+    """One field of :func:`_entry_to_obj` as a TSV cell."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        if not isinstance(value[0], list):  # the symmetrizer, the only flat list
+            return ",".join(map(str, value))
+        return json.dumps(value, separators=(",", ":"))
+    return str(value)
+
+
 def catalog_to_tsv(entries: tuple[CatalogEntry, ...]) -> str:
     """Tab-separated table, one entry per row; empty cells where not applicable."""
-    head = [
-        "id",
-        "rank",
-        "matrix",
-        "compact",
-        "symmetrizable",
-        "symmetrizer",
-        "root_lengths",
-        "orbit_blocks",
-        "orbit_semantics",
-        "dual_id",
-    ]
-    out = ["\t".join(head)]
+    out = ["\t".join(_ENTRY_KEYS)]
     for e in entries:
-        blocks = json.dumps([sorted(b) for b in e.orbit_blocks.blocks], separators=(",", ":"))
-        out.append(
-            "\t".join(
-                [
-                    e.canonical_id,
-                    str(e.rank),
-                    json.dumps([list(r) for r in e.matrix.rows], separators=(",", ":")),
-                    str(e.compact).lower(),
-                    str(e.symmetrizable).lower(),
-                    ",".join(map(str, e.symmetrizer)) if e.symmetrizer else "",
-                    str(e.root_lengths) if e.root_lengths is not None else "",
-                    blocks,
-                    e.orbit_semantics,
-                    e.dual_id,
-                ]
-            )
-        )
+        out.append("\t".join(map(_tsv_cell, _entry_to_obj(e).values())))
     return "\n".join(out) + "\n"
 
 

@@ -5,10 +5,8 @@ Lie algebras*, Thm. 4.3): finite if ``A u > 0`` for some ``u > 0``, affine if
 ``A u = 0`` for some ``u > 0``, and indefinite otherwise.
 
 :func:`kind_of_rows` decides the type of a connected GCM directly, exactly
-over the integers, by the M-matrix argument:
+over the integers, by the M-matrix argument, the same at every rank:
 
-* rank 1 is finite; rank 2 with edge product ``p * q`` is finite below 4,
-  affine at 4 and indefinite above;
 * a GCM is a Z-matrix: its off-diagonal entries are at most 0;
 * a Z-matrix whose leading principal minors are all positive is a
   nonsingular M-matrix (Fiedler and Ptak, 1962), so ``A u > 0`` for some
@@ -22,6 +20,10 @@ over the integers, by the M-matrix argument:
   connected finite or affine diagram is finite (Kac, Lemma 4.4), so all its
   proper leading minors are positive, and its determinant is positive
   (finite) or 0 (affine).
+
+Rank 1 and rank 2 are cases of the same argument: the only leading minor of
+rank 1 is 2, and rank 2 with edge product ``p * q`` has minors 2 and
+``4 - p * q``, so it is finite below 4, affine at 4 and indefinite above.
 
 The leading minors are the pivots of fraction-free Bareiss elimination without
 pivoting, so one ``O(n^3)`` elimination decides the type, with no floating
@@ -135,10 +137,9 @@ _KIND_CACHE: dict[tuple[tuple[int, ...], ...], str] = {}
 def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     """Cartan kind of a *connected* GCM given as raw row tuples.
 
-    Rank 1 and rank 2 have closed forms.  From rank 3 on the signs of the
-    leading principal minors decide (the M-matrix argument in the module
-    docstring).  The premise is that ``rows`` is connected; symmetrizability
-    is not needed.
+    The signs of the leading principal minors decide, at every rank (the
+    M-matrix argument in the module docstring).  The premise is that ``rows``
+    is connected; symmetrizability is not needed.
 
     Memoized across calls, since the enumeration classifies the same small
     submatrices over and over; the memo starts over at ``KIND_CACHE_LIMIT``.
@@ -146,14 +147,7 @@ def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     cached = _KIND_CACHE.get(rows)
     if cached is not None:
         return cached
-    n = len(rows)
-    if n == 1:
-        kind = FINITE
-    elif n == 2:
-        prod = rows[0][1] * rows[1][0]
-        kind = FINITE if prod < 4 else AFFINE if prod == 4 else INDEFINITE
-    else:
-        kind = _leading_minor_kind(rows)
+    kind = _leading_minor_kind(rows)
     if len(_KIND_CACHE) >= KIND_CACHE_LIMIT:
         _KIND_CACHE.clear()
     _KIND_CACHE[rows] = kind
@@ -188,8 +182,6 @@ def hyperbolic_fast_flags(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, bool
     Equivalent to :func:`hyperbolic_compact_scan` (see the module docstring).
     """
     n = len(rows)
-    if n < 2:
-        return False, False
     adj = adjacency_bitmasks(rows)
     full = (1 << n) - 1
     compact = True
@@ -213,8 +205,7 @@ def hyperbolic_compact_scan(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, bo
     Walks every proper connected induced subdiagram and checks its kind, which
     is the definition itself with no shortcuts; exponential in the rank.
     """
-    n = len(rows)
-    if n < 2 or kind_of_rows(rows) != INDEFINITE:
+    if kind_of_rows(rows) != INDEFINITE:
         return False, False
     compact = True
     for mask in proper_connected_masks(adjacency_bitmasks(rows)):
@@ -287,10 +278,13 @@ def _require_indecomposable(A: GeneralizedCartanMatrix) -> None:
 
 
 def classify_indecomposable(A: GeneralizedCartanMatrix) -> CartanType:
-    """Cartan type of an indecomposable GCM (finite / affine / indefinite)."""
+    """Cartan type of an indecomposable GCM (finite / affine / indefinite).
+
+    Only an indefinite matrix needs the corank-1 subdiagrams for its flags.
+    """
     _require_indecomposable(A)
     kind = kind_of_rows(A.rows)
-    hyper, compact = hyperbolic_fast_flags(A.rows)
+    hyper, compact = hyperbolic_fast_flags(A.rows) if kind == INDEFINITE else (False, False)
     return CartanType(kind=kind, hyperbolic=hyper, compact_hyperbolic=compact)
 
 
@@ -309,8 +303,7 @@ def is_hyperbolic(A: GeneralizedCartanMatrix) -> bool:
     Indefinite, and every proper connected induced subdiagram is of finite or
     affine type.  Rank 1 is finite and therefore never hyperbolic.
     """
-    _require_indecomposable(A)
-    return hyperbolic_fast_flags(A.rows)[0]
+    return classify_indecomposable(A).hyperbolic
 
 
 def is_compact_hyperbolic(A: GeneralizedCartanMatrix) -> bool:
@@ -319,8 +312,7 @@ def is_compact_hyperbolic(A: GeneralizedCartanMatrix) -> bool:
     Hyperbolic with every proper connected induced subdiagram of finite type
     (affine subdiagrams excluded).
     """
-    _require_indecomposable(A)
-    return hyperbolic_fast_flags(A.rows)[1]
+    return classify_indecomposable(A).compact_hyperbolic
 
 
 def hyperbolicity_witness(A: GeneralizedCartanMatrix) -> HyperbolicityWitness:

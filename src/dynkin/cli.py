@@ -13,7 +13,8 @@ Matrix input comes from ``--input PATH`` or standard input (``-``), in either
 whitespace text or JSON form; see the parsing module.  Exit codes: 0 success,
 1 domain error (bad matrix, wrong type, unsymmetrizable where required),
 2 usage error, 3 verification failure.  ``DYNKIN_SEED`` fixes the seed of the
-randomized symmetrizability cross-check run by ``verify-catalog``.
+randomized symmetrizability cross-check run by ``verify-catalog``; a value
+that is not an integer is a usage error, reported before the catalog is read.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from .catalog import (
     extend_finite_to_affine,
     overextend_affine,
     read_catalog,
+    semantics_for,
     verify_catalog,
 )
 from .classify import classify, kind_of_rows
 from .enumeration import search_rank
-from .errors import DynkinError
+from .errors import DynkinError, clip
 from .gcm import GeneralizedCartanMatrix, is_indecomposable, matrix_to_diagram
 from .oracles import ORACLE_RANK_LIMIT, search_rank_oracle
 from .parsing import format_matrix_text, parse_matrix_input
@@ -129,8 +131,7 @@ def _cmd_symmetrize(args: argparse.Namespace) -> int:
 def _cmd_orbits(args: argparse.Namespace) -> int:
     A = _read_matrix(args.input)
     part = orbit_partition(matrix_to_diagram(A))
-    sym, _ = is_symmetrizable(A)
-    semantics = "verified" if sym else "unverified"
+    semantics = semantics_for(is_symmetrizable(A)[0])
     if args.format == "json":
         obj = {
             "orbit_blocks": [sorted(b) for b in part.blocks],
@@ -184,11 +185,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_catalog(args: argparse.Namespace) -> int:
+    raw_seed = os.environ.get("DYNKIN_SEED", "0")
+    try:
+        seed = int(raw_seed)
+    except ValueError:
+        print(f"error: DYNKIN_SEED must be an integer, got {clip(raw_seed, repr)}", file=sys.stderr)
+        return EXIT_USAGE
     entries = read_catalog(args.infile)
     report = verify_catalog(entries)
     for line in report.format_lines():
         print(line)
-    seed = int(os.environ.get("DYNKIN_SEED", "0"))
     mismatches = cycle_criterion_agreement(EQUIVALENCE_SAMPLES, seed=seed)
     eq_ok = not mismatches
     print(

@@ -15,20 +15,22 @@ is checked and an unbalanced fundamental cycle is reported as a witness) and
 8), so each can falsify the other in tests.  :func:`is_symmetrizable`,
 :func:`symmetrizer` and :func:`bilinear_form` all read one BFS forest pass.
 
-All arithmetic is exact: :class:`fractions.Fraction` during propagation,
-integers after normalization.  No floating point.
+All arithmetic is exact and in integers.  The forest keeps one integer weight
+per vertex: when a tree edge forces a ratio the weights found so far cannot
+meet, the component is first rescaled by the least factor that can, so the
+weights of each component stay coprime.  Balance on an edge does not change
+under scaling, so the verdict and the witness are those of the rational
+propagation.  No floating point.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DecomposableError, NotSymmetrizableError, RankBoundError
-from .gcm import GeneralizedCartanMatrix, components, is_indecomposable, validate_gcm
+from .gcm import GeneralizedCartanMatrix, is_indecomposable, validate_gcm
 
 __all__ = [
     "Symmetrization",
@@ -71,31 +73,45 @@ class UnbalancedCycleWitness:
 
 def _forest(
     rows: tuple[tuple[int, ...], ...]
-) -> tuple[list[Fraction], list[int], list[tuple[int, int]]]:
-    """BFS weights forced by tree edges, parents (-1 at roots), non-tree edges (0-based)."""
+) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """BFS weights forced by tree edges, parents (-1 at roots), non-tree edges (0-based).
+
+    The weights are positive integers, coprime within each component.  A
+    component starts at weight 1.  When the edge ``u -> v`` forces
+    ``d[v] = num / den`` with ``num = d[u] A[u][v]`` and ``den = A[v][u]``,
+    the weights found so far are first multiplied by ``s = |den| / g``,
+    ``g = gcd(num, den)``, the least factor that makes ``d[v]`` an integer.
+    Coprimality is kept at each step: the scaled weights have gcd ``s`` and
+    the new weight is ``|num| / g``, which is coprime to ``s``.
+    """
     n = len(rows)
-    d: list[Fraction | None] = [None] * n
+    d = [0] * n
     parent = [-1] * n
     for root in range(n):
-        if d[root] is not None:
+        if d[root]:
             continue
-        d[root] = Fraction(1)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        d[root] = 1
+        comp = [root]
+        for u in comp:  # grows while it is read: breadth-first order
             for v in range(n):
-                if v == u or rows[u][v] == 0 or d[v] is not None:
+                if v == u or rows[u][v] == 0 or d[v]:
                     continue
-                d[v] = d[u] * Fraction(rows[u][v], rows[v][u])
+                num, den = d[u] * rows[u][v], rows[v][u]
+                scale = -den // gcd(num, den)  # least factor after which den divides num
+                if scale > 1:
+                    for w in comp:
+                        d[w] *= scale
+                    num *= scale
+                d[v] = num // den
                 parent[v] = u
-                queue.append(v)
+                comp.append(v)
     nontree = [
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
         if rows[u][v] != 0 and parent[u] != v and parent[v] != u
     ]
-    return d, parent, nontree  # type: ignore[return-value]
+    return d, parent, nontree
 
 
 def _tree_path_to_root(u: int, parent: list[int]) -> list[int]:
@@ -135,7 +151,7 @@ def _cycle_products(rows: tuple[tuple[int, ...], ...], seq: list[int]) -> tuple[
 
 def _weights_or_witness(
     rows: tuple[tuple[int, ...], ...]
-) -> tuple[list[Fraction], UnbalancedCycleWitness | None]:
+) -> tuple[list[int], UnbalancedCycleWitness | None]:
     """Forest weights, and the witness of the first unbalanced non-tree edge if any."""
     d, parent, nontree = _forest(rows)
     for u, v in nontree:
@@ -164,7 +180,7 @@ def is_symmetrizable(
     return witness is None, witness
 
 
-def _symmetrizing_weights(A: GeneralizedCartanMatrix) -> list[Fraction]:
+def _symmetrizing_weights(A: GeneralizedCartanMatrix) -> list[int]:
     """Forest weights of ``A``; raises :class:`NotSymmetrizableError` with the witness."""
     d, witness = _weights_or_witness(A.rows)
     if witness is not None:
@@ -230,13 +246,6 @@ def _simple_cycles(rows: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
 # == symmetrizer and bilinear form ==
 
 
-def _normalize_weights(weights: list[Fraction]) -> tuple[int, ...]:
-    mult = lcm(*(w.denominator for w in weights))
-    ints = [int(w * mult) for w in weights]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
-
-
 def symmetrizer(A: GeneralizedCartanMatrix) -> Symmetrization:
     """Normalized symmetrizer of an indecomposable symmetrizable GCM.
 
@@ -246,7 +255,7 @@ def symmetrizer(A: GeneralizedCartanMatrix) -> Symmetrization:
     """
     if not is_indecomposable(A):
         raise DecomposableError("symmetrizer requires an indecomposable matrix")
-    return Symmetrization(d=_normalize_weights(_symmetrizing_weights(A)))
+    return Symmetrization(d=tuple(_symmetrizing_weights(A)))
 
 
 def is_symmetric(A: GeneralizedCartanMatrix) -> bool:
@@ -260,25 +269,13 @@ def bilinear_form(A: GeneralizedCartanMatrix) -> tuple[tuple[int, ...], ...]:
     Works componentwise, each component normalized on its own, so decomposable
     input is fine.  ``B[i][i] == 2 * d[i]`` and ``B`` is exactly symmetric.
     """
-    d = _componentwise_normalize(A, _symmetrizing_weights(A))
+    d = _symmetrizing_weights(A)
     n = A.rank
     B = tuple(tuple(d[i] * A.rows[i][j] for j in range(n)) for i in range(n))
     for i in range(n):
         for j in range(i + 1, n):
             assert B[i][j] == B[j][i], "propagation produced an asymmetric product"
     return B
-
-
-def _componentwise_normalize(
-    A: GeneralizedCartanMatrix, weights: list[Fraction]
-) -> list[int]:
-    d = [0] * A.rank
-    for comp in components(A):
-        idx = sorted(v - 1 for v in comp)
-        norm = _normalize_weights([weights[i] for i in idx])
-        for i, v in zip(idx, norm):
-            d[i] = v
-    return d
 
 
 def root_length_count(A: GeneralizedCartanMatrix) -> int:

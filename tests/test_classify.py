@@ -363,6 +363,19 @@ class TestPublicHyperbolicityRoute:
         assert classify(hostile)[0].type.kind == INDEFINITE
         assert not is_hyperbolic(hostile)
 
+    def test_finite_and_affine_skip_the_corank1_scan(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError(f"corank-1 scan on a rank-{len(rows)} matrix of known kind")
+
+        module = importlib.import_module("dynkin.classify")
+        monkeypatch.setattr(module, "hyperbolic_fast_flags", refuse)
+        cycle = validate_gcm(affine_a(39))  # 40 vertices, every neighbour -1
+        for A, kind in ((validate_gcm(cartan_e(8)), FINITE), (cycle, AFFINE)):
+            assert classify_indecomposable(A) == classify(A)[0].type
+            assert classify_indecomposable(A).kind == kind
+            assert not is_hyperbolic(A)
+            assert not is_compact_hyperbolic(A)
+
 
 def test_kind_cache_is_bounded():
     module = importlib.import_module("dynkin.classify")

@@ -291,6 +291,24 @@ class TestVerifyCatalog:
         assert "seed 123" in out
         assert lines[-1] == f"verified {len(catalog)} entries: all checks passed"
 
+    def test_bad_seed_is_usage_error_before_the_catalog_is_read(
+        self, capsys, tmp_path, catalog, monkeypatch
+    ):
+        path = tmp_path / "rank10.jsonl"
+        write_catalog(tuple(e for e in catalog if e.rank == 10), path)
+        for value, shown in (("abc", "'abc'"), ("9" * 5000, "(5000 characters)")):
+            monkeypatch.setenv("DYNKIN_SEED", value)
+            code, out, err = run(capsys, ["verify-catalog", "--in", str(path)])
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: DYNKIN_SEED") and shown in err
+            assert len(err) < 200
+        monkeypatch.setenv("DYNKIN_SEED", "-5")
+        code, out, _ = run(capsys, ["verify-catalog", "--in", str(path)])
+        assert code == 3  # the global checks need the full catalog
+        assert "seed -5" in out
+
     def test_partial_catalog_fails(self, capsys, tmp_path, catalog):
         path = tmp_path / "partial.jsonl"
         write_catalog(tuple(e for e in catalog if e.rank == 3), path)

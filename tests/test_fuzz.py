@@ -8,7 +8,8 @@ never let an exception escape ``main``.  Three sources of input:
 * random GCMs of ranks 1..12 (``random_gcm``) into the matrix commands;
 * hostile matrix text and JSON;
 * single-field mutations of catalog lines into ``verify-catalog``, plus a
-  dense in-range entry that the orbit oracle walks.
+  dense in-range entry that the orbit oracle walks, and hostile values of
+  ``DYNKIN_SEED``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 import dynkin.cli
 from dynkin import catalog_to_lines
 from dynkin.cli import main
+from dynkin.errors import clip
 from dynkin.symmetrize import random_gcm
 
 SEED = 20100
@@ -49,6 +51,8 @@ HOSTILE_VALUES = [
     {"matrix": [[2]]},
     [[[[[]]]]],
 ]
+
+HOSTILE_SEEDS = ["", "abc", "9" * 5000, "1e3"]
 
 HOSTILE_MATRICES = [
     "",
@@ -203,6 +207,15 @@ def test_cli_fuzz(capsys, monkeypatch, tmp_path, catalog):
     code, out, err = _run(capsys, monkeypatch, argv)
     problems += _problems(argv, code, out, err) + ([] if code == 3 else [f"K_10: exit {code!r}"])
     cases += 1
+    path.write_text(catalog_to_lines(catalog[:3]), encoding="utf-8")
+    argv = ["verify-catalog", "--in", str(path)]
+    for seed in HOSTILE_SEEDS:
+        monkeypatch.setenv("DYNKIN_SEED", seed)
+        code, out, err = _run(capsys, monkeypatch, argv)
+        found = _problems(argv, code, out, err)
+        problems += [f"DYNKIN_SEED={clip(seed, repr)}: {p}" for p in found]
+        cases += 1
+    monkeypatch.delenv("DYNKIN_SEED")
     path.write_bytes(b"\xff\xfe not utf-8\n")
     for argv in (["classify", "--input", str(path)], ["verify-catalog", "--in", str(path)]):
         code, out, err = _run(capsys, monkeypatch, argv)

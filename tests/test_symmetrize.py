@@ -162,6 +162,75 @@ class TestBilinearForm:
         assert B[0][1] == B[1][0]
 
 
+def fraction_weights(rows):
+    """Coprime integer weights per component by rational depth-first propagation.
+
+    Returns ``(d, components)``, or ``None`` when some edge is unbalanced.
+    """
+    n = len(rows)
+    w = [None] * n
+    comps = []
+    for root in range(n):
+        if w[root] is not None:
+            continue
+        w[root] = Fraction(1)
+        comp, stack = [root], [root]
+        while stack:
+            u = stack.pop()
+            for v in range(n):
+                if v == u or rows[u][v] == 0:
+                    continue
+                forced = w[u] * Fraction(rows[u][v], rows[v][u])
+                if w[v] is None:
+                    w[v] = forced
+                    comp.append(v)
+                    stack.append(v)
+                elif w[v] != forced:
+                    return None
+        comps.append(sorted(comp))
+    d = [0] * n
+    for comp in comps:
+        scale = math.lcm(*(w[i].denominator for i in comp))
+        ints = [int(w[i] * scale) for i in comp]
+        g = math.gcd(*ints)
+        for i, x in zip(comp, ints):
+            d[i] = x // g
+    return d, comps
+
+
+class TestIntegerRescaling:
+    def test_matches_rational_propagation(self):
+        rng = random.Random(4711)
+        seen = {"unbalanced": 0, "decomposable": 0, "several lengths": 0}
+        for _ in range(1500):
+            A = random_gcm(
+                rng, rng.randint(1, 9), rng.randint(1, 6), rng.choice((0.15, 0.3, 0.5))
+            )
+            expected = fraction_weights(A.rows)
+            assert is_symmetrizable(A)[0] == (expected is not None)
+            if expected is None:
+                seen["unbalanced"] += 1
+                with pytest.raises(NotSymmetrizableError):
+                    bilinear_form(A)
+                continue
+            d, comps = expected
+            n = A.rank
+            B = bilinear_form(A)
+            assert B == tuple(tuple(d[i] * A.rows[i][j] for j in range(n)) for i in range(n))
+            assert all(B[i][j] == B[j][i] for i in range(n) for j in range(n))
+            for comp in comps:
+                weights = [B[i][i] // 2 for i in comp]
+                assert min(weights) >= 1 and math.gcd(*weights) == 1
+            if len(comps) > 1:
+                seen["decomposable"] += 1
+                with pytest.raises(DecomposableError):
+                    symmetrizer(A)
+            else:
+                assert symmetrizer(A).d == tuple(d)
+                seen["several lengths"] += len(set(d)) > 1
+        assert min(seen.values()) >= 50, seen
+
+
 class TestRootLengthCount:
     @pytest.mark.parametrize(
         "name,count",
