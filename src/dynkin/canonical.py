@@ -7,7 +7,8 @@ refinement:
 
 * a search state is a prefix of the output permutation plus an ordered list
   of cells covering the unplaced vertices (order across cells already forced,
-  order inside a cell still free);
+  order inside a cell still free); the search starts from the empty prefix
+  with one cell holding every vertex;
 * a candidate for the next position must come from the first cell; the best
   row it can still realize has its placed entries forced and its tail sorted
   ascending cell by cell;
@@ -25,12 +26,11 @@ equivalence relation, and twins always share a cell, since every cell split
 reads entries of placed vertices, which cannot tell twins apart.  Placing a
 twin of ``u`` instead of ``u`` leads to the image of ``u``'s subtree under the
 swap, with the same rows, so each state tries only the first unplaced member
-of each twin class in its first cell (and position 0 the first member of each
-class).  A pruned candidate always has an earlier twin with the same row, so
-the first surviving state, and with it the returned permutation, is the one
-the unpruned search would return.  ``K_n`` and ``2·I_n`` then keep one live
-state.  Symmetry without twins can still multiply states; ``_STATE_CAP``
-bounds that and raises.
+of each twin class in its first cell.  A pruned candidate always has an
+earlier twin with the same row, so the first surviving state, and with it the
+returned permutation, is the one the unpruned search would return.  ``K_n``
+and ``2·I_n`` then keep one live state.  Symmetry without twins can still
+multiply states; ``_STATE_CAP`` bounds that and raises.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from .gcm import GeneralizedCartanMatrix
 __all__ = ["CanonicalForm", "canonical_form", "canonical_rows"]
 
 _STATE_CAP = 20000
+
+_State = tuple[tuple[int, ...], list[tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -94,30 +96,12 @@ def canonical_rows(
     rows: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Canonical row tuple and a realizing permutation, for raw row tuples."""
-    n = len(rows)
-    if n == 1:
-        return ((rows[0][0],),), (0,)
-
     twin = _twin_classes(rows)
-    # Position 0: every vertex may lead; its best row sorts the whole tail.
-    best: tuple[int, ...] | None = None
-    states: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
-    for v in range(n):
-        if twin[v] != v:
-            continue
-        rest = [u for u in range(n) if u != v]
-        row = (rows[v][v], *sorted(rows[v][u] for u in rest))
-        if best is None or row < best:
-            best = row
-            states = []
-        if row == best:
-            states.append(((v,), _group_by_value(rest, rows[v])))
-    assert best is not None
-    out = [best]
-
-    for _ in range(1, n):
-        best = None
-        new_states: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
+    states: list[_State] = [((), [tuple(range(len(rows)))])]
+    out = []
+    for _ in rows:
+        best: tuple[int, ...] | None = None
+        new_states: list[_State] = []
         for perm, cells in states:
             tried: set[int] = set()
             for u in cells[0]:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from .canonical import canonical_rows
 from .classify import (
@@ -29,7 +30,7 @@ from .classify import (
     hyperbolic_compact_scan,
     hyperbolic_fast_flags,
     kind_of_rows,
-    sub_rows,
+    subdiagram_kinds,
 )
 from .enumeration import search_rank
 from .errors import CatalogFormatError, DynkinError, RankBoundError, WrongTypeError, clip
@@ -39,7 +40,6 @@ from .gcm import (
     is_indecomposable,
     mask_connected,
     matrix_to_diagram,
-    proper_connected_masks,
     validate_gcm,
 )
 from .parsing import load_json
@@ -116,12 +116,7 @@ def _rank_entries(rank: int, mats: tuple[tuple[tuple[int, ...], ...], ...]) -> l
         hyper, compact = hyperbolic_fast_flags(rows)
         assert hyper, "enumeration produced a non-hyperbolic matrix"
         sym, _ = is_symmetrizable(A)
-        if sym:
-            d = symmetrizer(A).d
-            rho = len(set(d))
-        else:
-            d = None
-            rho = None
+        d = symmetrizer(A).d if sym else None
         transpose = tuple(zip(*rows))
         dual_rows = canonical_rows(transpose)[0]
         dual_id = ids.get(dual_rows)
@@ -134,7 +129,7 @@ def _rank_entries(rank: int, mats: tuple[tuple[tuple[int, ...], ...], ...]) -> l
                 compact=compact,
                 symmetrizable=sym,
                 symmetrizer=d,
-                root_lengths=rho,
+                root_lengths=len(set(d)) if d else None,
                 orbit_blocks=orbit_partition(matrix_to_diagram(A)),
                 orbit_semantics=semantics_for(sym),
                 dual_id=dual_id,
@@ -248,19 +243,24 @@ class CatalogReport:
 
 
 def _edge_products(rows: tuple[tuple[int, ...], ...]) -> list[int]:
-    n = len(rows)
-    return [
-        rows[i][j] * rows[j][i]
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rows[i][j] != 0
-    ]
+    return [rows[i][j] * rows[j][i] for i, j in combinations(range(len(rows)), 2) if rows[i][j]]
 
 
-def _subdiagram_kinds(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, str]]:
-    """(size, kind) of each proper connected subdiagram of ``rows`` (``2^n`` work)."""
-    for mask in proper_connected_masks(adjacency_bitmasks(rows)):
-        yield mask.bit_count(), kind_of_rows(sub_rows(rows, mask))
+def _offending(ids: list[str]) -> list[str]:
+    """The one report line naming offending entries, or none."""
+    if not ids:
+        return []
+    shown = ", ".join(map(clip, ids[:8])) + (", ..." if len(ids) > 8 else "")
+    return [f"offending entries: {shown}"]
+
+
+def _loadable(e: CatalogEntry) -> bool:
+    """Whether ``e`` passes the loader's schema checks, as every entry read from a file does."""
+    try:
+        _entry_from_obj(_entry_to_obj(e), 0)
+    except CatalogFormatError:
+        return False
+    return True
 
 
 def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
@@ -269,21 +269,23 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
     Expects the full output of :func:`enumerate_hyperbolic` over ranks 3..10;
     the checks that quantify over the whole catalog (compactness profile,
     root-length bound, orbit bounds) are meaningless on partial input and may
-    then fail.  An entry outside ``MIN_RANK..MAX_RANK`` is
+    then fail.  An entry the file loader would reject (say one built with
+    :func:`dataclasses.replace`) is listed under ``well-formed`` and tested by
+    no other check.  An entry outside ``MIN_RANK..MAX_RANK`` is
     never walked (``2^rank`` work, or a root walk) nor canonically labelled:
     the checks that walk an entry list it as offending instead.
     """
     checks: list[PropertyCheck] = []
 
-    def add(name: str, offending: list[str], ok_detail: str) -> None:
-        if offending:
-            shown = ", ".join(map(clip, offending[:8])) + (", ..." if len(offending) > 8 else "")
-            checks.append(PropertyCheck(name, False, f"offending entries: {shown}"))
-        else:
-            checks.append(PropertyCheck(name, True, ok_detail))
+    def add(name: str, failures: list[str], ok_detail: str) -> None:
+        checks.append(PropertyCheck(name, not failures, "; ".join(failures) or ok_detail))
 
-    in_range = [MIN_RANK <= e.rank <= MAX_RANK for e in entries]
-    out_of_range = [e.canonical_id for e, ok in zip(entries, in_range) if not ok]
+    by_id = {e.canonical_id: e for e in entries}
+    loadable = [_loadable(e) for e in entries]
+    unloadable = [e.canonical_id for e, ok in zip(entries, loadable) if not ok]
+    entries = tuple(e for e, ok in zip(entries, loadable) if ok)  # what the other checks test
+    out_of_range = [e.canonical_id for e in entries if not MIN_RANK <= e.rank <= MAX_RANK]
+    walkable = [e for e in entries if MIN_RANK <= e.rank <= MAX_RANK]
 
     def check(
         name: str, is_bad: Callable[[CatalogEntry], bool], ok_detail: str, walks: bool = False
@@ -293,13 +295,10 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
         A check that ``walks`` an entry lists the out-of-range ids first and
         never tests those entries; any other check tests every entry.
         """
-        tested = [e for e, ok in zip(entries, in_range) if ok or not walks]
-        bad = [e.canonical_id for e in tested if is_bad(e)]
-        add(name, out_of_range + bad if walks else bad, ok_detail)
+        bad = [e.canonical_id for e in (walkable if walks else entries) if is_bad(e)]
+        add(name, _offending(out_of_range + bad if walks else bad), ok_detail)
 
-    by_id = {e.canonical_id: e for e in entries}
-
-    add("rank-bound", out_of_range, f"all ranks within {MIN_RANK}..{MAX_RANK}")
+    add("rank-bound", _offending(out_of_range), f"all ranks within {MIN_RANK}..{MAX_RANK}")
 
     seen_ids: set[str] = set()
 
@@ -308,15 +307,18 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
         ok = (
             e.canonical_id not in seen_ids
             and e.canonical_id.startswith(f"{e.rank}-")
-            and len(rows) == e.rank
             and canonical_rows(rows)[0] == rows
-            and (e.symmetrizable == (e.symmetrizer is not None) == (e.root_lengths is not None))
             and e.orbit_semantics == semantics_for(e.symmetrizable)
         )
         seen_ids.add(e.canonical_id)
         return not ok
 
-    check("well-formed", malformed, "ids unique, matrices canonical, flags consistent", walks=True)
+    bad = [e.canonical_id for e in walkable if malformed(e)]
+    add(
+        "well-formed",
+        _offending(unloadable + out_of_range + bad),
+        "ids unique, matrices canonical, flags consistent",
+    )
 
     check(
         "hyperbolic",
@@ -359,8 +361,8 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
     check(
         "affine-subdiagram-corank",
         lambda e: any(
-            size != e.rank - 1 and kind == AFFINE
-            for size, kind in _subdiagram_kinds(e.matrix.rows)
+            kind == AFFINE and mask.bit_count() != e.rank - 1
+            for mask, kind in subdiagram_kinds(e.matrix.rows)
         ),
         "every proper connected affine subdiagram has exactly rank-1 vertices",
         walks=True,
@@ -388,7 +390,10 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
         lambda e: e.rank == 3
         and e.symmetrizable
         and e.compact
-        == any(size == 2 and kind == AFFINE for size, kind in _subdiagram_kinds(e.matrix.rows)),
+        == any(
+            kind == AFFINE and mask.bit_count() == 2
+            for mask, kind in subdiagram_kinds(e.matrix.rows)
+        ),
         "rank-3 symmetrizable entries: non-compact iff an edge subdiagram is affine",
     )
     check(
@@ -409,10 +414,9 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
             failures.append(f"{len(rank5)} compact entries of rank 5")
         else:
             e = rank5[0]
-            diagram = matrix_to_diagram(e.matrix)
-            degrees = [len(diagram.neighbors(v)) for v in range(1, 6)]
-            labels = sorted(lab.render_class for _, _, lab in diagram.edges)
-            if degrees != [2] * 5 or labels != ["arrow2"] + ["single"] * 4:
+            rows = e.matrix.rows
+            degrees = [a.bit_count() for a in adjacency_bitmasks(rows)]
+            if degrees != [2] * 5 or sorted(_edge_products(rows)) != [1, 1, 1, 1, 2]:
                 failures.append(f"{clip(e.canonical_id)} is not a cycle with a unique double arrow")
             if e.symmetrizable:
                 failures.append(f"{clip(e.canonical_id)} unexpectedly symmetrizable")
@@ -421,14 +425,10 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
             failures.append("max symmetrizable compact rank is not 4")
     else:
         failures.append("no compact entries present")
-    checks.append(
-        PropertyCheck(
-            "compact-profile",
-            not failures,
-            "; ".join(failures)
-            if failures
-            else "compactness stops at rank 5, symmetrizable compactness at rank 4",
-        )
+    add(
+        "compact-profile",
+        failures,
+        "compactness stops at rank 5, symmetrizable compactness at rank 4",
     )
 
     check(
@@ -443,33 +443,23 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
         bad = four or ["<none reaches 4>"]
     add(
         "root-length-bound",
-        bad,
+        _offending(bad),
         "root-length counts stay at <= 4 with exactly one entry reaching 4",
     )
 
-    counts = [e.orbit_blocks.block_count for e in entries]
-    failures = []
-    if any(c > 4 for c in counts):
-        failures.append("an entry exceeds 4 orbit blocks")
-    if not counts or max(counts) != 4:
+    most = max((e.orbit_blocks.block_count for e in entries), default=0)
+    failures = ["an entry exceeds 4 orbit blocks"] if most > 4 else []
+    if most != 4:
         failures.append("no entry reaches 4 orbit blocks")
-    checks.append(
-        PropertyCheck(
-            "orbit-block-bound",
-            not failures,
-            "; ".join(failures) if failures else "orbit block counts stay at <= 4 and attain 4",
-        )
-    )
+    add("orbit-block-bound", failures, "orbit block counts stay at <= 4 and attain 4")
 
-    split_found = [e.canonical_id for e in sym_entries if _has_equal_norm_orbit_split(e)]
-    checks.append(
-        PropertyCheck(
-            "equal-norm-orbit-split",
-            bool(split_found),
-            f"witness: {clip(split_found[0])}"
-            if split_found
-            else "no symmetrizable entry separates equal-norm simple roots into distinct orbits",
-        )
+    split = next((e.canonical_id for e in sym_entries if _has_equal_norm_orbit_split(e)), None)
+    add(
+        "equal-norm-orbit-split",
+        ["no symmetrizable entry separates equal-norm simple roots into distinct orbits"]
+        if split is None
+        else [],
+        f"witness: {clip(split)}" if split is not None else "",
     )
 
     check(
@@ -484,13 +474,12 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
 
 
 def _has_equal_norm_orbit_split(e: CatalogEntry) -> bool:
-    d = e.symmetrizer
+    d, block_of = e.symmetrizer, e.orbit_blocks.block_of
     assert d is not None
-    for i in range(e.rank):
-        for j in range(i + 1, e.rank):
-            if d[i] == d[j] and e.orbit_blocks.block_of(i + 1) != e.orbit_blocks.block_of(j + 1):
-                return True
-    return False
+    return any(
+        d[i] == d[j] and block_of(i + 1) != block_of(j + 1)
+        for i, j in combinations(range(e.rank), 2)
+    )
 
 
 # == file format ==

@@ -39,14 +39,17 @@ subdiagram is of finite type.  A connected subdiagram on at most ``n - 2``
 vertices lies inside a connected one on ``n - 1`` vertices, and proper
 subdiagrams of finite or affine diagrams are finite (Kac, Lemma 4.4), so the
 connected subdiagrams on ``n - 1`` vertices decide both flags.  The public API
-checks only those (:func:`hyperbolic_fast_flags`); the ``2^n`` walk of
-:func:`hyperbolic_compact_scan` is the definition, kept as the reference.
+checks only those (:func:`hyperbolic_fast_flags`).  :func:`subdiagram_kinds`
+is the one ``2^n`` walk that classifies every proper connected subdiagram;
+:func:`hyperbolic_compact_scan` (the definition, kept as the reference),
+:func:`hyperbolicity_witness` and the catalog verifier all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .errors import DecomposableError, RankBoundError
 from .gcm import (
@@ -79,26 +82,19 @@ AFFINE = "affine"
 INDEFINITE = "indefinite"
 
 MINOR_RANK_LIMIT = 12
-KIND_CACHE_LIMIT = 1 << 16  # a catalog build memoizes about 24,000 kinds
+KIND_CACHE_CELLS = 1 << 22  # ranks 3..11 memoize 3,475 kinds in 177,608 cells
 
 
 # == exact integer determinants ==
 
 
 def det_int(rows: tuple[tuple[int, ...], ...]) -> int:
-    """Exact determinant of an integer matrix (Bareiss elimination).
+    """Exact determinant of an integer matrix, at every size.
 
-    Closed forms are used up to 3x3; larger matrices go through fraction-free
-    elimination, whose interior divisions are exact by construction.
+    One fraction-free Bareiss elimination, swapping in a later row when a
+    pivot is 0; its interior divisions are exact by construction.
     """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     m = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -132,6 +128,7 @@ def sub_rows(rows: tuple[tuple[int, ...], ...], mask: int) -> tuple[tuple[int, .
 # == kind of raw row tuples (internal engine, shared with enumeration) ==
 
 _KIND_CACHE: dict[tuple[tuple[int, ...], ...], str] = {}
+_kind_cache_cells = 0  # matrix cells held by the keys of _KIND_CACHE
 
 
 def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
@@ -142,15 +139,21 @@ def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     is connected; symmetrizability is not needed.
 
     Memoized across calls, since the enumeration classifies the same small
-    submatrices over and over; the memo starts over at ``KIND_CACHE_LIMIT``.
+    submatrices over and over.  The memo is bounded by the cells of its keys,
+    not their count: it starts over when a new key would take it past
+    ``KIND_CACHE_CELLS``.
     """
+    global _kind_cache_cells
     cached = _KIND_CACHE.get(rows)
     if cached is not None:
         return cached
     kind = _leading_minor_kind(rows)
-    if len(_KIND_CACHE) >= KIND_CACHE_LIMIT:
+    cells = len(rows) ** 2
+    if _kind_cache_cells + cells > KIND_CACHE_CELLS:
         _KIND_CACHE.clear()
+        _kind_cache_cells = 0
     _KIND_CACHE[rows] = kind
+    _kind_cache_cells += cells
     return kind
 
 
@@ -199,20 +202,29 @@ def hyperbolic_fast_flags(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, bool
     return True, compact
 
 
+def subdiagram_kinds(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, str]]:
+    """(mask, kind) of each proper connected subdiagram of ``rows`` (``2^n`` work).
+
+    In the walker's order: by size, then lexicographically, so the first
+    subdiagram of a kind is a smallest one.
+    """
+    for mask in proper_connected_masks(adjacency_bitmasks(rows)):
+        yield mask, kind_of_rows(sub_rows(rows, mask))
+
+
 def hyperbolic_compact_scan(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, bool]:
     """(hyperbolic, compact) flags of connected ``rows`` by full subset scan.
 
-    Walks every proper connected induced subdiagram and checks its kind, which
-    is the definition itself with no shortcuts; exponential in the rank.
+    Checks the kind of every proper connected induced subdiagram, which is the
+    definition itself with no shortcuts; exponential in the rank.
     """
     if kind_of_rows(rows) != INDEFINITE:
         return False, False
     compact = True
-    for mask in proper_connected_masks(adjacency_bitmasks(rows)):
-        k = kind_of_rows(sub_rows(rows, mask))
-        if k == INDEFINITE:
+    for _, kind in subdiagram_kinds(rows):
+        if kind == INDEFINITE:
             return False, False
-        if k == AFFINE:
+        if kind == AFFINE:
             compact = False
     return True, compact
 
@@ -327,8 +339,8 @@ def hyperbolicity_witness(A: GeneralizedCartanMatrix) -> HyperbolicityWitness:
         return HyperbolicityWitness(False, f"matrix is of {kind} type", None)
     if A.rank > MINOR_RANK_LIMIT:
         raise RankBoundError(f"witness walk supported up to rank {MINOR_RANK_LIMIT}, got {A.rank}")
-    for mask in proper_connected_masks(adjacency_bitmasks(A.rows)):
-        if kind_of_rows(sub_rows(A.rows, mask)) == INDEFINITE:
+    for mask, sub_kind in subdiagram_kinds(A.rows):
+        if sub_kind == INDEFINITE:
             return HyperbolicityWitness(
                 False,
                 "proper connected subdiagram of indefinite type",

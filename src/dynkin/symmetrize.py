@@ -308,19 +308,17 @@ def random_gcm(
     return validate_gcm(rows)
 
 
-def cycle_criterion_agreement(
-    samples: int, rank_min: int = 4, rank_max: int = 6, seed: int = 0
-) -> list[GeneralizedCartanMatrix]:
+def cycle_criterion_agreement(samples: int, seed: int = 0) -> list[GeneralizedCartanMatrix]:
     """Matrices where the two symmetrizability routes disagree (expected: none).
 
-    Draws ``samples`` random GCMs and runs both :func:`is_symmetrizable` and
-    :func:`kac_cycle_oracle` on each.  Returns the disagreeing matrices so a
-    failure is reproducible from the seed alone.
+    Draws ``samples`` random GCMs of ranks 4..6 and runs both
+    :func:`is_symmetrizable` and :func:`kac_cycle_oracle` on each.  Returns the
+    disagreeing matrices so a failure is reproducible from the seed alone.
     """
     rng = random.Random(seed)
     bad = []
     for _ in range(samples):
-        A = random_gcm(rng, rng.randint(rank_min, rank_max))
+        A = random_gcm(rng, rng.randint(4, 6))
         if is_symmetrizable(A)[0] != kac_cycle_oracle(A):
             bad.append(A)
     return bad

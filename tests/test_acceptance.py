@@ -175,9 +175,7 @@ class TestAcceptance:
                 break
             checked += 1
         # randomized: seeded GCMs of ranks 4..6
-        mismatches = cycle_criterion_agreement(
-            RANDOM_EQUIVALENCE_SAMPLES, rank_min=4, rank_max=6, seed=0
-        )
+        mismatches = cycle_criterion_agreement(RANDOM_EQUIVALENCE_SAMPLES, seed=0)
         if mismatches:
             problems.append(
                 f"{len(mismatches)} random disagreements, first {mismatches[0].rows}"

@@ -82,7 +82,7 @@ class TestTwins:
             for i in range(5)
         )
         monkeypatch.setattr(canonical, "_STATE_CAP", 3)
-        with pytest.raises(DynkinError, match=r"10 live states exceed the cap of 3"):
+        with pytest.raises(DynkinError, match=r"5 live states exceed the cap of 3"):
             canonical_rows(cycle)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,7 @@ from dynkin import (
 )
 from dynkin.canonical import canonical_rows
 from dynkin.errors import DynkinError
+from dynkin.weyl import OrbitPartition
 
 from lie_fixtures import FINITE_FIXTURES, path_with_heavy_end
 
@@ -274,6 +276,25 @@ class TestVerification:
         assert not by_name["rank-bound"].passed
         assert "11-001" in by_name["rank-bound"].detail
 
+    def test_entry_the_loader_rejects_is_listed_not_raised(self, catalog):
+        sym = next(e for e in catalog if e.symmetrizable and e.dual_id != e.canonical_id)
+        plain = next(e for e in catalog if not e.symmetrizable and e.dual_id != e.canonical_id)
+        for e, bad in (
+            (sym, replace(sym, symmetrizer=None)),
+            (sym, replace(sym, root_lengths=None)),
+            (plain, replace(plain, symmetrizable=True)),
+            (sym, replace(sym, symmetrizer=sym.symmetrizer[:-1])),
+            (sym, replace(sym, rank=sym.rank + 1)),
+            (sym, replace(sym, orbit_blocks=OrbitPartition(sym.orbit_blocks.blocks[1:]))),
+        ):
+            mate = next(x for x in catalog if x.canonical_id == e.dual_id)
+            report = verify_catalog((mate, bad))
+            naming = [c.name for c in report.checks if e.canonical_id in c.detail]
+            assert naming == ["well-formed"]
+            by_name = {c.name: c for c in report.checks}
+            assert not by_name["well-formed"].passed
+            assert by_name["duality"].passed  # the mate's dual is still found by id
+
     def test_out_of_range_entry_is_never_walked(self, catalog, monkeypatch):
         n = 22
         obj = {
@@ -303,7 +324,7 @@ class TestVerification:
             monkeypatch.setattr(module, name, wrapper)
 
         spy("hyperbolic_compact_scan")
-        spy("proper_connected_masks")
+        spy("subdiagram_kinds")
         spy("orbit_partitions_agree", rank=lambda A: A.rank)
         report = verify_catalog(catalog + loaded)
         assert len(walked) == 3

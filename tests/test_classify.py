@@ -377,13 +377,22 @@ class TestPublicHyperbolicityRoute:
             assert not is_compact_hyperbolic(A)
 
 
-def test_kind_cache_is_bounded():
+def test_kind_cache_is_bounded(monkeypatch):
+    # Rank-60 paths with one heavy edge: few keys, but 3,600 cells each.  The
+    # bound is lowered so that the cache starts over within a few dozen keys.
     module = importlib.import_module("dynkin.classify")
-    limit = module.KIND_CACHE_LIMIT
-    module._KIND_CACHE.clear()
-    labels = [(a, b) for a in range(1, 300) for b in range(1, 300)][: limit + 1]
-    for a, b in labels:
-        kind_of_rows(((2, -a), (-b, 2)))
-        assert len(module._KIND_CACHE) <= limit
-    assert ((2, -a), (-b, 2)) in module._KIND_CACHE
-    module._KIND_CACHE.clear()
+    bound = 20 * 60 * 60 + 1
+    monkeypatch.setattr(module, "KIND_CACHE_CELLS", bound)
+    monkeypatch.setattr(module, "_KIND_CACHE", {})
+    monkeypatch.setattr(module, "_kind_cache_cells", 0)
+    most = 0
+    for label in range(5, 55):
+        rows = path_with_heavy_end(60)
+        rows[59][58] = -label
+        rows = tuple(map(tuple, rows))
+        assert kind_of_rows(rows) == INDEFINITE
+        cells = sum(len(key) ** 2 for key in module._KIND_CACHE)
+        assert cells == module._kind_cache_cells <= bound
+        assert rows in module._KIND_CACHE
+        most = max(most, len(module._KIND_CACHE))
+    assert most == 20

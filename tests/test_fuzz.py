@@ -10,6 +10,10 @@ never let an exception escape ``main``.  Three sources of input:
 * single-field mutations of catalog lines into ``verify-catalog``, plus a
   dense in-range entry that the orbit oracle walks, and hostile values of
   ``DYNKIN_SEED``.
+
+A library-level case hands ``verify_catalog`` entries built in memory with
+one field set to a type-correct value the file loader rejects; the report
+must list each under ``well-formed`` instead of raising.
 """
 
 from __future__ import annotations
@@ -18,12 +22,14 @@ import io
 import json
 import random
 import sys
+from dataclasses import replace
 
 import dynkin.cli
-from dynkin import catalog_to_lines
+from dynkin import catalog_to_lines, verify_catalog
 from dynkin.cli import main
 from dynkin.errors import clip
 from dynkin.symmetrize import random_gcm
+from dynkin.weyl import OrbitPartition
 
 SEED = 20100
 
@@ -222,4 +228,46 @@ def test_cli_fuzz(capsys, monkeypatch, tmp_path, catalog):
         problems += _problems(argv, code, out, err)
         cases += 1
     assert cases >= 400
+    assert not problems, "\n".join(problems[:20])
+
+
+def _unloadable_fields(e, other):
+    """(field, value) pairs of the right type that the loader rejects for entry ``e``.
+
+    ``other`` is an entry of another rank, whose matrix then mismatches the rank.
+    """
+    d = e.symmetrizer or (1,) * e.rank
+    partial = tuple(b - {1} for b in e.orbit_blocks.blocks if b - {1})
+    yield "symmetrizable", not e.symmetrizable
+    yield "symmetrizer", None if e.symmetrizable else d
+    yield "symmetrizer", d[:-1]
+    yield "symmetrizer", d + (1,)
+    yield "root_lengths", None if e.symmetrizable else 1
+    yield "rank", e.rank - 1
+    yield "rank", e.rank + 1
+    yield "matrix", other.matrix
+    yield "orbit_blocks", OrbitPartition(())
+    yield "orbit_blocks", OrbitPartition(partial)
+
+
+def test_library_entries_the_loader_rejects(catalog):
+    rng = random.Random(SEED)
+    problems = []
+    cases = 0
+    for e in rng.sample(catalog, 12):
+        other = rng.choice([x for x in catalog if x.rank != e.rank])
+        for field, value in _unloadable_fields(e, other):
+            picked = rng.sample(catalog, rng.randint(0, 2))
+            entries = tuple(picked) + (replace(e, **{field: value}),)
+            case = f"{e.canonical_id} {field}={value!r}"
+            cases += 1
+            try:
+                checks = {c.name: c for c in verify_catalog(entries).checks}
+            except Exception as exc:  # a library caller would see it raise
+                problems.append(f"{case}: {exc!r}")
+                continue
+            well_formed = checks["well-formed"]
+            if well_formed.passed or clip(e.canonical_id) not in well_formed.detail:
+                problems.append(f"{case}: well-formed reads {well_formed.detail!r}")
+    assert cases == 120
     assert not problems, "\n".join(problems[:20])

@@ -84,7 +84,7 @@ class TestCycleOracle:
             assert is_symmetrizable(A)[0] == kac_cycle_oracle(A)
 
     def test_random_agreement(self):
-        assert cycle_criterion_agreement(samples=300, rank_min=4, rank_max=6, seed=9) == []
+        assert cycle_criterion_agreement(samples=300, seed=9) == []
 
 
 class TestSymmetrizer:
