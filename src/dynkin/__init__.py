@@ -7,7 +7,7 @@ overextension, and enumerates every hyperbolic diagram class of rank 3 to 10
 together with independent oracle routes that re-derive the low ranks.
 
 Everything operates on immutable data with pure functions; results are
-deterministic and all arithmetic is exact (integers and rationals).
+deterministic and all arithmetic is exact and in integers.
 """
 
 from .canonical import CanonicalForm, canonical_form
@@ -48,7 +48,6 @@ from .errors import (
     DynkinError,
     MatrixParseError,
     MatrixValidationError,
-    NotAdjacentError,
     NotSymmetrizableError,
     RankBoundError,
     WrongTypeError,
@@ -58,9 +57,7 @@ from .gcm import (
     EdgeLabel,
     GeneralizedCartanMatrix,
     components,
-    diagram_to_matrix,
     dual,
-    edge_multiplicity,
     induced_subdiagram,
     is_indecomposable,
     matrix_to_diagram,
@@ -95,9 +92,6 @@ from .weyl import (
     real_roots_up_to_height,
     reflect,
     root_norm,
-    roots_from_lines,
-    roots_to_lines,
-    simply_laced_skeleton,
 )
 
 __version__ = "0.1.0"

@@ -69,6 +69,10 @@ CATALOG_FORMAT = "dynkin-catalog/1"
 MIN_RANK = 3
 MAX_RANK = 10
 
+#: The paper's class count for each rank 3..10, and how many are symmetrizable.
+HEADLINE_CLASSES = (123, 53, 22, 22, 4, 5, 5, 4)
+HEADLINE_SYMMETRIZABLE = (44, 40, 20, 20, 4, 5, 5, 4)
+
 VERIFIED = "verified"
 UNVERIFIED = "unverified"
 
@@ -269,11 +273,15 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
     Expects the full output of :func:`enumerate_hyperbolic` over ranks 3..10;
     the checks that quantify over the whole catalog (compactness profile,
     root-length bound, orbit bounds) are meaningless on partial input and may
-    then fail.  An entry the file loader would reject (say one built with
-    :func:`dataclasses.replace`) is listed under ``well-formed`` and tested by
-    no other check.  An entry outside ``MIN_RANK..MAX_RANK`` is
-    never walked (``2^rank`` work, or a root walk) nor canonically labelled:
-    the checks that walk an entry list it as offending instead.
+    then fail.  The last check, ``headline-counts``, compares the per-rank
+    class and symmetrizable counts with the paper's and requires the ids of
+    each rank to run ``<rank>-001`` upwards without gaps, so a catalog with
+    classes missing or renumbered fails it.  An entry the file loader would
+    reject (say one built with :func:`dataclasses.replace`) is listed under
+    ``well-formed`` and tested by no other check.  An entry outside
+    ``MIN_RANK..MAX_RANK`` is never walked (``2^rank`` work, or a root walk)
+    nor canonically labelled: the checks that walk an entry list it as
+    offending instead.
     """
     checks: list[PropertyCheck] = []
 
@@ -468,6 +476,31 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
         or not orbit_partitions_agree(e.matrix),
         "stored orbit blocks rechecked; reflection-walk orbits agree with the skeleton partition",
         walks=True,
+    )
+
+    def slashed(counts: tuple[int, ...]) -> str:
+        return "/".join(map(str, counts))
+
+    by_rank = {r: [e for e in entries if e.rank == r] for r in range(MIN_RANK, MAX_RANK + 1)}
+    totals = tuple(map(len, by_rank.values()))
+    sym = tuple(sum(e.symmetrizable for e in es) for es in by_rank.values())
+    failures = []
+    if totals != HEADLINE_CLASSES:
+        failures.append(f"classes {slashed(totals)}, paper {slashed(HEADLINE_CLASSES)}")
+    if sym != HEADLINE_SYMMETRIZABLE:
+        failures.append(f"symmetrizable {slashed(sym)}, paper {slashed(HEADLINE_SYMMETRIZABLE)}")
+    misnumbered = [
+        str(r)
+        for r, es in by_rank.items()
+        if sorted(e.canonical_id for e in es) != [_entry_id(r, k) for k in range(1, len(es) + 1)]
+    ]
+    if misnumbered:
+        failures.append(f"ids are not <rank>-001..N in rank {', '.join(misnumbered)}")
+    add(
+        "headline-counts",
+        failures,
+        f"ranks {MIN_RANK}..{MAX_RANK}: {slashed(HEADLINE_CLASSES)} classes, "
+        f"{slashed(HEADLINE_SYMMETRIZABLE)} symmetrizable, ids <rank>-001..N",
     )
 
     return CatalogReport(tuple(checks))

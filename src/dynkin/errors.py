@@ -47,10 +47,6 @@ class MatrixParseError(DynkinError):
     """Text or JSON matrix input could not be parsed."""
 
 
-class NotAdjacentError(DynkinError):
-    """An edge operation was requested for a vertex pair with no edge."""
-
-
 class DecomposableError(DynkinError):
     """Operation requires an indecomposable matrix but got a decomposable one."""
 

@@ -13,8 +13,6 @@ underlying storage is 0-based tuples.
 A Dynkin diagram is the equivalent edge-labelled graph: vertices 1..n, and for
 each off-diagonal pair with nonzero entries an undirected edge ``{i, j}``
 carrying the label ``(p, q) = (-A[i][j], -A[j][i])`` recorded for ``i < j``.
-Both directions of the dictionary (matrix to diagram and back) are exact, so
-round trips are lossless.
 
 All types in this module are immutable and hashable; functions are pure.
 """
@@ -22,16 +20,10 @@ All types in this module are immutable and hashable; functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    DynkinError,
-    MatrixValidationError,
-    NotAdjacentError,
-    clip,
-)
+from .errors import DynkinError, MatrixValidationError, clip
 
 __all__ = [
     "EdgeLabel",
@@ -39,8 +31,6 @@ __all__ = [
     "GeneralizedCartanMatrix",
     "validate_gcm",
     "matrix_to_diagram",
-    "diagram_to_matrix",
-    "edge_multiplicity",
     "dual",
     "is_indecomposable",
     "components",
@@ -48,7 +38,7 @@ __all__ = [
 ]
 
 
-# == edge labels ==
+# == Dynkin diagrams ==
 
 
 @dataclass(frozen=True, order=True)
@@ -61,32 +51,6 @@ class EdgeLabel:
 
     p: int
     q: int
-
-    @property
-    def symmetric(self) -> bool:
-        return self.p == self.q
-
-    @property
-    def product(self) -> int:
-        return self.p * self.q
-
-    @property
-    def render_class(self) -> str:
-        """Drawing style of this edge.
-
-        ``single`` for (1,1); ``arrow2``/``arrow3``/``arrow4`` when one side is
-        1 and the other is 2, 3 or 4; ``double_headed`` for (2,2); ``labeled``
-        for everything else (the label pair is then printed explicitly).
-        """
-        p, q = self.p, self.q
-        if p == q == 1:
-            return "single"
-        if p == q == 2:
-            return "double_headed"
-        lo, hi = min(p, q), max(p, q)
-        if lo == 1 and hi in (2, 3, 4):
-            return f"arrow{hi}"
-        return "labeled"
 
 
 @dataclass(frozen=True)
@@ -113,21 +77,6 @@ class DynkinDiagram:
                 raise DynkinError(f"edge ({i}, {j}) has non-positive label {label}")
             seen.add((i, j))
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: (e[0], e[1]))))
-
-    def label(self, i: int, j: int) -> EdgeLabel | None:
-        """Label of edge ``{i, j}``, or ``None`` if the vertices are not adjacent."""
-        if i == j:
-            raise DynkinError("an edge joins two distinct vertices")
-        a, b = min(i, j), max(i, j)
-        for x, y, lab in self.edges:
-            if (x, y) == (a, b):
-                return lab
-        return None
-
-    def neighbors(self, i: int) -> frozenset[int]:
-        out = {y for x, y, _ in self.edges if x == i}
-        out |= {x for x, y, _ in self.edges if y == i}
-        return frozenset(out)
 
 
 # == generalized Cartan matrices ==
@@ -229,7 +178,7 @@ def validate_gcm(entries: Sequence[Sequence[int]]) -> GeneralizedCartanMatrix:
 
 
 def matrix_to_diagram(A: GeneralizedCartanMatrix) -> DynkinDiagram:
-    """Dynkin diagram of ``A`` (exact inverse of :func:`diagram_to_matrix`)."""
+    """Dynkin diagram of ``A``: one labelled edge per nonzero pair ``i < j``."""
     edges = []
     n = A.rank
     for i in range(n):
@@ -237,29 +186,6 @@ def matrix_to_diagram(A: GeneralizedCartanMatrix) -> DynkinDiagram:
             if A.rows[i][j] != 0:
                 edges.append((i + 1, j + 1, EdgeLabel(-A.rows[i][j], -A.rows[j][i])))
     return DynkinDiagram(rank=n, edges=tuple(edges))
-
-
-def diagram_to_matrix(D: DynkinDiagram) -> GeneralizedCartanMatrix:
-    """Generalized Cartan matrix of a diagram."""
-    n = D.rank
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j, label in D.edges:
-        rows[i - 1][j - 1] = -label.p
-        rows[j - 1][i - 1] = -label.q
-    return validate_gcm(rows)
-
-
-def edge_multiplicity(D: DynkinDiagram, i: int, j: int) -> Fraction:
-    """Exact ratio ``A[j][i] / A[i][j]`` for adjacent vertices ``i`` and ``j``.
-
-    Orientation matters: ``edge_multiplicity(D, j, i)`` is the reciprocal.
-    """
-    label = D.label(i, j)
-    if label is None:
-        raise NotAdjacentError(f"vertices {i} and {j} are not adjacent")
-    if i < j:
-        return Fraction(label.q, label.p)
-    return Fraction(label.p, label.q)
 
 
 def dual(A: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
@@ -323,13 +249,18 @@ def proper_connected_masks(adj: Sequence[int]) -> Iterator[int]:
                 yield mask
 
 
-def components(A: GeneralizedCartanMatrix) -> tuple[frozenset[int], ...]:
-    """Connected components as 1-based vertex sets, ordered by smallest member."""
-    n = A.rank
+def graph_components(adj: Sequence[int]) -> tuple[frozenset[int], ...]:
+    """Components of the whole graph ``adj`` as 1-based vertex sets, by smallest member."""
+    n = len(adj)
     return tuple(
         frozenset(i + 1 for i in range(n) if comp >> i & 1)
-        for comp in mask_components((1 << n) - 1, adjacency_bitmasks(A.rows))
+        for comp in mask_components((1 << n) - 1, adj)
     )
+
+
+def components(A: GeneralizedCartanMatrix) -> tuple[frozenset[int], ...]:
+    """Connected components as 1-based vertex sets, ordered by smallest member."""
+    return graph_components(adjacency_bitmasks(A.rows))
 
 
 def is_indecomposable(A: GeneralizedCartanMatrix) -> bool:

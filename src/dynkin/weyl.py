@@ -35,12 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, DynkinError, WrongTypeError, clip
+from .errors import BudgetExceededError, DynkinError, WrongTypeError
 from .gcm import (
     DynkinDiagram,
     GeneralizedCartanMatrix,
-    components,
-    diagram_to_matrix,
+    graph_components,
     is_indecomposable,
     matrix_to_diagram,
 )
@@ -55,12 +54,9 @@ __all__ = [
     "real_roots_up_to_height",
     "root_norm",
     "highest_root",
-    "simply_laced_skeleton",
     "orbit_partition",
     "orbit_partition_bruteforce",
     "orbit_partitions_agree",
-    "roots_to_lines",
-    "roots_from_lines",
 ]
 
 DEFAULT_BUDGET = 10**6
@@ -235,15 +231,18 @@ def highest_root(A: GeneralizedCartanMatrix) -> RootVector:
 # == orbit partitions ==
 
 
-def simply_laced_skeleton(D: DynkinDiagram) -> DynkinDiagram:
-    """Subdiagram keeping only the single (label ``(1, 1)``) edges."""
-    kept = tuple(e for e in D.edges if e[2].p == 1 and e[2].q == 1)
-    return DynkinDiagram(rank=D.rank, edges=kept)
-
-
 def orbit_partition(D: DynkinDiagram) -> OrbitPartition:
-    """Orbit blocks of the simple roots: components of the single-edge skeleton."""
-    return OrbitPartition(components(diagram_to_matrix(simply_laced_skeleton(D))))
+    """Orbit blocks of the simple roots: components of the single-edge skeleton.
+
+    Reads the single (label ``(1, 1)``) edges of ``D`` directly into one
+    adjacency bitmask per vertex.
+    """
+    adj = [0] * D.rank
+    for i, j, label in D.edges:
+        if label.p == label.q == 1:
+            adj[i - 1] |= 1 << (j - 1)
+            adj[j - 1] |= 1 << (i - 1)
+    return OrbitPartition(graph_components(adj))
 
 
 def orbit_partition_bruteforce(A: GeneralizedCartanMatrix, height: int) -> OrbitPartition:
@@ -284,42 +283,3 @@ def orbit_partitions_agree(A: GeneralizedCartanMatrix) -> bool:
         return orbit_partition_bruteforce(A, 8) == target
     except BudgetExceededError:
         return False
-
-
-# == serialization of root sets ==
-
-
-def roots_to_lines(roots: tuple[RootVector, ...]) -> str:
-    """Line format ``height, c1, c2, ...`` in canonical order."""
-    ordered = sorted(roots, key=lambda r: (r.height, r.coords))
-    return "\n".join(
-        ", ".join([str(r.height)] + [str(c) for c in r.coords]) for r in ordered
-    )
-
-
-def roots_from_lines(text: str) -> tuple[RootVector, ...]:
-    """Inverse of :func:`roots_to_lines`; heights and dimensions are revalidated.
-
-    Every line needs at least one coordinate, and as many as the first line.
-    """
-    out: list[RootVector] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = []
-        for tok in line.split(","):
-            try:
-                parts.append(int(tok))
-            except ValueError:
-                raise DynkinError(
-                    f"line {lineno}: entry {clip(tok.strip(), repr)} is not an integer"
-                ) from None
-        height, coords = parts[0], tuple(parts[1:])
-        if not coords or (out and len(coords) != len(out[0].coords)):
-            expected = f"{len(out[0].coords)}" if out else "at least 1"
-            raise DynkinError(f"line {lineno}: {len(coords)} coordinates, expected {expected}")
-        if sum(coords) != height:
-            raise DynkinError(f"line {lineno}: height {height} does not match coordinates")
-        out.append(RootVector(coords))
-    return tuple(out)

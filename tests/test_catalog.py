@@ -238,6 +238,7 @@ class TestVerification:
             "orbit-block-bound",
             "equal-norm-orbit-split",
             "orbit-oracle",
+            "headline-counts",
         ]
 
     def test_partial_catalog_fails_global_checks(self, catalog):
@@ -245,6 +246,7 @@ class TestVerification:
         report = verify_catalog(rank3)
         assert not report.all_passed
         by_name = {c.name: c for c in report.checks}
+        assert not by_name["headline-counts"].passed
         # per-entry checks still hold on the subset
         assert by_name["hyperbolic"].passed
         assert by_name["duality"].passed

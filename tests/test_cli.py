@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -290,6 +291,30 @@ class TestVerifyCatalog:
         assert "criterion-equivalence" in out
         assert "seed 123" in out
         assert lines[-1] == f"verified {len(catalog)} entries: all checks passed"
+
+    @pytest.mark.parametrize("case", ["dropped-6-002", "dropped-self-dual", "renumbered-10-004"])
+    def test_missing_or_renumbered_classes_fail_headline_counts(
+        self, capsys, tmp_path, catalog, case
+    ):
+        if case == "dropped-6-002":
+            entries = [e for e in catalog if e.canonical_id != "6-002"]
+        elif case == "dropped-self-dual":  # the 18 self-dual entries of rank >= 6
+            entries = [e for e in catalog if e.rank < 6 or e.dual_id != e.canonical_id]
+            assert len(entries) == len(catalog) - 18
+        else:  # 10-004 is self-dual, so the dual pairing stays an involution
+            entries = [
+                replace(e, canonical_id="10-005", dual_id="10-005")
+                if e.canonical_id == "10-004"
+                else e
+                for e in catalog
+            ]
+        path = tmp_path / "headline.jsonl"
+        write_catalog(tuple(entries), path)
+        code, out, err = run(capsys, ["verify-catalog", "--in", str(path)])
+        assert code == 3
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL headline-counts: "), fails
+        assert "verification failed" in err
 
     def test_bad_seed_is_usage_error_before_the_catalog_is_read(
         self, capsys, tmp_path, catalog, monkeypatch

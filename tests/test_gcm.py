@@ -1,9 +1,8 @@
-"""Core data model: validation, diagram round trips, duals, subdiagrams."""
+"""Core data model: validation, diagrams, duals, subdiagrams."""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,11 +11,8 @@ from dynkin import (
     EdgeLabel,
     GeneralizedCartanMatrix,
     MatrixValidationError,
-    NotAdjacentError,
     components,
-    diagram_to_matrix,
     dual,
-    edge_multiplicity,
     induced_subdiagram,
     is_indecomposable,
     matrix_to_diagram,
@@ -98,75 +94,21 @@ class TestValidation:
             A.rows = ()
 
 
-class TestEdgeLabel:
-    @pytest.mark.parametrize(
-        "p,q,cls",
-        [
-            (1, 1, "single"),
-            (1, 2, "arrow2"),
-            (2, 1, "arrow2"),
-            (1, 3, "arrow3"),
-            (3, 1, "arrow3"),
-            (1, 4, "arrow4"),
-            (4, 1, "arrow4"),
-            (2, 2, "double_headed"),
-            (2, 3, "labeled"),
-            (1, 5, "labeled"),
-            (3, 3, "labeled"),
-        ],
-    )
-    def test_render_class(self, p, q, cls):
-        assert EdgeLabel(p, q).render_class == cls
-
-    def test_symmetric_flag(self):
-        assert EdgeLabel(2, 2).symmetric
-        assert not EdgeLabel(1, 2).symmetric
-
-
 class TestDiagramRoundTrip:
     def test_example_labels(self, unbalanced_triangle):
         D = matrix_to_diagram(unbalanced_triangle)
         assert D.rank == 3
-        assert D.label(1, 2) == EdgeLabel(1, 2)
-        assert D.label(1, 3) == EdgeLabel(1, 2)
-        assert D.label(2, 3) == EdgeLabel(2, 1)
-        assert D.label(2, 1) == EdgeLabel(1, 2)  # order-insensitive lookup
-
-    def test_round_trip_random(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            n = rng.randint(1, 7)
-            rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < 0.5:
-                        rows[i][j] = -rng.randint(1, 5)
-                        rows[j][i] = -rng.randint(1, 5)
-            A = validate_gcm(rows)
-            assert diagram_to_matrix(matrix_to_diagram(A)) == A
+        assert D.edges == (
+            (1, 2, EdgeLabel(1, 2)),
+            (1, 3, EdgeLabel(1, 2)),
+            (2, 3, EdgeLabel(2, 1)),
+        )
 
     def test_diagram_validation(self):
         with pytest.raises(DynkinError):
             DynkinDiagram(rank=2, edges=((1, 1, EdgeLabel(1, 1)),))
         with pytest.raises(DynkinError):
             DynkinDiagram(rank=2, edges=((1, 3, EdgeLabel(1, 1)),))
-
-    def test_neighbors(self, arrow_chain):
-        D = matrix_to_diagram(arrow_chain)
-        assert D.neighbors(2) == {1, 3}
-        assert D.neighbors(1) == {2}
-
-
-class TestEdgeMultiplicity:
-    def test_g2(self, g2):
-        D = matrix_to_diagram(g2)
-        assert edge_multiplicity(D, 1, 2) == Fraction(3)
-        assert edge_multiplicity(D, 2, 1) == Fraction(1, 3)
-
-    def test_not_adjacent(self, arrow_chain):
-        D = matrix_to_diagram(arrow_chain)
-        with pytest.raises(NotAdjacentError):
-            edge_multiplicity(D, 1, 3)
 
 
 class TestDual:

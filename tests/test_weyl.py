@@ -20,9 +20,6 @@ from dynkin import (
     real_roots_up_to_height,
     reflect,
     root_norm,
-    roots_from_lines,
-    roots_to_lines,
-    simply_laced_skeleton,
     validate_gcm,
 )
 from dynkin.symmetrize import random_gcm
@@ -155,8 +152,8 @@ class TestHighestRoot:
 
 class TestOrbitPartition:
     def test_skeleton_keeps_single_edges_only(self, arrow_chain):
-        skel = simply_laced_skeleton(matrix_to_diagram(arrow_chain))
-        assert [(i, j) for i, j, _ in skel.edges] == [(1, 2)]
+        part = orbit_partition(matrix_to_diagram(arrow_chain))
+        assert part.blocks == (frozenset({1, 2}), frozenset({3}))
 
     def test_simply_laced_single_orbit(self):
         for name in ("A5", "D6", "E7"):
@@ -203,40 +200,6 @@ class TestOrbitPartition:
     def test_agreement_helper(self):
         for name in ("A3", "B3", "G2"):
             assert orbit_partitions_agree(fixture(name))
-
-
-class TestRootSerialization:
-    def test_round_trip(self, g2):
-        roots = real_roots_up_to_height(g2, height=5)
-        text = roots_to_lines(roots)
-        assert text.splitlines()[0] == "1, 0, 1"
-        assert roots_from_lines(text) == roots
-
-    def test_rejects_inconsistent_height(self):
-        with pytest.raises(DynkinError):
-            roots_from_lines("3, 1, 0")
-
-    def test_non_integer_token_is_a_domain_error(self):
-        with pytest.raises(DynkinError, match=r"line 2: entry 'x' is not an integer"):
-            roots_from_lines("1, 1, 0\n1, x")
-        with pytest.raises(DynkinError, match=r"\(100000 characters\)") as info:
-            roots_from_lines("1, " + "y" * 100_000)
-        assert len(str(info.value)) < 200
-
-    def test_line_without_coordinates(self):
-        with pytest.raises(DynkinError, match=r"line 1: 0 coordinates"):
-            roots_from_lines("0")
-        with pytest.raises(DynkinError, match=r"line 2: 0 coordinates"):
-            roots_from_lines("1, 1, 0\n0")
-
-    def test_coordinate_count_must_match_first_line(self):
-        with pytest.raises(DynkinError, match=r"line 2: 1 coordinates, expected 2"):
-            roots_from_lines("2, 1, 1\n1, 1")
-        with pytest.raises(DynkinError, match=r"line 3: 3 coordinates, expected 2"):
-            roots_from_lines("1, 1, 0\n\n1, 0, 0, 1")
-
-    def test_blank_lines_ignored(self):
-        assert roots_from_lines("\n1, 1, 0\n\n") == (RootVector((1, 0)),)
 
 
 class TestRootVector:
