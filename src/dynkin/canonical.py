@@ -35,7 +35,7 @@ multiply states; ``_STATE_CAP`` bounds that and raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DynkinError
 from .gcm import GeneralizedCartanMatrix
@@ -47,8 +47,7 @@ _STATE_CAP = 20000
 _State = tuple[tuple[int, ...], list[tuple[int, ...]]]
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Canonical matrix rows plus one vertex relabeling that realizes them.
 
     ``permutation`` maps output position (0-based) to original 0-based vertex:

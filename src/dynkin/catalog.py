@@ -18,15 +18,15 @@ mathematically bogus entry be loaded and then flagged.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .canonical import canonical_rows
 from .classify import (
     AFFINE,
     FINITE,
+    det_int,
     hyperbolic_compact_scan,
     hyperbolic_fast_flags,
     kind_of_rows,
@@ -43,7 +43,7 @@ from .gcm import (
     validate_gcm,
 )
 from .parsing import load_json
-from .symmetrize import is_symmetrizable, symmetrizer
+from .symmetrize import bilinear_form, inertia, is_symmetrizable, symmetrizer
 from .weyl import OrbitPartition, highest_root, orbit_partition, orbit_partitions_agree
 
 __all__ = [
@@ -82,8 +82,7 @@ def semantics_for(symmetrizable: bool) -> str:
     return VERIFIED if symmetrizable else UNVERIFIED
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One hyperbolic class in canonical form with its derived attributes.
 
     ``orbit_semantics`` is ``"verified"`` when the matrix is symmetrizable and
@@ -91,6 +90,9 @@ class CatalogEntry:
     the skeleton rule holds for every GCM, and the reflection-walk check in
     :func:`verify_catalog` covers every entry.  The field stays because the
     ``dynkin-catalog/1`` format carries it; retiring it needs a format bump.
+
+    Entries are immutable named tuples: ``e._replace(field=value)`` gives a
+    changed copy.
     """
 
     canonical_id: str
@@ -225,15 +227,13 @@ def overextend_affine(
 # == verification harness ==
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class CatalogReport:
+class CatalogReport(NamedTuple):
     checks: tuple[PropertyCheck, ...]
 
     @property
@@ -276,12 +276,22 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
     then fail.  The last check, ``headline-counts``, compares the per-rank
     class and symmetrizable counts with the paper's and requires the ids of
     each rank to run ``<rank>-001`` upwards without gaps, so a catalog with
-    classes missing or renumbered fails it.  An entry the file loader would
-    reject (say one built with :func:`dataclasses.replace`) is listed under
-    ``well-formed`` and tested by no other check.  An entry outside
-    ``MIN_RANK..MAX_RANK`` is never walked (``2^rank`` work, or a root walk)
-    nor canonically labelled: the checks that walk an entry list it as
-    offending instead.
+    classes missing or renumbered fails it.
+
+    The ``lorentzian`` check rests on Kac, *Infinite-dimensional Lie
+    algebras*, 3rd ed., Ch. 5, on the hyperbolic type (Sec. 5.10): for a
+    symmetrizable GCM of hyperbolic type the invariant form on the root
+    lattice is nondegenerate of Lorentzian signature ``(n - 1, 1)``.  So on a
+    symmetrizable entry :func:`bilinear_form` has inertia ``(n - 1, 1, 0)`` and
+    ``det A < 0``.  On the non-symmetrizable entries ``det A < 0`` is observed
+    on this catalog, not proven, and the check's text says so.
+
+    An entry the file loader would reject (say one built with
+    ``CatalogEntry._replace``) is listed under ``well-formed`` and tested by
+    no other check.  An entry outside ``MIN_RANK..MAX_RANK`` is never walked
+    (``2^rank`` work, a root walk, or the ``O(rank^4)`` characteristic
+    polynomial) nor canonically labelled: the checks that walk an entry list
+    it as offending instead.
     """
     checks: list[PropertyCheck] = []
 
@@ -353,6 +363,20 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
         "symmetrizer",
         bad_symmetrizer,
         "flags match recomputation; stored weights symmetrize exactly",
+    )
+
+    def not_lorentzian(e: CatalogEntry) -> bool:
+        A = e.matrix
+        if is_symmetrizable(A)[0] and inertia(bilinear_form(A)) != (e.rank - 1, 1, 0):
+            return True
+        return det_int(A.rows) >= 0
+
+    check(
+        "lorentzian",
+        not_lorentzian,
+        "symmetrized forms have signature (n-1, 1); det A < 0 on every entry "
+        "(for non-symmetrizable entries observed, not proven)",
+        walks=True,
     )
 
     def bad_dual(e: CatalogEntry) -> bool:

@@ -47,9 +47,8 @@ is the one ``2^n`` walk that classifies every proper connected subdiagram;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DecomposableError, RankBoundError
 from .gcm import (
@@ -232,8 +231,7 @@ def hyperbolic_compact_scan(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, bo
 # == public classification API ==
 
 
-@dataclass(frozen=True)
-class CartanType:
+class CartanType(NamedTuple):
     """Type record of an indecomposable GCM."""
 
     kind: str
@@ -241,16 +239,14 @@ class CartanType:
     compact_hyperbolic: bool
 
 
-@dataclass(frozen=True)
-class ComponentType:
+class ComponentType(NamedTuple):
     """Type record of one connected component, with its 1-based vertex set."""
 
     vertices: frozenset[int]
     type: CartanType
 
 
-@dataclass(frozen=True)
-class HyperbolicityWitness:
+class HyperbolicityWitness(NamedTuple):
     """Outcome of the hyperbolicity test with an explicit reason.
 
     When ``A`` is indefinite but not hyperbolic, ``subset`` names a proper
@@ -268,17 +264,40 @@ def principal_minors(A: GeneralizedCartanMatrix) -> dict[frozenset[int], int]:
     """All principal minors of ``A``, keyed by 1-based index set.
 
     Restricted to rank <= 12 to keep the subset walk explicit and bounded.
+
+    A walk over ascending index prefixes ``P`` carries the
+    bordered minors ``M[a][b] = det A[P+a, P+b]`` over the indices after
+    ``P``, so ``det A[P+a] = M[a][a]``.  Sylvester's identity gives the
+    child's table exactly,
+    ``det A[P+a+b, P+a+c] = (M[a][a]*M[b][c] - M[b][a]*M[a][c]) / det A[P]``.
+    Below a zero minor ``det A[P+a]`` that division is unavailable; each set
+    ``P+T`` with ``a`` in ``T`` then comes from its own elimination of a block
+    of ``M``, by the general form
+    ``det A[P+T] * det A[P]^(|T|-1) = det M[T, T]``.
     """
     n = A.rank
     if n > MINOR_RANK_LIMIT:
         raise RankBoundError(f"principal minors supported up to rank {MINOR_RANK_LIMIT}, got {n}")
     out: dict[frozenset[int], int] = {}
-    for size in range(1, n + 1):
-        for comb in combinations(range(n), size):
-            mask = 0
-            for i in comb:
-                mask |= 1 << i
-            out[frozenset(i + 1 for i in comb)] = det_int(sub_rows(A.rows, mask))
+    stack = [((), 1, range(n), [list(r) for r in A.rows])]  # (P, det A[P], indices after P, M)
+    while stack:
+        prefix, det, rest, M = stack.pop()
+        for k, a in enumerate(rest):
+            pivot, row_a = M[k][k], M[k]
+            child = prefix + (a + 1,)
+            out[frozenset(child)] = pivot
+            below = range(k + 1, len(rest))
+            if not below:
+                continue
+            if pivot != 0:
+                table = [[(pivot * M[b][c] - M[b][k] * row_a[c]) // det for c in below] for b in below]
+                stack.append((child, pivot, rest[k + 1 :], table))
+                continue
+            for size in range(1, len(below) + 1):
+                for extra in combinations(below, size):
+                    t = (k,) + extra
+                    minor = det_int(tuple(tuple(M[b][c] for c in t) for b in t))
+                    out[frozenset(child + tuple(rest[b] + 1 for b in extra))] = minor // det**size
     return out
 
 

@@ -15,13 +15,16 @@ each off-diagonal pair with nonzero entries an undirected edge ``{i, j}``
 carrying the label ``(p, q) = (-A[i][j], -A[j][i])`` recorded for ``i < j``.
 
 All types in this module are immutable and hashable; functions are pure.
+Plain records are :class:`typing.NamedTuple` classes; the types that check
+their input on construction are ``__slots__`` classes built on
+:class:`FrozenRecord`, which compare equal only to their own type.  Neither
+needs :mod:`dataclasses`, which is slow to import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DynkinError, MatrixValidationError, clip
 
@@ -38,11 +41,37 @@ __all__ = [
 ]
 
 
+# == immutable records ==
+
+
+class FrozenRecord:
+    """Base of the validating record types: fields set once, in ``__init__``.
+
+    A subclass lists its fields in ``__slots__``, stores them with
+    ``object.__setattr__`` and writes ``__eq__`` and ``__hash__`` over them
+    directly (a generic loop over the slots is several times slower).
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, k) for k in self.__slots__)
+
+
 # == Dynkin diagrams ==
 
 
-@dataclass(frozen=True, order=True)
-class EdgeLabel:
+class EdgeLabel(NamedTuple):
     """Label ``(p, q)`` of the edge ``{i, j}`` with ``i < j``.
 
     ``p = -A[i][j]`` and ``q = -A[j][i]``; both are positive integers for a
@@ -53,47 +82,65 @@ class EdgeLabel:
     q: int
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(FrozenRecord):
     """Edge-labelled graph form of a GCM.
 
     ``edges`` holds ``(i, j, label)`` triples with ``1 <= i < j <= rank``,
     sorted by ``(i, j)``.
     """
 
+    __slots__ = ("rank", "edges")
     rank: int
     edges: tuple[tuple[int, int, EdgeLabel], ...]
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise DynkinError(f"diagram needs at least one vertex, got rank {self.rank}")
+    def __init__(self, rank: int, edges: tuple[tuple[int, int, EdgeLabel], ...]) -> None:
+        if rank < 1:
+            raise DynkinError(f"diagram needs at least one vertex, got rank {rank}")
         seen = set()
-        for i, j, label in self.edges:
-            if not (1 <= i < j <= self.rank):
-                raise DynkinError(f"edge ({i}, {j}) out of range for rank {self.rank}")
+        for i, j, label in edges:
+            if not (1 <= i < j <= rank):
+                raise DynkinError(f"edge ({i}, {j}) out of range for rank {rank}")
             if (i, j) in seen:
                 raise DynkinError(f"duplicate edge ({i}, {j})")
             if label.p < 1 or label.q < 1:
                 raise DynkinError(f"edge ({i}, {j}) has non-positive label {label}")
             seen.add((i, j))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=lambda e: (e[0], e[1]))))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda e: (e[0], e[1]))))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rank == other.rank and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.edges))
 
 
 # == generalized Cartan matrices ==
 
 
-@dataclass(frozen=True)
-class GeneralizedCartanMatrix:
+class GeneralizedCartanMatrix(FrozenRecord):
     """Immutable, validated generalized Cartan matrix.
 
     Construct via :func:`validate_gcm` (or directly; the axioms are checked
     either way).  ``rows`` is a tuple of row tuples.
     """
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        _check_axioms(self.rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        _check_axioms(rows)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
 
     @property
     def rank(self) -> int:

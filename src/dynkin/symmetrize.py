@@ -26,8 +26,9 @@ propagation.  No floating point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd
+from operator import mul
+from typing import Iterator, NamedTuple
 
 from .errors import DecomposableError, NotSymmetrizableError, RankBoundError
 from .gcm import GeneralizedCartanMatrix, is_indecomposable, validate_gcm
@@ -46,15 +47,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Symmetrization:
+class Symmetrization(NamedTuple):
     """Normalized symmetrizer: positive coprime integers, one per vertex."""
 
     d: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class UnbalancedCycleWitness:
+class UnbalancedCycleWitness(NamedTuple):
     """A cycle whose two traversal directions give different entry products.
 
     ``cycle`` is the 1-based vertex sequence with the starting vertex repeated
@@ -216,31 +215,29 @@ def kac_cycle_oracle(A: GeneralizedCartanMatrix) -> bool:
     return True
 
 
-def _simple_cycles(rows: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """All simple cycles (length >= 3), each listed once, 0-based vertices.
+def _simple_cycles(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, ...]]:
+    """Each simple cycle (length >= 3) once, 0-based vertices, generated lazily.
 
     Each cycle is produced with its smallest vertex first; the orientation is
     fixed by requiring the second vertex to be smaller than the last.
     """
     n = len(rows)
-    out: list[tuple[int, ...]] = []
 
-    def extend(start: int, path: list[int], used: set[int]) -> None:
-        u = path[-1]
+    def extend(path: list[int], used: set[int]) -> Iterator[tuple[int, ...]]:
+        start, u = path[0], path[-1]
         for v in range(start + 1, n):
             if rows[u][v] == 0 or v in used:
                 continue
             path.append(v)
             used.add(v)
             if len(path) >= 3 and rows[v][start] != 0 and path[1] < path[-1]:
-                out.append(tuple([start] + path[1:]))
-            extend(start, path, used)
+                yield tuple(path)
+            yield from extend(path, used)
             used.remove(v)
             path.pop()
 
     for s in range(n):
-        extend(s, [s], {s})
-    return out
+        yield from extend([s], {s})
 
 
 # == symmetrizer and bilinear form ==
@@ -276,6 +273,32 @@ def bilinear_form(A: GeneralizedCartanMatrix) -> tuple[tuple[int, ...], ...]:
         for j in range(i + 1, n):
             assert B[i][j] == B[j][i], "propagation produced an asymmetric product"
     return B
+
+
+def inertia(B: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric integer matrix.
+
+    Exact: Berkowitz's division-free characteristic polynomial, then
+    Descartes' rule of signs, which counts the positive roots exactly when
+    every root is real, as it is for a symmetric matrix.
+    """
+    n = len(B)
+    poly = [1]  # det(xI - M) for the trailing block M = B[k+1:, k+1:], highest degree first
+    for k in range(n - 1, -1, -1):
+        M = [B[i][k + 1 :] for i in range(k + 1, n)]
+        R, v = B[k][k + 1 :], [B[i][k] for i in range(k + 1, n)]
+        col = [1, -B[k][k]]  # then -R M^t C for t = 0, 1, ..., with C the first v
+        for _ in M:
+            col.append(-sum(map(mul, R, v)))
+            v = [sum(map(mul, row, v)) for row in M]
+        poly = [
+            sum(col[i - j] * poly[j] for j in range(min(i, len(poly) - 1) + 1))
+            for i in range(len(poly) + 1)
+        ]
+    signs = [c > 0 for c in poly if c]
+    positive = sum(a != b for a, b in zip(signs, signs[1:]))
+    zero = n - max(i for i, c in enumerate(poly) if c)
+    return positive, n - positive - zero, zero
 
 
 def root_length_count(A: GeneralizedCartanMatrix) -> int:

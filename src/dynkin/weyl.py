@@ -33,11 +33,12 @@ an actual root walk so the two can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, DynkinError, WrongTypeError
 from .gcm import (
     DynkinDiagram,
+    FrozenRecord,
     GeneralizedCartanMatrix,
     graph_components,
     is_indecomposable,
@@ -62,8 +63,7 @@ __all__ = [
 DEFAULT_BUDGET = 10**6
 
 
-@dataclass(frozen=True, order=True)
-class RootVector:
+class RootVector(NamedTuple):
     """Root written in simple-root coordinates."""
 
     coords: tuple[int, ...]
@@ -73,20 +73,26 @@ class RootVector:
         return sum(self.coords)
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(FrozenRecord):
     """Partition of the 1-based simple-root indices into orbit blocks.
 
     Blocks are stored sorted by smallest member, so equal partitions compare
     equal structurally.
     """
 
+    __slots__ = ("blocks",)
     blocks: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "blocks", tuple(sorted(self.blocks, key=lambda b: min(b)))
-        )
+    def __init__(self, blocks: tuple[frozenset[int], ...]) -> None:
+        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=lambda b: min(b))))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self) -> int:
+        return hash(self.blocks)
 
     @property
     def block_count(self) -> int:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -226,6 +225,7 @@ class TestVerification:
             "well-formed",
             "hyperbolic",
             "symmetrizer",
+            "lorentzian",
             "duality",
             "affine-subdiagram-corank",
             "corank1-connected",
@@ -282,12 +282,12 @@ class TestVerification:
         sym = next(e for e in catalog if e.symmetrizable and e.dual_id != e.canonical_id)
         plain = next(e for e in catalog if not e.symmetrizable and e.dual_id != e.canonical_id)
         for e, bad in (
-            (sym, replace(sym, symmetrizer=None)),
-            (sym, replace(sym, root_lengths=None)),
-            (plain, replace(plain, symmetrizable=True)),
-            (sym, replace(sym, symmetrizer=sym.symmetrizer[:-1])),
-            (sym, replace(sym, rank=sym.rank + 1)),
-            (sym, replace(sym, orbit_blocks=OrbitPartition(sym.orbit_blocks.blocks[1:]))),
+            (sym, sym._replace(symmetrizer=None)),
+            (sym, sym._replace(root_lengths=None)),
+            (plain, plain._replace(symmetrizable=True)),
+            (sym, sym._replace(symmetrizer=sym.symmetrizer[:-1])),
+            (sym, sym._replace(rank=sym.rank + 1)),
+            (sym, sym._replace(orbit_blocks=OrbitPartition(sym.orbit_blocks.blocks[1:]))),
         ):
             mate = next(x for x in catalog if x.canonical_id == e.dual_id)
             report = verify_catalog((mate, bad))
@@ -328,10 +328,14 @@ class TestVerification:
         spy("hyperbolic_compact_scan")
         spy("subdiagram_kinds")
         spy("orbit_partitions_agree", rank=lambda A: A.rank)
+        spy("inertia")
+        spy("det_int")
         report = verify_catalog(catalog + loaded)
-        assert len(walked) == 3
+        assert len(walked) == 5
         by_name = {c.name: c for c in report.checks}
-        for name in ("rank-bound", "hyperbolic", "affine-subdiagram-corank", "orbit-oracle"):
+        for name in (
+            "rank-bound", "hyperbolic", "lorentzian", "affine-subdiagram-corank", "orbit-oracle"
+        ):
             assert not by_name[name].passed
             assert "22-001" in by_name[name].detail
 

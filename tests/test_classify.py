@@ -115,6 +115,23 @@ class TestPrincipalMinors:
                 sub = [[rows[i - 1][j - 1] for j in idx] for i in idx]
                 assert value == det_cofactor(sub)
 
+    @pytest.mark.parametrize("n", (7, 9, 11, 12))
+    def test_zero_minors_up_to_rank_12(self, n):
+        """Affine cycles and product-4 edges put zero minors in the walk's way."""
+        cycle_tail = cartan_a(n)
+        cycle_tail[0][3] = cycle_tail[3][0] = -1  # affine 4-cycle 1-2-3-4, path tail 5..n
+        heavy = cartan_a(n)
+        heavy[0][1] = heavy[1][0] = -2  # product-4 edge: the minor on {1, 2} is 0
+        dense = random_gcm(random.Random(n), n, 4, 0.5).to_lists()
+        for rows in (affine_a(n - 1), cycle_tail, heavy, dense):
+            minors = principal_minors(validate_gcm(rows))
+            assert len(minors) == 2**n - 1
+            for subset, value in minors.items():
+                idx = sorted(subset)
+                assert value == det_int(tuple(tuple(rows[i - 1][j - 1] for j in idx) for i in idx))
+        assert principal_minors(validate_gcm(cycle_tail))[frozenset({1, 2, 3, 4})] == 0
+        assert principal_minors(validate_gcm(heavy))[frozenset({1, 2})] == 0
+
     def test_rank_bound(self):
         n = 13
         A = validate_gcm([[2 if i == j else 0 for j in range(n)] for i in range(n)])

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -303,7 +302,7 @@ class TestVerifyCatalog:
             assert len(entries) == len(catalog) - 18
         else:  # 10-004 is self-dual, so the dual pairing stays an involution
             entries = [
-                replace(e, canonical_id="10-005", dual_id="10-005")
+                e._replace(canonical_id="10-005", dual_id="10-005")
                 if e.canonical_id == "10-004"
                 else e
                 for e in catalog

@@ -22,7 +22,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import replace
 
 import dynkin.cli
 from dynkin import catalog_to_lines, verify_catalog
@@ -258,7 +257,7 @@ def test_library_entries_the_loader_rejects(catalog):
         other = rng.choice([x for x in catalog if x.rank != e.rank])
         for field, value in _unloadable_fields(e, other):
             picked = rng.sample(catalog, rng.randint(0, 2))
-            entries = tuple(picked) + (replace(e, **{field: value}),)
+            entries = tuple(picked) + (e._replace(**{field: value}),)
             case = f"{e.canonical_id} {field}={value!r}"
             cases += 1
             try:

@@ -4,7 +4,8 @@
   patches functions by module; those files are read here with ``ast``,
   neither imported nor changed, and every name they use must exist.
 * ``import dynkin.cli`` stays integer-only: it loads neither ``fractions``
-  nor ``decimal``.
+  nor ``decimal``.  It also stays cheap to start: the records are named
+  tuples and slot classes, so neither ``dataclasses`` nor ``inspect`` loads.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def test_cli_import_loads_no_rational_arithmetic():
     src = str(Path(dynkin.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, dynkin.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    heavy = {"fractions", "decimal", "dataclasses", "inspect"}
+    probe = f"import sys, dynkin.cli; print(sorted({heavy!r} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout

@@ -13,20 +13,23 @@ from dynkin import (
     DecomposableError,
     NotSymmetrizableError,
     bilinear_form,
+    is_hyperbolic,
     is_indecomposable,
     is_symmetric,
     is_symmetrizable,
+    overextend_affine,
     root_length_count,
     symmetrizer,
     validate_gcm,
 )
 from dynkin.symmetrize import (
     cycle_criterion_agreement,
+    inertia,
     kac_cycle_oracle,
     random_gcm,
 )
 
-from lie_fixtures import FINITE_FIXTURES
+from lie_fixtures import FINITE_FIXTURES, affine_a, affine_c, affine_d, affine_e, affine_g2
 
 
 class TestIsSymmetrizable:
@@ -160,6 +163,32 @@ class TestBilinearForm:
         # each block is normalized independently, so the symmetric block keeps d=1
         assert B[2][2] == 2 and B[3][3] == 2
         assert B[0][1] == B[1][0]
+
+
+class TestInertia:
+    """Exact signature of the symmetrized form on each Cartan type."""
+
+    def test_finite_is_positive_definite(self):
+        for name, rows in FINITE_FIXTURES.items():
+            assert inertia(bilinear_form(validate_gcm(rows))) == (len(rows), 0, 0), name
+
+    @pytest.mark.parametrize(
+        "rows", [affine_a(1), affine_a(5), affine_c(4), affine_d(6), affine_e(8), affine_g2()]
+    )
+    def test_affine_has_one_null_direction(self, rows):
+        assert inertia(bilinear_form(validate_gcm(rows))) == (len(rows) - 1, 0, 1)
+
+    def test_hyperbolic_is_lorentzian(self):
+        e10 = overextend_affine(validate_gcm(affine_e(8)), 9)  # joined at the affine node
+        rank3 = validate_gcm([[2, -1, 0], [-1, 2, -2], [0, -2, 2]])  # A2 joined to an affine edge
+        for A in (e10, rank3):
+            assert is_hyperbolic(A)
+            assert inertia(bilinear_form(A)) == (A.rank - 1, 1, 0)
+
+    def test_plain_symmetric_matrices(self):
+        assert inertia(((1, 2), (2, 1))) == (1, 1, 0)
+        assert inertia(((0, 0), (0, 0))) == (0, 0, 2)
+        assert inertia(((-3, 0, 0), (0, 0, 0), (0, 0, -1))) == (0, 2, 1)
 
 
 def fraction_weights(rows):
