@@ -103,16 +103,17 @@ def canonical_rows(
         new_states: list[_State] = []
         for perm, cells in states:
             tried: set[int] = set()
-            for u in cells[0]:
+            first, later = cells[0], cells[1:]
+            for u in first:
                 if twin[u] in tried:
                     continue
                 tried.add(twin[u])
                 urow = rows[u]
-                fixed = tuple(urow[p] for p in perm)
-                tail: list[int] = []
-                for cell in cells:
-                    tail.extend(sorted(urow[w] for w in cell if w != u))
-                row = fixed + (urow[u],) + tuple(tail)
+                get = urow.__getitem__
+                tail = sorted([urow[w] for w in first if w != u])  # u is in no later cell
+                for cell in later:
+                    tail += sorted(map(get, cell))
+                row = (*map(get, perm), urow[u], *tail)
                 if best is None or row < best:
                     best = row
                     new_states = []

@@ -26,8 +26,24 @@ rank 1 is 2, and rank 2 with edge product ``p * q`` has minors 2 and
 ``4 - p * q``, so it is finite below 4, affine at 4 and indefinite above.
 
 The leading minors are the pivots of fraction-free Bareiss elimination without
-pivoting, so one ``O(n^3)`` elimination decides the type, with no floating
-point and no rational arithmetic.  The independent definitional recursion
+pivoting (Bareiss 1968), so one elimination decides the type, with no floating
+point and no rational arithmetic.  Write ``D_k`` for the leading minor of order
+``k`` (``D_0 = 1``).  After ``s`` steps row ``r`` holds the bordered minors
+``det A[{0..s-1, r}, {0..s-1, c}]``, and step ``t`` maps an entry ``x`` of it
+to ``(x * D_{t+1} - y * P[c]) / D_t``, with ``y`` the row's entry in the pivot
+column and ``P`` the pivot row.  When ``y = 0`` that is a rescaling by
+``D_{t+1} / D_t``, so the elimination leaves the row as it is: a row last
+updated after step ``s`` holds, at step ``t``, its stored value times
+``D_t / D_s``.  The product divides exactly: it is a bordered minor, an
+integer, and ``D_s > 0``.  The row is brought up to date only when a step
+needs it: when it becomes the pivot row, or when its entry in the pivot column
+is nonzero, and then the update divides by ``D_s`` instead of ``D_t``.  A
+step thus costs ``O(n)`` per row with a nonzero in the pivot column rather
+than per remaining row.  On a tree ordered so that every vertex has at most
+one later neighbour (a path in order, or leaves first and the hub last) each
+step touches one row and the elimination costs ``O(n^2)`` instead of
+``O(n^3)``; other orders pay only for the fill-in they create.  The
+independent definitional recursion
 (determinant sign plus every one-vertex deletion componentwise finite) lives
 with the oracle routes in :mod:`dynkin.oracles`, and the test suite compares
 the two.
@@ -48,6 +64,7 @@ is the one ``2^n`` walk that classifies every proper connected subdiagram;
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .errors import DecomposableError, RankBoundError
@@ -92,6 +109,13 @@ def det_int(rows: tuple[tuple[int, ...], ...]) -> int:
 
     One fraction-free Bareiss elimination, swapping in a later row when a
     pivot is 0; its interior divisions are exact by construction.
+
+    It shares no code with :func:`_leading_minor_kind`, the search's kernel.
+    The oracle routes in :mod:`dynkin.oracles` decide kinds through this
+    function and the tests check the kernel against it, so a fault in the
+    kernel cannot also sit in its checks.  The two need different things
+    anyway: this one pivots to reach every determinant, the kernel never
+    swaps rows and stops at the first non-positive pivot.
     """
     n = len(rows)
     m = [list(r) for r in rows]
@@ -121,7 +145,10 @@ def det_int(rows: tuple[tuple[int, ...], ...]) -> int:
 def sub_rows(rows: tuple[tuple[int, ...], ...], mask: int) -> tuple[tuple[int, ...], ...]:
     """Submatrix on the 0-based index bitmask ``mask``."""
     idx = [i for i in range(len(rows)) if mask >> i & 1]
-    return tuple(tuple(rows[i][j] for j in idx) for i in idx)
+    if len(idx) < 2:  # itemgetter needs an index, and returns a bare item for one
+        return tuple((rows[i][i],) for i in idx)
+    pick = itemgetter(*idx)
+    return tuple(map(pick, pick(rows)))
 
 
 # == kind of raw row tuples (internal engine, shared with enumeration) ==
@@ -160,22 +187,38 @@ def _leading_minor_kind(rows: tuple[tuple[int, ...], ...]) -> str:
     """Kind of a connected GCM from the signs of its leading principal minors.
 
     Bareiss elimination without pivoting: the k-th pivot is the k-th leading
-    principal minor, and the last one is the determinant.
+    principal minor, and the last one is the determinant.  A row whose entry
+    in the pivot column is 0 is left as it stands, tagged with the step it was
+    last brought up to date, and rescaled by ``D_t / D_s`` only when a later
+    step needs it (module docstring).
+
+    It shares no code with :func:`det_int`: the oracle routes and the tests
+    check this kernel against :func:`det_int`, and a fault the two shared
+    would pass both checks.
     """
-    m: list[list[int]] | tuple[tuple[int, ...], ...] = rows
-    prev = 1
-    while len(m) > 1:
-        top = m[0]
-        pivot = top[0]
-        if pivot <= 0:
-            return INDEFINITE
-        m = [
-            [(x * pivot - row[0] * t) // prev for x, t in zip(row[1:], top[1:])]
-            for row in m[1:]
-        ]
-        prev = pivot
-    det = m[0][0]
-    return FINITE if det > 0 else AFFINE if det == 0 else INDEFINITE
+    n = len(rows)
+    m: list[tuple[int, ...] | list[int]] = list(rows)  # row r holds columns step[r] .. n-1
+    step = [0] * n  # row r holds its values after step[r] elimination steps
+    dets = [1]  # dets[k] is the leading principal minor of order k
+    for t in range(n):
+        top, s = m[t], step[t]
+        pivot = top[t - s] * dets[t] // dets[s]
+        if pivot <= 0 or t == n - 1:
+            break
+        dets.append(pivot)
+        tail = None
+        for r in range(t + 1, n):
+            row, sr = m[r], step[r]
+            y = row[t - sr]
+            if y:
+                if tail is None:
+                    tail = top[t + 1 - s :]
+                    if s < t:
+                        tail = [z * dets[t] // dets[s] for z in tail]
+                ds = dets[sr]
+                m[r] = [(x * pivot - y * p) // ds for x, p in zip(row[t + 1 - sr :], tail)]
+                step[r] = t + 1
+    return FINITE if pivot > 0 else AFFINE if pivot == 0 and t == n - 1 else INDEFINITE
 
 
 def hyperbolic_fast_flags(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, bool]:

@@ -94,10 +94,11 @@ class DynkinDiagram(FrozenRecord):
     edges: tuple[tuple[int, int, EdgeLabel], ...]
 
     def __init__(self, rank: int, edges: tuple[tuple[int, int, EdgeLabel], ...]) -> None:
-        if rank < 1:
-            raise DynkinError(f"diagram needs at least one vertex, got rank {rank}")
+        if not isinstance(rank, int) or rank < 1:
+            raise DynkinError(f"diagram rank must be a positive integer, got {rank!r}")
         seen = set()
-        for i, j, label in edges:
+        for edge in edges:
+            i, j, label = _edge_fields(edge)
             if not (1 <= i < j <= rank):
                 raise DynkinError(f"edge ({i}, {j}) out of range for rank {rank}")
             if (i, j) in seen:
@@ -115,6 +116,17 @@ class DynkinDiagram(FrozenRecord):
 
     def __hash__(self) -> int:
         return hash((self.rank, self.edges))
+
+
+def _edge_fields(edge: object) -> tuple[int, int, EdgeLabel]:
+    """``(i, j, label)`` of one diagram edge, or :class:`DynkinError` naming it."""
+    if isinstance(edge, tuple) and len(edge) == 3:
+        i, j, label = edge
+        if isinstance(label, EdgeLabel) and all(isinstance(x, int) for x in (i, j, *label)):
+            return i, j, label
+    raise DynkinError(
+        f"malformed edge {edge!r}: expected (i, j, EdgeLabel(p, q)) with integer entries"
+    )
 
 
 # == generalized Cartan matrices ==

@@ -28,7 +28,13 @@ from dynkin import (
     principal_minors,
     validate_gcm,
 )
-from dynkin.classify import det_int, hyperbolic_compact_scan, kind_of_rows
+from dynkin.classify import (
+    _leading_minor_kind,
+    det_int,
+    hyperbolic_compact_scan,
+    kind_of_rows,
+    sub_rows,
+)
 from dynkin.enumeration import finite_affine_classes
 from dynkin.gcm import is_indecomposable
 from dynkin.oracles import definitional_kind
@@ -137,6 +143,137 @@ class TestPrincipalMinors:
         A = validate_gcm([[2 if i == j else 0 for j in range(n)] for i in range(n)])
         with pytest.raises(RankBoundError):
             principal_minors(A)
+
+
+class TestSubRows:
+    """``sub_rows`` against its definition; the oracle routes use it too."""
+
+    def test_every_mask_matches_the_definition(self):
+        rng = random.Random(83)
+        for n in range(1, 11):
+            for density in (0.2, 0.6):
+                rows = random_gcm(rng, n, 4, density).rows
+                for mask in range(1 << n):
+                    idx = [i for i in range(n) if mask >> i & 1]
+                    expected = tuple(tuple(rows[i][j] for j in idx) for i in idx)
+                    assert sub_rows(rows, mask) == expected
+                assert sub_rows(rows, (1 << n) - 1) == rows
+                for v in range(n):
+                    assert sub_rows(rows, 1 << v) == ((2,),)
+
+    def test_empty_mask(self):
+        assert sub_rows(((2,),), 0) == ()
+        assert sub_rows(((2, -1), (-1, 2)), 0) == ()
+
+
+def prefix_minor_kind(rows):
+    """Kind read off the leading minors that ``det_int`` gives on each prefix."""
+    n = len(rows)
+    for k in range(1, n):
+        if det_int(tuple(r[:k] for r in rows[:k])) <= 0:
+            return INDEFINITE
+    det = det_int(rows)
+    return FINITE if det > 0 else AFFINE if det == 0 else INDEFINITE
+
+
+def hub_last(rows):
+    """Relabel a tree so that a vertex of highest degree is last and leaves come first.
+
+    The order is breadth-first from that vertex, reversed: each vertex is
+    adjacent only to later vertices but its parent, so most rows have a 0 in
+    the pivot column for many elimination steps in a row.
+    """
+    n = len(rows)
+    hub = max(range(n), key=lambda v: sum(1 for x in rows[v] if x))
+    order, seen = [hub], {hub}
+    for v in order:
+        for w in range(n):
+            if rows[v][w] and w not in seen:
+                seen.add(w)
+                order.append(w)
+    order.reverse()
+    return tuple(tuple(rows[a][b] for b in order) for a in order)
+
+
+def random_tree(rng, n, cap):
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for v in range(1, n):
+        u = rng.randrange(v)
+        rows[u][v] = -rng.randint(1, cap)
+        rows[v][u] = -rng.randint(1, cap)
+    return rows
+
+
+class TestEliminationAgainstDetInt:
+    """``_leading_minor_kind`` against the pivoting elimination of ``det_int``."""
+
+    def test_seeded_sparse_and_dense(self):
+        rng = random.Random(89)
+        seen = Counter()
+        for n in range(1, 15):
+            for density in (0.1, 0.25, 0.5, 0.9):
+                for _ in range(12):
+                    rows = random_gcm(rng, n, rng.choice((1, 2, 3, 4)), density).rows
+                    kind = _leading_minor_kind(rows)
+                    assert kind == prefix_minor_kind(rows), rows
+                    seen[kind] += 1
+        assert min(seen[k] for k in (FINITE, AFFINE, INDEFINITE)) >= 15, seen
+
+    def test_trees_with_the_hub_last(self):
+        rng = random.Random(97)
+        trees = [random_tree(rng, n, cap) for n in range(2, 31) for cap in (1, 1, 2, 3)]
+        for n in range(4, 13):
+            trees += [cartan_d(n), affine_d(n), affine_b(n)]
+        trees += [cartan_e(n) for n in (6, 7, 8)] + [affine_e(n) for n in (6, 7, 8)]
+        for n in (4, 5, 9, 17):  # stars: every leaf row waits until its own step
+            trees.append([[2 if i == j else -1 if 0 in (i, j) else 0 for j in range(n)] for i in range(n)])
+        seen = Counter()
+        for tree in trees:
+            rows = hub_last(tree)
+            assert rows[-1].count(0) == min(rows[v].count(0) for v in range(len(rows)))
+            kind = _leading_minor_kind(rows)
+            assert kind == prefix_minor_kind(rows), rows
+            seen[kind] += 1
+        assert min(seen[k] for k in (FINITE, AFFINE, INDEFINITE)) >= 10, seen
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 8, 13, 21, 34, 55, 60))
+    def test_paths_and_cycles(self, n):
+        heavy_cycle = affine_a(n - 1)
+        heavy_cycle[0][1] = -2  # a (2, 1) edge on an affine cycle
+        shapes = [cartan_a(n), path_with_heavy_end(n), heavy_cycle]
+        if n >= 3:
+            shapes.append(affine_a(n - 1))
+        for rows in shapes:
+            rows = tuple(map(tuple, rows))
+            assert _leading_minor_kind(rows) == prefix_minor_kind(rows), rows
+        assert _leading_minor_kind(tuple(map(tuple, cartan_a(n)))) == FINITE
+
+    def test_entries_near_ten_to_the_thirty(self):
+        # The minor-sign rule reads any integer matrix, so besides GCMs with a
+        # huge edge this also runs diagonally dominant blocks (all leading
+        # minors positive) and their singular bordering (determinant 0).
+        rng = random.Random(101)
+        big = 10**30
+        seen = Counter()
+        for n in range(2, 12):
+            late = [list(r) for r in cartan_a(n)]  # a huge edge at the end of a path
+            late[n - 1][n - 2] = -big
+            tree = [list(r) for r in hub_last(random_tree(rng, n, 2))]
+            tree[n - 2][n - 1] = -big - rng.randint(0, 9)  # in a row deferred until its own step
+            tree[n - 1][n - 2] = -rng.randint(1, 3)
+            m = [[rng.randint(-9, 9) * big // 10 for _ in range(n - 1)] for _ in range(n - 1)]
+            for i in range(n - 1):
+                m[i][i] = n * big + rng.randint(0, big)  # diagonally dominant: minors positive
+            v = [rng.randint(-big, big) for _ in range(n - 1)]
+            mv = [sum(a * b for a, b in zip(r, v)) for r in m]
+            vm = [sum(v[i] * m[i][j] for i in range(n - 1)) for j in range(n - 1)]
+            singular = [r + [x] for r, x in zip(m, mv)] + [vm + [sum(a * b for a, b in zip(vm, v))]]
+            for rows in (late, tree, m, singular):
+                rows = tuple(map(tuple, rows))
+                kind = _leading_minor_kind(rows)
+                assert kind == prefix_minor_kind(rows), rows
+                seen[kind] += 1
+        assert min(seen[k] for k in (FINITE, AFFINE, INDEFINITE)) >= 5, seen
 
 
 class TestRankTwoLaw:

@@ -181,7 +181,13 @@ class TestOracleBoundary:
     def test_oracles_do_not_reach_into_the_pruned_search(self):
         tree = _module_tree("dynkin.oracles")
         assert "enumeration" not in set(_imported_modules(tree))
-        pruned = {"kind_of_rows", "hyperbolic_fast_flags", "_attach_extensions", "search_rank"}
+        pruned = {
+            "kind_of_rows",
+            "_leading_minor_kind",
+            "hyperbolic_fast_flags",
+            "_attach_extensions",
+            "search_rank",
+        }
         assert not pruned & set(_identifiers(tree))
 
     def test_pruned_search_does_not_import_the_oracles(self):

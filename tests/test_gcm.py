@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -109,6 +110,20 @@ class TestDiagramRoundTrip:
             DynkinDiagram(rank=2, edges=((1, 1, EdgeLabel(1, 1)),))
         with pytest.raises(DynkinError):
             DynkinDiagram(rank=2, edges=((1, 3, EdgeLabel(1, 1)),))
+
+    @pytest.mark.parametrize(
+        "edge",
+        [(1, 2, (1, 1)), (1, 2), (1, 2, EdgeLabel("1", 1))],
+        ids=["plain-label", "two-tuple", "string-entry"],
+    )
+    def test_malformed_edge_is_named(self, edge):
+        with pytest.raises(DynkinError, match=re.escape(f"malformed edge {edge!r}")):
+            DynkinDiagram(rank=2, edges=(edge,))
+
+    @pytest.mark.parametrize("rank", ["3", 2.5])
+    def test_non_integer_rank(self, rank):
+        with pytest.raises(DynkinError, match=re.escape(f"positive integer, got {rank!r}")):
+            DynkinDiagram(rank=rank, edges=())
 
 
 class TestDual:
