@@ -4,7 +4,7 @@ The package decides the finite / affine / indefinite trichotomy exactly over
 the integers, recognizes hyperbolic and compact hyperbolic diagrams, computes
 symmetrizers and simple-root orbit structure, performs affine extension and
 overextension, and enumerates every hyperbolic diagram class of rank 3 to 10
-together with independent oracle routes that re-derive the low ranks.
+together with independent oracle routes that re-derive every rank 3 to 11.
 
 Everything operates on immutable data with pure functions; results are
 deterministic and all arithmetic is exact and in integers.

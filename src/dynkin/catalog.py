@@ -283,8 +283,33 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
     symmetrizable GCM of hyperbolic type the invariant form on the root
     lattice is nondegenerate of Lorentzian signature ``(n - 1, 1)``.  So on a
     symmetrizable entry :func:`bilinear_form` has inertia ``(n - 1, 1, 0)`` and
-    ``det A < 0``.  On the non-symmetrizable entries ``det A < 0`` is observed
-    on this catalog, not proven, and the check's text says so.
+    ``det A < 0``.
+
+    ``det A < 0`` holds for every hyperbolic GCM of rank ``n >= 3``,
+    symmetrizable or not.  Every connected subdiagram on at most ``n - 2``
+    vertices is finite (the corank lemma in :mod:`dynkin.enumeration`), so a
+    disconnected deletion ``A - v`` is componentwise finite, and a connected
+    one is finite or affine.
+
+    * Some deletion ``A - v`` is componentwise finite.  List ``v`` last.  Each
+      leading block of ``A - v`` is componentwise finite, so every leading
+      minor of ``A`` below order ``n`` is positive, and by the M-matrix
+      argument in :mod:`dynkin.classify` ``det A > 0`` would make ``A`` finite
+      and ``det A = 0`` affine.  ``A`` is indefinite, so ``det A < 0``.
+    * Every deletion is affine.  Take ``u != v`` and ``F = A - {u, v}``, a
+      proper subdiagram of the affine ``A - v`` and so componentwise finite:
+      ``det F > 0``, and ``F^-1 >= 0`` is positive on each component's block.
+      The Schur complement ``S`` of ``F`` in ``A`` is 2 by 2 with
+      ``det A = det F * det S``.  Its diagonal is 0, since
+      ``S_uu = det(A - v) / det F = 0`` and likewise ``S_vv``.  Off the
+      diagonal ``S_uv = a_uv - a_u F^-1 a_v <= a_uv <= 0``, where ``a_u`` is
+      row ``u`` and ``a_v`` column ``v`` restricted to ``F``, both ``<= 0``;
+      likewise ``S_vu <= 0``.  So ``det A = -det F * S_uv * S_vu <= 0``.
+      ``S_uv = 0`` would need ``a_uv = 0`` and no component of ``F`` adjacent
+      to both ``u`` and ``v``, and then no path joins ``u`` to ``v``: ``A``
+      would be disconnected.  The same holds for ``S_vu``, so ``det A < 0``.
+
+    The check still computes ``det A`` on every entry.
 
     An entry the file loader would reject (say one built with
     ``CatalogEntry._replace``) is listed under ``well-formed`` and tested by
@@ -374,8 +399,7 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
     check(
         "lorentzian",
         not_lorentzian,
-        "symmetrized forms have signature (n-1, 1); det A < 0 on every entry "
-        "(for non-symmetrizable entries observed, not proven)",
+        "symmetrized forms have signature (n-1, 1); det A < 0 on every entry",
         walks=True,
     )
 

@@ -60,8 +60,9 @@ corank-1 criterion: a connected indefinite diagram is hyperbolic iff every
 connected subdiagrams are then finite, by the argument above).  It is the
 same test the public classification API runs.
 
-The independent routes that re-derive the low ranks without any of this
-pruning live in :mod:`dynkin.oracles` and share nothing with this module.
+The independent routes that re-derive the levels and every rank 3..11
+without any of this pruning live in :mod:`dynkin.oracles` and share nothing
+with this module.
 """
 
 from __future__ import annotations

@@ -1,25 +1,49 @@
 """Independent oracle routes for the hyperbolic search, by definition only.
 
-These routes re-derive the low ranks of :func:`dynkin.enumeration.search_rank`
-without any of its pruning, so that the two can falsify each other.  They
-share nothing structural with the pruned search: no corank lemma, no
-``classify.kind_of_rows`` and no corank-1 filter.  They classify with the
+These routes re-derive :func:`dynkin.enumeration.search_rank` and
+:func:`dynkin.enumeration.finite_affine_classes` without any of their
+pruning, so that the two can falsify each other.  They share nothing
+structural with the pruned search: no corank lemma, no girth or triple rule,
+no ``classify.kind_of_rows`` and no corank-1 filter.  They classify with the
 definitional recursion (:func:`definitional_kind`: determinant sign, plus
-every one-vertex deletion componentwise finite), memoized per oracle call,
-so the cross-checks test ``kind_of_rows`` as well:
+every one-vertex deletion componentwise finite; Kac, *Infinite-dimensional
+Lie algebras*, Lemma 4.4), memoized per oracle call, so the cross-checks test
+``kind_of_rows`` as well:
 
-* ``search_rank_oracle`` (ranks 3..5) walks all pair-slot assignments in
-  column-major order, aborting a branch only when a fully determined proper
-  connected subdiagram is already indefinite, which is forced by the
-  definition itself; affine partial diagrams of every size are admitted.
-  Surviving assignments face the full definitional subset scan.
+* ``finite_affine_oracle(k)`` (1..10 vertices) and ``search_rank_oracle(n)``
+  (ranks 3..11) grow connected diagrams one vertex at a time from the single
+  vertex.  :func:`_attachments` gives the new vertex no edge or one of the
+  eight labels towards each earlier vertex, and kills a branch only when a
+  determined proper connected subdiagram through the new vertex is
+  indefinite.  Each level keeps the leaves the recursion calls finite; the
+  last level also keeps the affine ones, and the rank-``n`` leaves face the
+  full definitional subset scan.
 * ``search_rank_bruteforce`` (ranks 3..4) materializes every assignment with
   no aborts at all and filters afterwards.
+
+Why the attachment walk misses nothing.  Every connected graph on two or more
+vertices has a non-cut vertex ``v`` (an end of a longest path, or a leaf of a
+spanning tree), so ``A - v`` is a connected proper subdiagram of ``A``:
+
+* if ``A`` is connected finite or affine on ``k`` vertices, ``A - v`` is
+  finite by the recursion, so ``A`` attaches one vertex to a connected finite
+  class on ``k - 1`` vertices;
+* if ``A`` is hyperbolic of rank ``n``, ``A - v`` is finite or affine by
+  definition, so ``A`` attaches one vertex to a connected finite or affine
+  class on ``n - 1`` vertices.
+
+Every target has its proper connected subdiagrams finite or affine, so an
+abort on an indefinite one never loses a target.  An edge with ``p * q > 4``
+is an indefinite rank-2 diagram, so it is no target on two vertices and no
+proper subdiagram of a larger one: the nine options per slot cover every
+target.  Classes are compared by canonical rows, so the order the walk places
+the vertices in does not matter.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterator
 
 from .canonical import canonical_rows
 from .classify import AFFINE, FINITE, INDEFINITE, det_int, sub_rows
@@ -27,6 +51,7 @@ from .errors import RankBoundError
 from .gcm import adjacency_bitmasks, mask_components, mask_connected, proper_connected_masks
 
 __all__ = [
+    "finite_affine_oracle",
     "search_rank_oracle",
     "search_rank_bruteforce",
     "definitional_kind",
@@ -37,21 +62,17 @@ __all__ = [
 
 Rows = tuple[tuple[int, ...], ...]
 
-ORACLE_RANK_LIMIT = 5
+ORACLE_RANK_LIMIT = 11
 BRUTEFORCE_RANK_LIMIT = 4
 
 #: Edge labels (p, q) with p * q <= 4: a heavier edge is an indefinite rank-2
-#: subdiagram, so no hyperbolic diagram of rank >= 3 carries one.  Derived
-#: here from that bound rather than shared with the pruned search.
+#: subdiagram, so no finite or affine diagram and no hyperbolic diagram of
+#: rank >= 3 carries one.  Derived here from that bound rather than shared
+#: with the pruned search.
 _LABELS = tuple((p, q) for p in range(1, 5) for q in range(1, 5) if p * q <= 4)
 
 
 # == the definitional kind ==
-
-
-def delete_vertex(rows: Rows, k: int) -> Rows:
-    """Submatrix with 0-based row/column ``k`` removed."""
-    return tuple(row[:k] + row[k + 1 :] for i, row in enumerate(rows) if i != k)
 
 
 def _kind_uncached(rows: Rows, memo: dict[Rows, str]) -> str:
@@ -59,19 +80,16 @@ def _kind_uncached(rows: Rows, memo: dict[Rows, str]) -> str:
 
     Finite iff the determinant is positive and every one-vertex deletion is
     componentwise finite; affine iff the determinant is 0 and the same holds.
+    Ranks 1 and 2 need no case of their own: determinant 2 with only the empty
+    deletion, and ``4 - p * q`` with finite rank-1 deletions.
     Subdiagram kinds go through ``memo``; ``rows`` itself is kept out of it,
-    since oracle walks touch millions of distinct full-size matrices.
+    so a walk that calls this on each of its leaves memoizes only subdiagrams.
     """
-    n = len(rows)
-    if n == 1:
-        return FINITE
-    if n == 2:
-        prod = rows[0][1] * rows[1][0]
-        return FINITE if prod < 4 else AFFINE if prod == 4 else INDEFINITE
     d = det_int(rows)
     if d < 0:
         return INDEFINITE
-    if all(rows_fully_finite(delete_vertex(rows, v), memo) for v in range(n)):
+    full = (1 << len(rows)) - 1
+    if all(rows_fully_finite(sub_rows(rows, full ^ 1 << v), memo) for v in range(len(rows))):
         return FINITE if d > 0 else AFFINE
     return INDEFINITE
 
@@ -105,55 +123,74 @@ def _hyperbolic_by_definition(rows: Rows, memo: dict[Rows, str]) -> bool:
 # == the oracle searches ==
 
 
-def search_rank_oracle(n: int) -> tuple[Rows, ...]:
-    """Oracle enumeration for ranks 3..5: slot walk with definitional aborts only.
+def _attachments(base: Rows, memo: dict[Rows, str]) -> Iterator[Rows]:
+    """Connected extensions of connected ``base`` by one last vertex, aborts applied.
 
-    Pair slots are filled in column-major order.  After each assignment every
-    newly determined proper connected subdiagram is classified, and the branch
-    dies if one is indefinite; nothing else is pruned, so affine partial
-    diagrams of any size survive as long as the definition allows them.
+    The new vertex's slots are filled in order, each with no edge or one of
+    ``_LABELS``.  After slot ``i`` every connected proper subdiagram on
+    ``{0..i}`` plus the new vertex that contains both is determined, and the
+    branch dies if one is indefinite; nothing else is pruned.  The full matrix
+    is left to the caller.
+    """
+    k = len(base)
+    full = (2 << k) - 1
+    base_adj = adjacency_bitmasks(base)
+    up, down = [0] * k, [0] * k  # the new column above the diagonal, the new row left of it
+
+    def rec(i: int) -> Iterator[Rows]:
+        top = 1 << i | 1 << k
+        for p, q in ((0, 0),) + _LABELS:
+            up[i], down[i] = -p, -q
+            rows = tuple(r + (u,) for r, u in zip(base, up)) + (tuple(down) + (2,),)
+            adj = [a | bool(d) << k for a, d in zip(base_adj, down)]
+            adj.append(sum(bool(d) << j for j, d in enumerate(down)))
+            if not any(
+                definitional_kind(sub_rows(rows, sub | top), memo) == INDEFINITE
+                for sub in range(1 << i)
+                if sub | top != full and mask_connected(sub | top, adj)
+            ):
+                if i + 1 < k:
+                    yield from rec(i + 1)
+                elif any(down):
+                    yield rows
+        up[i] = down[i] = 0
+
+    return rec(0)
+
+
+def finite_affine_oracle(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
+    """Canonical connected finite and affine classes on ``k`` vertices, by definition.
+
+    Grown from the single vertex by :func:`_attachments` to the finite
+    classes one level down, which suffices by the non-cut vertex argument in
+    the module docstring.
+    """
+    if not 1 <= k < ORACLE_RANK_LIMIT:
+        raise RankBoundError(f"oracle levels cover 1..{ORACLE_RANK_LIMIT - 1} vertices, got {k}")
+    memo: dict[Rows, str] = {}
+    fins: set[Rows] = {((2,),)}
+    affs: set[Rows] = set()
+    for _ in range(1, k):
+        kinds = {r: _kind_uncached(r, memo) for base in fins for r in _attachments(base, memo)}
+        fins, affs = (
+            {canonical_rows(r)[0] for r in kinds if kinds[r] == c} for c in (FINITE, AFFINE)
+        )
+    return tuple(sorted(fins)), tuple(sorted(affs))
+
+
+def search_rank_oracle(n: int) -> tuple[Rows, ...]:
+    """Oracle enumeration for ranks 3..11: one vertex attached to every level-``n - 1`` class.
+
+    The finite and affine classes on ``n - 1`` vertices come from
+    :func:`finite_affine_oracle`; every leaf of :func:`_attachments` then
+    faces the full definitional subset scan.
     """
     if not 3 <= n <= ORACLE_RANK_LIMIT:
         raise RankBoundError(f"oracle enumeration covers ranks 3..{ORACLE_RANK_LIMIT}, got {n}")
-    slots = [(i, j) for j in range(1, n) for i in range(j)]
-    rows = [[2 if a == b else 0 for b in range(n)] for a in range(n)]
-    full = (1 << n) - 1
-    found: set[Rows] = set()
-    options = (None,) + _LABELS
+    fins, affs = finite_affine_oracle(n - 1)
     memo: dict[Rows, str] = {}
-
-    def newly_determined_ok(i: int, j: int) -> bool:
-        # Sets S | {j} with S a nonempty subset of 0..i containing i.
-        adj = adjacency_bitmasks(rows)
-        top = 1 << i | 1 << j
-        for sub in range(1 << i):
-            mask = sub | top
-            if mask == full:
-                continue  # the full matrix is judged at the leaf
-            if not mask_connected(mask, adj):
-                continue
-            if definitional_kind(sub_rows(rows, mask), memo) == INDEFINITE:
-                return False
-        return True
-
-    def rec(t: int):
-        if t == len(slots):
-            rt = tuple(tuple(r) for r in rows)
-            if mask_connected(full, adjacency_bitmasks(rt)) and _hyperbolic_by_definition(rt, memo):
-                found.add(canonical_rows(rt)[0])
-            return
-        i, j = slots[t]
-        for lab in options:
-            if lab is None:
-                rows[i][j] = rows[j][i] = 0
-            else:
-                rows[i][j] = -lab[0]
-                rows[j][i] = -lab[1]
-            if newly_determined_ok(i, j):
-                rec(t + 1)
-        rows[i][j] = rows[j][i] = 0
-
-    rec(0)
+    leaves = (r for base in fins + affs for r in _attachments(base, memo))
+    found = {canonical_rows(r)[0] for r in leaves if _hyperbolic_by_definition(r, memo)}
     return tuple(sorted(found))
 
 

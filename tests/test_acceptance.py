@@ -100,7 +100,7 @@ class TestAcceptance:
         if sum(counts.values()) != EXPECTED_TOTAL:
             problems.append(f"counts sum to {sum(counts.values())}")
         t0 = time.perf_counter()
-        for rank in (3, 4, 5):
+        for rank in range(3, 11):
             fast = search_rank(rank)
             slow = search_rank_oracle(rank)
             if fast != slow:
@@ -114,7 +114,7 @@ class TestAcceptance:
             2,
             "per-rank-split",
             problems,
-            f"{tuple(counts[r] for r in range(3, 11))}, oracle ranks 3-5 agree "
+            f"{tuple(counts[r] for r in range(3, 11))}, oracle ranks 3-10 agree "
             f"in {oracle_elapsed:.1f}s",
         )
 
@@ -127,7 +127,19 @@ class TestAcceptance:
             problems.append(f"rank 11 produced {len(found)} classes")
         if elapsed >= RANK11_BUDGET_S:
             problems.append(f"took {elapsed:.1f}s, budget {RANK11_BUDGET_S:.0f}s")
-        report(3, "rank-11-empty", problems, f"0 classes in {elapsed:.1f}s")
+        t0 = time.perf_counter()
+        slow = search_rank_oracle(11)
+        oracle_elapsed = time.perf_counter() - t0
+        if slow != ():
+            problems.append(f"the oracle found {len(slow)} rank-11 classes")
+        if oracle_elapsed >= ORACLE_BUDGET_S:
+            problems.append(f"oracle took {oracle_elapsed:.1f}s")
+        report(
+            3,
+            "rank-11-empty",
+            problems,
+            f"0 classes in {elapsed:.1f}s, oracle agrees in {oracle_elapsed:.1f}s",
+        )
 
     def test_04_compact_profile(self, timed_catalog):
         entries, _ = timed_catalog

@@ -85,6 +85,20 @@ class TestTwins:
         with pytest.raises(DynkinError, match=r"5 live states exceed the cap of 3"):
             canonical_rows(cycle)
 
+    def test_cap_admits_three_disjoint_six_cycles(self):
+        # Twin-free and highly symmetric: 10,368 live states at the widest
+        # step, so a cap cut to half of _STATE_CAP raises here.
+        n = 18
+        rows = tuple(
+            tuple(
+                2 if i == j else -1 if i // 6 == j // 6 and (i - j) % 6 in (1, 5) else 0
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+        canon, perm = canonical_rows(rows)
+        assert permute(rows, perm) == canon
+
 
 class TestInvariance:
     def test_all_relabelings_collapse(self):

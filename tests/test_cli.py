@@ -232,6 +232,13 @@ class TestEnumerate:
         assert code == 0
         assert "oracle agreement for ranks 3..3: ok" in out
 
+    def test_oracle_flag_above_rank_5(self, capsys, tmp_path):
+        out_path = tmp_path / "rank6.jsonl"
+        argv = ["enumerate", "--min-rank", "6", "--max-rank", "6", "--out", str(out_path)]
+        code, out, _ = run(capsys, argv + ["--oracle"])
+        assert code == 0
+        assert "oracle agreement for ranks 6..6: ok" in out
+
     def test_tsv_and_latex(self, capsys, tmp_path):
         tsv = tmp_path / "t.tsv"
         code, _, _ = run(

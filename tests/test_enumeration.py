@@ -1,7 +1,8 @@
 """Enumeration: levelled finite/affine growth and the hyperbolic search.
 
-Heavier cross-checks (oracle rank 5, brute force rank 4, the full rank sweep)
-live in the acceptance tests; this file keeps the fast cases.
+Heavier cross-checks (the oracle at every rank 3..11, brute force rank 4,
+the full rank sweep) live in the acceptance tests; this file keeps the fast
+cases.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from dynkin.enumeration import (
     search_rank,
 )
 from dynkin.classify import hyperbolic_compact_scan
-from dynkin.oracles import rows_fully_finite, search_rank_bruteforce, search_rank_oracle
+from dynkin.oracles import (
+    finite_affine_oracle,
+    rows_fully_finite,
+    search_rank_bruteforce,
+    search_rank_oracle,
+)
 
 from lie_fixtures import AFFINE_CLASS_COUNTS, FINITE_CLASS_COUNTS
 
@@ -51,6 +57,15 @@ class TestFiniteAffineLevels:
             for rows in pool:
                 assert canonical_rows(rows)[0] == rows
 
+    def test_matches_oracle(self):
+        for k in range(1, 11):
+            assert finite_affine_oracle(k) == finite_affine_classes(k), k
+
+    def test_oracle_bounds(self):
+        for k in (0, 11):
+            with pytest.raises(RankBoundError):
+                finite_affine_oracle(k)
+
 
 class TestSearchRank:
     def test_rank3_matches_oracle(self):
@@ -66,7 +81,7 @@ class TestSearchRank:
         with pytest.raises(RankBoundError):
             search_rank(2)
         with pytest.raises(RankBoundError):
-            search_rank_oracle(6)
+            search_rank_oracle(12)
         with pytest.raises(RankBoundError):
             search_rank_bruteforce(5)
 
@@ -186,6 +201,10 @@ class TestOracleBoundary:
             "_leading_minor_kind",
             "hyperbolic_fast_flags",
             "_attach_extensions",
+            "_triples_ok",
+            "_distances",
+            "LABELS",
+            "finite_affine_classes",
             "search_rank",
         }
         assert not pruned & set(_identifiers(tree))

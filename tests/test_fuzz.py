@@ -6,7 +6,9 @@ keep every stdout line and the whole of stderr within 1,000 characters, and
 never let an exception escape ``main``.  Three sources of input:
 
 * random GCMs of ranks 1..12 (``random_gcm``) into the matrix commands;
-* hostile matrix text and JSON;
+* hostile matrix text and JSON, and matrices whose symmetrizer weights or
+  cycle products have more digits than the interpreter will print (these
+  must also leave stdout empty);
 * single-field mutations of catalog lines into ``verify-catalog``, plus a
   dense in-range entry that the orbit oracle walks, and hostile values of
   ``DYNKIN_SEED``.
@@ -97,6 +99,23 @@ HOSTILE_MATRICES = [
 ]
 
 
+def _huge_output_matrices():
+    """Matrices in the parser's range whose ``symmetrize`` output is not.
+
+    A rank-30 path with ``a[i][i+1] = -10^2000`` and ``a[i+1][i] = -1``, whose
+    weights multiply up, and an unbalanced 4-cycle with entries near
+    ``-10^1500``, whose witness products do.
+    """
+    n, big = 30, 10**2000
+    path = [
+        [2 if i == j else -big if j == i + 1 else -1 if i == j + 1 else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    b = 10**1500
+    cycle = [[2, -b, 0, -1], [-1, 2, -b, 0], [0, -1, 2, -b], [-b - 1, 0, -1, 2]]
+    return [path, cycle]
+
+
 def _run(capsys, monkeypatch, argv, stdin_text=""):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     try:
@@ -185,6 +204,14 @@ def test_cli_fuzz(capsys, monkeypatch, tmp_path, catalog):
         code, out, err = _run(capsys, monkeypatch, argv, text)
         problems += _problems(argv, code, out, err)
         cases += 1
+    for rows in _huge_output_matrices():
+        for fmt in ("text", "json"):
+            argv = ["symmetrize", "--format", fmt]
+            code, out, err = _run(capsys, monkeypatch, argv, json.dumps(rows))
+            problems += _problems(argv, code, out, err)
+            if code != 1 or out or err.count("error:") != 1:
+                problems.append(f"{argv} rank {len(rows)}: exit {code!r}, stdout {out[:40]!r}")
+            cases += 1
     path = tmp_path / "fuzz.jsonl"
     for header, entry_lines in _catalog_cases(rng, catalog_to_lines(catalog).splitlines()):
         path.write_text("\n".join([header, *entry_lines]) + "\n", encoding="utf-8")

@@ -93,6 +93,14 @@ class TestPositiveRoots:
         with pytest.raises(BudgetExceededError):
             real_roots_up_to_height(A, height=10**6, budget=50)
 
+    def test_default_budget_covers_k10_at_height_14(self):
+        # K_10 with single edges has 21,835 roots in the window: the default
+        # budget must admit them, and one element less must raise.
+        k10 = validate_gcm([[2 if i == j else -1 for j in range(10)] for i in range(10)])
+        assert len(real_roots_up_to_height(k10, 14)) == 21_835
+        with pytest.raises(BudgetExceededError):
+            real_roots_up_to_height(k10, 14, budget=21_834)
+
 
 class TestRootNorm:
     def test_affine_rank2(self):
