@@ -43,8 +43,8 @@ from .gcm import (
     validate_gcm,
 )
 from .parsing import load_json
-from .symmetrize import bilinear_form, inertia, is_symmetrizable, symmetrizer
-from .weyl import OrbitPartition, highest_root, orbit_partition, orbit_partitions_agree
+from .symmetrize import _symmetrizing_weights, bilinear_form, inertia, is_symmetrizable, symmetrizer
+from .weyl import OrbitPartition, _climb, orbit_partition, orbit_partitions_agree
 
 __all__ = [
     "CATALOG_FORMAT",
@@ -175,15 +175,19 @@ def extend_finite_to_affine(A: GeneralizedCartanMatrix) -> GeneralizedCartanMatr
     symmetrizer and ``(theta, theta) = sum_j theta_j d_j (A theta)_j``.  The
     row is integral by construction, which is asserted, and the result is
     checked to be of affine type.
+
+    Everything is derived from the rows ``A`` already holds: one
+    indecomposability check, one symmetrizer, and one highest-root climb that
+    yields ``A theta`` as it goes.  Only the output is validated, once, when
+    it is built.
     """
     if not is_indecomposable(A):
         raise WrongTypeError("affine extension requires an indecomposable matrix")
     if kind_of_rows(A.rows) != FINITE:
         raise WrongTypeError("affine extension requires a finite-type matrix")
     n = A.rank
-    theta = highest_root(A).coords
-    d = symmetrizer(A).d
-    a_theta = [sum(A.rows[j][k] * theta[k] for k in range(n)) for j in range(n)]
+    d = _symmetrizing_weights(A)
+    theta, a_theta = _climb(A.rows, d)
     norm = sum(theta[j] * d[j] * a_theta[j] for j in range(n))
     new_row = []  # entries A[0][j]: highest-root coroot against old roots
     for j in range(n):
@@ -213,15 +217,9 @@ def overextend_affine(
     if kind_of_rows(A.rows) != AFFINE:
         raise WrongTypeError("overextension requires an affine matrix")
     A._check_vertex(zero_vertex)
-    n = A.rank
-    rows = [[0] * (n + 1) for _ in range(n + 1)]
-    rows[0][0] = 2
-    for i in range(n):
-        for j in range(n):
-            rows[i + 1][j + 1] = A.rows[i][j]
-    rows[0][zero_vertex] = -1
-    rows[zero_vertex][0] = -1
-    return validate_gcm(rows)
+    edge = [0] * A.rank  # the new vertex's row and column against the old vertices
+    edge[zero_vertex - 1] = -1
+    return validate_gcm([[2] + edge] + [[e] + list(r) for e, r in zip(edge, A.rows)])
 
 
 # == verification harness ==

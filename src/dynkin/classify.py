@@ -71,10 +71,10 @@ from .errors import DecomposableError, RankBoundError
 from .gcm import (
     GeneralizedCartanMatrix,
     adjacency_bitmasks,
-    components,
-    induced_subdiagram,
     is_indecomposable,
+    mask_components,
     mask_connected,
+    mask_vertices,
     proper_connected_masks,
 )
 
@@ -351,24 +351,38 @@ def _require_indecomposable(A: GeneralizedCartanMatrix) -> None:
         )
 
 
-def classify_indecomposable(A: GeneralizedCartanMatrix) -> CartanType:
-    """Cartan type of an indecomposable GCM (finite / affine / indefinite).
+def _type_of_rows(rows: tuple[tuple[int, ...], ...]) -> CartanType:
+    """Cartan type of connected, already validated ``rows``.
 
     Only an indefinite matrix needs the corank-1 subdiagrams for its flags.
     """
-    _require_indecomposable(A)
-    kind = kind_of_rows(A.rows)
-    hyper, compact = hyperbolic_fast_flags(A.rows) if kind == INDEFINITE else (False, False)
+    kind = kind_of_rows(rows)
+    hyper, compact = hyperbolic_fast_flags(rows) if kind == INDEFINITE else (False, False)
     return CartanType(kind=kind, hyperbolic=hyper, compact_hyperbolic=compact)
 
 
+def classify_indecomposable(A: GeneralizedCartanMatrix) -> CartanType:
+    """Cartan type of an indecomposable GCM (finite / affine / indefinite)."""
+    _require_indecomposable(A)
+    return _type_of_rows(A.rows)
+
+
 def classify(A: GeneralizedCartanMatrix) -> tuple[ComponentType, ...]:
-    """Component-wise classification of an arbitrary GCM."""
-    out = []
-    for verts in components(A):
-        sub = induced_subdiagram(A, verts)
-        out.append(ComponentType(vertices=verts, type=classify_indecomposable(sub)))
-    return tuple(out)
+    """Component-wise classification of an arbitrary GCM.
+
+    One adjacency pass finds the components, lowest vertex first.  Each is
+    classified on the rows ``A`` already holds: ``A.rows`` itself when ``A``
+    is connected, its submatrix otherwise.  ``A`` was validated when it was
+    built, so nothing is validated again and no component becomes a
+    :class:`GeneralizedCartanMatrix` of its own.
+    """
+    rows = A.rows
+    comps = mask_components((1 << len(rows)) - 1, adjacency_bitmasks(rows))
+    whole = len(comps) == 1
+    return tuple(
+        ComponentType(mask_vertices(m), _type_of_rows(rows if whole else sub_rows(rows, m)))
+        for m in comps
+    )
 
 
 def is_hyperbolic(A: GeneralizedCartanMatrix) -> bool:
@@ -406,6 +420,6 @@ def hyperbolicity_witness(A: GeneralizedCartanMatrix) -> HyperbolicityWitness:
             return HyperbolicityWitness(
                 False,
                 "proper connected subdiagram of indefinite type",
-                frozenset(i + 1 for i in range(A.rank) if mask >> i & 1),
+                mask_vertices(mask),
             )
     return HyperbolicityWitness(True, "hyperbolic", None)

@@ -40,7 +40,7 @@ from .classify import classify, kind_of_rows
 from .enumeration import search_rank
 from .errors import DynkinError, clip
 from .gcm import GeneralizedCartanMatrix, is_indecomposable, matrix_to_diagram
-from .oracles import search_rank_oracle
+from .oracles import search_ranks_oracle
 from .parsing import format_matrix_text, parse_matrix_input
 from .symmetrize import cycle_criterion_agreement, is_symmetrizable, symmetrizer
 from .weyl import orbit_partition
@@ -170,8 +170,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         f"{sym} symmetrizable -> {args.out}"
     )
     if args.oracle:
-        for rank in range(args.min_rank, args.max_rank + 1):
-            if search_rank(rank) != search_rank_oracle(rank):
+        for rank, slow in search_ranks_oracle(args.min_rank, args.max_rank):
+            if search_rank(rank) != slow:
                 print(f"FAIL oracle disagreement at rank {rank}", file=sys.stderr)
                 return EXIT_VERIFY
         print(f"oracle agreement for ranks {args.min_rank}..{args.max_rank}: ok")

@@ -23,7 +23,7 @@ needs :mod:`dataclasses`, which is slow to import.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DynkinError, MatrixValidationError, clip
@@ -257,14 +257,13 @@ def dual(A: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
 
 
 def adjacency_bitmasks(rows: Sequence[Sequence[int]]) -> list[int]:
-    """For each 0-based vertex, the bitmask of its neighbours."""
-    n = len(rows)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and rows[i][j] != 0:
-                adj[i] |= 1 << j
-    return adj
+    """For each 0-based vertex, the bitmask of its neighbours.
+
+    One C-level pass per row: ``compress`` keeps the bits of the nonzero
+    entries, and their sum is their union since the bits are distinct.
+    """
+    bits = [1 << j for j in range(len(rows))]
+    return [sum(compress(bits, row)) & ~bit for bit, row in zip(bits, rows)]
 
 
 def mask_component(mask: int, adj: Sequence[int]) -> int:
@@ -308,13 +307,14 @@ def proper_connected_masks(adj: Sequence[int]) -> Iterator[int]:
                 yield mask
 
 
+def mask_vertices(mask: int) -> frozenset[int]:
+    """The 1-based vertex set of the 0-based bitmask ``mask``."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def graph_components(adj: Sequence[int]) -> tuple[frozenset[int], ...]:
     """Components of the whole graph ``adj`` as 1-based vertex sets, by smallest member."""
-    n = len(adj)
-    return tuple(
-        frozenset(i + 1 for i in range(n) if comp >> i & 1)
-        for comp in mask_components((1 << n) - 1, adj)
-    )
+    return tuple(map(mask_vertices, mask_components((1 << len(adj)) - 1, adj)))
 
 
 def components(A: GeneralizedCartanMatrix) -> tuple[frozenset[int], ...]:

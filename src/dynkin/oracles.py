@@ -15,9 +15,12 @@ Lie algebras*, Lemma 4.4), memoized per oracle call, so the cross-checks test
   vertex.  :func:`_attachments` gives the new vertex no edge or one of the
   eight labels towards each earlier vertex, and kills a branch only when a
   determined proper connected subdiagram through the new vertex is
-  indefinite.  Each level keeps the leaves the recursion calls finite; the
-  last level also keeps the affine ones, and the rank-``n`` leaves face the
-  full definitional subset scan.
+  indefinite.  Each level keeps the leaves the recursion calls finite or
+  affine and grows on from the finite ones.  At each rank checked, the
+  affine classes one level down are attached to as well, and the indefinite
+  leaves face the full definitional subset scan.
+  ``search_ranks_oracle(lo, hi)`` walks the levels once and checks every
+  rank of the range as it passes.
 * ``search_rank_bruteforce`` (ranks 3..4) materializes every assignment with
   no aborts at all and filters afterwards.
 
@@ -42,7 +45,7 @@ the vertices in does not matter.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import count, islice, product
 from typing import Iterator
 
 from .canonical import canonical_rows
@@ -53,6 +56,7 @@ from .gcm import adjacency_bitmasks, mask_components, mask_connected, proper_con
 __all__ = [
     "finite_affine_oracle",
     "search_rank_oracle",
+    "search_ranks_oracle",
     "search_rank_bruteforce",
     "definitional_kind",
     "rows_fully_finite",
@@ -112,8 +116,11 @@ def rows_fully_finite(rows: Rows, memo: dict[Rows, str] | None = None) -> bool:
 
 def _hyperbolic_by_definition(rows: Rows, memo: dict[Rows, str]) -> bool:
     """Full scan over every proper connected subdiagram; no shortcuts."""
-    if _kind_uncached(rows, memo) != INDEFINITE:
-        return False
+    return _kind_uncached(rows, memo) == INDEFINITE and _proper_not_indefinite(rows, memo)
+
+
+def _proper_not_indefinite(rows: Rows, memo: dict[Rows, str]) -> bool:
+    """Whether every proper connected subdiagram of ``rows`` is finite or affine, by definition."""
     return all(
         definitional_kind(sub_rows(rows, mask), memo) != INDEFINITE
         for mask in proper_connected_masks(adjacency_bitmasks(rows))
@@ -158,6 +165,40 @@ def _attachments(base: Rows, memo: dict[Rows, str]) -> Iterator[Rows]:
     return rec(0)
 
 
+def _levels(check_from: int) -> Iterator[tuple[set[Rows], set[Rows], set[Rows]]]:
+    """Canonical finite, affine and hyperbolic classes on ``k = 1, 2, ...`` vertices.
+
+    Level ``k + 1`` is one pass of :func:`_attachments` over the classes of
+    level ``k``: its finite and affine leaves make the next level, and its
+    indefinite leaves whose proper connected subdiagrams are all finite or
+    affine are the hyperbolic classes.  Hyperbolic classes are collected from
+    ``check_from`` vertices on, and only there are the affine classes
+    attached to as well; an affine base has only finite proper subdiagrams
+    (Kac, Lemma 4.4), so it never gives a finite or affine leaf.  One memo
+    serves the whole walk and lives as long as it does.
+    """
+    memo: dict[Rows, str] = {}
+    fins: set[Rows] = {((2,),)}
+    affs: set[Rows] = set()
+    hyps: set[Rows] = set()
+    for k in count(2):
+        yield fins, affs, hyps
+        check = k >= check_from
+        kinds = {
+            r: _kind_uncached(r, memo)
+            for base in (fins | affs if check else fins)
+            for r in _attachments(base, memo)
+        }
+        fins, affs = (
+            {canonical_rows(r)[0] for r in kinds if kinds[r] == c} for c in (FINITE, AFFINE)
+        )
+        hyps = {
+            canonical_rows(r)[0]
+            for r in kinds
+            if check and kinds[r] == INDEFINITE and _proper_not_indefinite(r, memo)
+        }
+
+
 def finite_affine_oracle(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
     """Canonical connected finite and affine classes on ``k`` vertices, by definition.
 
@@ -167,31 +208,34 @@ def finite_affine_oracle(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
     """
     if not 1 <= k < ORACLE_RANK_LIMIT:
         raise RankBoundError(f"oracle levels cover 1..{ORACLE_RANK_LIMIT - 1} vertices, got {k}")
-    memo: dict[Rows, str] = {}
-    fins: set[Rows] = {((2,),)}
-    affs: set[Rows] = set()
-    for _ in range(1, k):
-        kinds = {r: _kind_uncached(r, memo) for base in fins for r in _attachments(base, memo)}
-        fins, affs = (
-            {canonical_rows(r)[0] for r in kinds if kinds[r] == c} for c in (FINITE, AFFINE)
-        )
+    fins, affs, _ = next(islice(_levels(ORACLE_RANK_LIMIT + 1), k - 1, None))
     return tuple(sorted(fins)), tuple(sorted(affs))
+
+
+def search_ranks_oracle(lo: int, hi: int) -> Iterator[tuple[int, tuple[Rows, ...]]]:
+    """``(n, search_rank_oracle(n))`` for each rank ``n = lo..hi``, from one walk.
+
+    The levels are grown once, and each rank is checked as the walk passes
+    it, so checking a range costs about what its top rank alone costs.
+    """
+    for n in (lo, hi):
+        if not 3 <= n <= ORACLE_RANK_LIMIT:
+            raise RankBoundError(
+                f"oracle enumeration covers ranks 3..{ORACLE_RANK_LIMIT}, got {n}"
+            )
+    for n, (_, _, hyps) in enumerate(islice(_levels(lo), hi), start=1):
+        if n >= lo:
+            yield n, tuple(sorted(hyps))
 
 
 def search_rank_oracle(n: int) -> tuple[Rows, ...]:
     """Oracle enumeration for ranks 3..11: one vertex attached to every level-``n - 1`` class.
 
-    The finite and affine classes on ``n - 1`` vertices come from
-    :func:`finite_affine_oracle`; every leaf of :func:`_attachments` then
-    faces the full definitional subset scan.
+    The finite and affine classes on ``n - 1`` vertices come from the same
+    walk as :func:`finite_affine_oracle`; every leaf of :func:`_attachments`
+    then faces the full definitional subset scan.
     """
-    if not 3 <= n <= ORACLE_RANK_LIMIT:
-        raise RankBoundError(f"oracle enumeration covers ranks 3..{ORACLE_RANK_LIMIT}, got {n}")
-    fins, affs = finite_affine_oracle(n - 1)
-    memo: dict[Rows, str] = {}
-    leaves = (r for base in fins + affs for r in _attachments(base, memo))
-    found = {canonical_rows(r)[0] for r in leaves if _hyperbolic_by_definition(r, memo)}
-    return tuple(sorted(found))
+    return next(search_ranks_oracle(n, n))[1]
 
 
 def search_rank_bruteforce(n: int) -> tuple[Rows, ...]:

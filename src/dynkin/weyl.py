@@ -45,7 +45,7 @@ from .gcm import (
     matrix_to_diagram,
 )
 from .classify import FINITE, kind_of_rows
-from .symmetrize import bilinear_form, symmetrizer
+from .symmetrize import _symmetrizing_weights, bilinear_form
 
 __all__ = [
     "RootVector",
@@ -140,18 +140,29 @@ def _positive_closure(
     simple root starts its own class, a new root joins the class of the root
     whose reflection reached it, and a root reached again merges the two
     classes.  Two roots end up in one class iff a chain of simple reflections
-    inside the window joins them.  Each frontier item carries ``A beta``, so
-    a step ``gamma = beta - (A beta)_i e_i`` updates it as
-    ``A gamma = A beta - (A beta)_i A e_i`` in O(n).
+    inside the window joins them.
+
+    A frontier item ``(gamma, A beta, i)`` names the root and how it was
+    reached: ``gamma = r_i beta`` from its parent ``beta``.  The children of
+    one root share its ``A beta``, and ``A gamma = A beta - (A beta)_i A e_i``
+    is formed in O(n) only when ``gamma`` is expanded, so the frontier holds
+    one pairing vector per expanded parent, not one per root waiting in it.
+    A simple root ``e_i`` has no parent and starts at ``A e_i``.
     """
     n = A.rank
     cols = tuple(zip(*A.rows))  # cols[i] = A e_i
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     parent = {e: e for e in simple}
-    frontier = list(zip(simple, cols))
+    frontier: list[tuple[tuple[int, ...], tuple[int, ...] | None, int]]
+    frontier = [(e, None, i) for i, e in enumerate(simple)]
     while frontier:
-        nxt: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for beta, a_beta in frontier:
+        nxt: list[tuple[tuple[int, ...], tuple[int, ...] | None, int]] = []
+        for beta, a_up, r in frontier:
+            if a_up is None:
+                a_beta = cols[r]
+            else:
+                step = a_up[r]
+                a_beta = tuple(a - step * c for a, c in zip(a_up, cols[r]))
             h = sum(beta)
             for i in range(n):
                 pairing = a_beta[i]
@@ -171,7 +182,7 @@ def _positive_closure(
                         f"root closure exceeded budget of {budget} elements"
                     )
                 parent[gamma] = beta
-                nxt.append((gamma, tuple(a - pairing * c for a, c in zip(a_beta, cols[i]))))
+                nxt.append((gamma, a_beta, i))
         frontier = nxt
     return parent
 
@@ -217,21 +228,27 @@ def highest_root(A: GeneralizedCartanMatrix) -> RootVector:
         raise WrongTypeError("highest root requires an indecomposable matrix")
     if kind_of_rows(A.rows) != FINITE:
         raise WrongTypeError("highest root is defined for finite type only")
-    n = A.rank
-    rows = A.rows
-    d = symmetrizer(A).d
+    return RootVector(tuple(_climb(A.rows, _symmetrizing_weights(A))[0]))
+
+
+def _climb(rows: tuple[tuple[int, ...], ...], d: list[int]) -> tuple[list[int], list[int]]:
+    """Highest root ``theta`` and ``A theta`` of connected finite ``rows`` with symmetrizer ``d``.
+
+    The climb of :func:`highest_root`, for callers that have checked ``rows``
+    and hold ``d`` already.
+    """
     start = d.index(max(d))
-    beta = [0] * n
+    beta = [0] * len(rows)
     beta[start] = 1
     pairings = [row[start] for row in rows]  # A beta, kept up to date
     while True:
         low = min(pairings)
         if low >= 0:
-            return RootVector(tuple(beta))
+            return beta, pairings
         j = pairings.index(low)
         beta[j] -= low
-        for i in range(n):
-            pairings[i] -= rows[i][j] * low
+        for i, row in enumerate(rows):
+            pairings[i] -= row[j] * low
 
 
 # == orbit partitions ==

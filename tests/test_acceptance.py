@@ -31,6 +31,7 @@ from dynkin import (
 from dynkin.canonical import canonical_rows
 from dynkin.classify import INDEFINITE, kind_of_rows
 from dynkin.gcm import adjacency_bitmasks
+from dynkin.oracles import search_ranks_oracle
 from dynkin.symmetrize import cycle_criterion_agreement
 
 from lie_fixtures import FINITE_FIXTURES
@@ -100,9 +101,8 @@ class TestAcceptance:
         if sum(counts.values()) != EXPECTED_TOTAL:
             problems.append(f"counts sum to {sum(counts.values())}")
         t0 = time.perf_counter()
-        for rank in range(3, 11):
+        for rank, slow in search_ranks_oracle(3, 10):
             fast = search_rank(rank)
-            slow = search_rank_oracle(rank)
             if fast != slow:
                 problems.append(f"oracle disagreement at rank {rank}")
             if len(fast) != EXPECTED_PER_RANK[rank]:

@@ -15,12 +15,15 @@ import pytest
 
 from dynkin import (
     AFFINE,
+    ComponentType,
     DecomposableError,
     FINITE,
     INDEFINITE,
     RankBoundError,
     classify,
     classify_indecomposable,
+    components,
+    extend_finite_to_affine,
     hyperbolicity_witness,
     induced_subdiagram,
     is_compact_hyperbolic,
@@ -485,6 +488,105 @@ class TestClassifyDispatch:
                 keep = [v for v in range(1, A.rank + 1) if v != drop]
                 for comp in classify(induced_subdiagram(A, keep)):
                     assert comp.type.kind == FINITE
+
+
+def direct_sum(*blocks):
+    """Block-diagonal matrix of the row lists ``blocks``."""
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, r in enumerate(b):
+            rows[at + i][at : at + len(b)] = r
+        at += len(b)
+    return rows
+
+
+class TestClassifyAgainstComponentRoute:
+    """``classify`` against the route it replaced: a validated matrix per component.
+
+    The reference rebuilds each component with ``induced_subdiagram`` and
+    classifies it with ``classify_indecomposable``, in ``components`` order.
+    """
+
+    @staticmethod
+    def reference(A):
+        return tuple(
+            ComponentType(c, classify_indecomposable(induced_subdiagram(A, c)))
+            for c in components(A)
+        )
+
+    def test_relabelled_catalog_entries(self, catalog):
+        rng = random.Random(1806)
+        for e in catalog:
+            A = validate_gcm(relabel(rng, e.matrix.rows))
+            got = classify(A)
+            assert got == self.reference(A)
+            assert got[0].type.hyperbolic
+
+    def test_decomposable_random_with_isolated_vertices(self):
+        rng = random.Random(1807)
+        split = isolated = 0
+        for _ in range(400):
+            n = rng.randint(1, 20)
+            A = random_gcm(rng, n, rng.choice((1, 2, 4)), rng.choice((0.05, 0.15, 0.3)))
+            rows = [list(r) for r in A.rows]
+            for v in rng.sample(range(n), rng.randint(0, n // 3)):
+                for j in range(n):
+                    if j != v:
+                        rows[v][j] = rows[j][v] = 0
+            A = validate_gcm(rows)
+            got = classify(A)
+            assert got == self.reference(A)
+            split += len(got) > 1
+            isolated += any(len(c.vertices) == 1 for c in got)
+        assert min(split, isolated) >= 200
+
+    def test_classical_families_up_to_rank_25(self):
+        rng = random.Random(1808)
+        lows = (
+            (1, cartan_a, affine_a),
+            (3, cartan_b, affine_b),
+            (2, cartan_c, affine_c),
+            (4, cartan_d, affine_d),
+        )
+        members = [finite(n) for low, finite, _ in lows for n in range(low, 26)]
+        members += [affine(n) for low, _, affine in lows for n in range(low, 25)]  # n + 1 vertices
+        members += [cartan_e(n) for n in (6, 7, 8)] + [affine_e(n) for n in (6, 7, 8)]
+        members += [cartan_f4(), cartan_g2(), affine_f4(), affine_g2()]
+        for rows in members:
+            A = validate_gcm(relabel(rng, rows))
+            assert classify(A) == self.reference(A)
+        for _ in range(60):
+            parts = rng.sample(members, rng.randint(2, 3))
+            rows = direct_sum(*parts)
+            if len(rows) <= 25:
+                A = validate_gcm(relabel(rng, rows))
+                assert classify(A) == self.reference(A)
+
+
+def test_validated_rows_are_not_validated_again(monkeypatch):
+    """``classify`` checks no axioms; ``extend_finite_to_affine`` checks its output once."""
+    gcm = importlib.import_module("dynkin.gcm")
+    checked = []
+    real = gcm._check_axioms
+
+    def counting(rows):
+        checked.append(rows)
+        real(rows)
+
+    split = validate_gcm(direct_sum(cartan_e(8), affine_a(5), [[2]], [[2, -5], [-1, 2]]))
+    hyperbolic = [[2, -1, -1], [-2, 2, -2], [-2, -1, 2]]
+    connected = [validate_gcm(rows) for rows in (cartan_e(8), affine_d(7), hyperbolic)]
+    finite = [validate_gcm(rows) for rows in (cartan_a(1), cartan_b(6), cartan_e(8), cartan_g2())]
+    monkeypatch.setattr(gcm, "_check_axioms", counting)
+    for A in [split, *connected]:
+        classify(A)
+    assert checked == []
+    for A in finite:
+        out = extend_finite_to_affine(A)
+        assert checked == [out.rows]
+        checked.clear()
 
 
 class TestPublicHyperbolicityRoute:

@@ -27,6 +27,7 @@ from dynkin.oracles import (
     rows_fully_finite,
     search_rank_bruteforce,
     search_rank_oracle,
+    search_ranks_oracle,
 )
 
 from lie_fixtures import AFFINE_CLASS_COUNTS, FINITE_CLASS_COUNTS
@@ -73,6 +74,17 @@ class TestSearchRank:
 
     def test_rank4_matches_oracle(self):
         assert search_rank(4) == search_rank_oracle(4)
+
+    def test_one_walk_gives_each_rank_of_a_range(self):
+        # (5, 6) attaches the affine classes from level 4 on only
+        for lo, hi in ((3, 5), (5, 6)):
+            walked = list(search_ranks_oracle(lo, hi))
+            assert walked == [(n, search_rank(n)) for n in range(lo, hi + 1)]
+
+    def test_range_walk_bounds(self):
+        for lo, hi in ((2, 4), (3, 12)):
+            with pytest.raises(RankBoundError, match=f"got {lo if lo < 3 else hi}"):
+                next(search_ranks_oracle(lo, hi))
 
     def test_rank3_matches_bruteforce(self):
         assert set(search_rank(3)) == set(search_rank_bruteforce(3))

@@ -20,7 +20,8 @@ from dynkin import (
     validate_gcm,
 )
 from dynkin.errors import DynkinError
-from dynkin.gcm import proper_connected_masks
+from dynkin.gcm import adjacency_bitmasks, proper_connected_masks
+from dynkin.symmetrize import random_gcm
 
 
 class TestValidation:
@@ -161,6 +162,21 @@ class TestConnectivity:
                 for b in range(n):
                     if rows[a][b] != 0 and a != b:
                         assert any(a + 1 in c and b + 1 in c for c in comps)
+
+
+class TestAdjacencyBitmasks:
+    def test_matches_a_double_loop(self):
+        rng = random.Random(1805)
+        for _ in range(300):
+            n = rng.randint(1, 25)
+            rows = random_gcm(rng, n, rng.choice((1, 4, 10**30)), rng.random()).rows
+            expected = [0] * n
+            for i in range(n):
+                for j in range(n):
+                    if i != j and rows[i][j] != 0:
+                        expected[i] |= 1 << j
+            assert adjacency_bitmasks(rows) == expected
+            assert adjacency_bitmasks([list(r) for r in rows]) == expected
 
 
 class TestInducedSubdiagram:

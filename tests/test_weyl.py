@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,7 @@ from dynkin import (
     validate_gcm,
 )
 from dynkin.symmetrize import random_gcm
+from dynkin.weyl import DEFAULT_BUDGET, _positive_closure
 
 from lie_fixtures import (
     FINITE_FIXTURES,
@@ -100,6 +102,41 @@ class TestPositiveRoots:
         assert len(real_roots_up_to_height(k10, 14)) == 21_835
         with pytest.raises(BudgetExceededError):
             real_roots_up_to_height(k10, 14, budget=21_834)
+
+    def test_matches_a_walk_by_reflect(self):
+        # The closure against a walk that applies the public ``reflect`` to
+        # every root it holds and recomputes each pairing from the rows.
+        rng = random.Random(1804)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            A = random_gcm(rng, n, rng.choice((1, 2, 3)), rng.choice((0.3, 0.6, 1.0)))
+            height = rng.randint(1, 8)
+            found = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
+            todo = list(found)
+            while todo:
+                beta = RootVector(todo.pop())
+                for i in range(1, n + 1):
+                    gamma = reflect(A, i, beta).coords
+                    if min(gamma) >= 0 and sum(gamma) <= height and gamma not in found:
+                        found.add(gamma)
+                        todo.append(gamma)
+            assert {r.coords for r in real_roots_up_to_height(A, height)} == found
+
+    def test_frontier_holds_no_pairing_vector_per_waiting_root(self):
+        # K_8 at height 16: 12,048 roots.  The closure's transient memory
+        # (its peak past the forest it returns) stays under half the forest:
+        # a frontier root waits with a reference to its parent's ``A beta``.
+        # It is about 0.32 times the forest; with a copy of ``A beta`` per
+        # waiting root it was about 1.09 times.
+        k8 = validate_gcm([[2 if i == j else -1 for j in range(8)] for i in range(8)])
+        tracemalloc.start()
+        try:
+            forest = _positive_closure(k8, 16, DEFAULT_BUDGET)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(forest) == 12_048
+        assert peak - held < held / 2
 
 
 class TestRootNorm:
