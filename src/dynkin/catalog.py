@@ -43,7 +43,13 @@ from .gcm import (
     validate_gcm,
 )
 from .parsing import load_json
-from .symmetrize import _symmetrizing_weights, bilinear_form, inertia, is_symmetrizable, symmetrizer
+from .symmetrize import (
+    _symmetrizing_weights,
+    _weights_or_witness,
+    bilinear_form,
+    inertia,
+    is_symmetrizable,
+)
 from .weyl import OrbitPartition, _climb, orbit_partition, orbit_partitions_agree
 
 __all__ = [
@@ -121,8 +127,9 @@ def _rank_entries(rank: int, mats: tuple[tuple[tuple[int, ...], ...], ...]) -> l
         A = validate_gcm(rows)
         hyper, compact = hyperbolic_fast_flags(rows)
         assert hyper, "enumeration produced a non-hyperbolic matrix"
-        sym, _ = is_symmetrizable(A)
-        d = symmetrizer(A).d if sym else None
+        weights, witness = _weights_or_witness(rows)  # rows are connected
+        sym = witness is None
+        d = tuple(weights) if sym else None
         transpose = tuple(zip(*rows))
         dual_rows = canonical_rows(transpose)[0]
         dual_id = ids.get(dual_rows)

@@ -59,6 +59,16 @@ checks only those (:func:`hyperbolic_fast_flags`).  :func:`subdiagram_kinds`
 is the one ``2^n`` walk that classifies every proper connected subdiagram;
 :func:`hyperbolic_compact_scan` (the definition, kept as the reference),
 :func:`hyperbolicity_witness` and the catalog verifier all read it.
+
+:func:`kind_of_rows` memoizes kinds for the life of the process.  The memo is
+bounded in matrix cells, ``KIND_CACHE_CELLS``, and starts over when a new key
+would pass the bound.  Its keys share rows: each stored key holds the first
+stored copy of every row value, through a table that empties together with
+the memo.  The search's submatrices repeat rows heavily, so after the catalog
+run (ranks 3..11) the memo holds 1,195 row tuples instead of 23,478 and takes
+0.63 MB instead of 2.83 MB.  Where rows do not repeat the table is pure cost:
+classifying 1,500 seeded random GCMs of rank 20 in one process peaks at
+30.4 MB instead of 26.7 MB.
 """
 
 from __future__ import annotations
@@ -155,6 +165,7 @@ def sub_rows(rows: tuple[tuple[int, ...], ...], mask: int) -> tuple[tuple[int, .
 
 _KIND_CACHE: dict[tuple[tuple[int, ...], ...], str] = {}
 _kind_cache_cells = 0  # matrix cells held by the keys of _KIND_CACHE
+_KIND_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}  # row value -> the one copy keys hold
 
 
 def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
@@ -167,7 +178,14 @@ def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     Memoized across calls, since the enumeration classifies the same small
     submatrices over and over.  The memo is bounded by the cells of its keys,
     not their count: it starts over when a new key would take it past
-    ``KIND_CACHE_CELLS``.
+    ``KIND_CACHE_CELLS``.  A stored key holds the first stored copy of each
+    of its rows, found through a table from row value to row that empties
+    together with the memo; lookups use the caller's ``rows`` as they are.
+    After the catalog run the 3,475 keys hold 23,478 rows but only 1,195
+    distinct ones, and clearing the memo frees 0.63 MB instead of 2.83 MB
+    (``tracemalloc``).  Where rows rarely repeat across keys the table costs
+    memory instead, one dict slot per distinct stored row, and each miss
+    hashes its rows once more.
     """
     global _kind_cache_cells
     cached = _KIND_CACHE.get(rows)
@@ -177,8 +195,9 @@ def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     cells = len(rows) ** 2
     if _kind_cache_cells + cells > KIND_CACHE_CELLS:
         _KIND_CACHE.clear()
+        _KIND_ROWS.clear()
         _kind_cache_cells = 0
-    _KIND_CACHE[rows] = kind
+    _KIND_CACHE[tuple(map(_KIND_ROWS.setdefault, rows, rows))] = kind
     _kind_cache_cells += cells
     return kind
 

@@ -38,11 +38,11 @@ from .catalog import (
 )
 from .classify import classify, kind_of_rows
 from .enumeration import search_rank
-from .errors import DynkinError, clip
+from .errors import DecomposableError, DynkinError, clip
 from .gcm import GeneralizedCartanMatrix, is_indecomposable, matrix_to_diagram
 from .oracles import search_ranks_oracle
 from .parsing import format_matrix_text, parse_matrix_input
-from .symmetrize import cycle_criterion_agreement, is_symmetrizable, symmetrizer
+from .symmetrize import _weights_or_witness, cycle_criterion_agreement, is_symmetrizable
 from .weyl import orbit_partition
 
 EXIT_OK = 0
@@ -94,10 +94,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_symmetrize(args: argparse.Namespace) -> int:
     A = _read_matrix(args.input)
-    ok, witness = is_symmetrizable(A)
+    d, witness = _weights_or_witness(A.rows)
+    ok = witness is None
     if ok:
-        d = symmetrizer(A).d  # indecomposability enforced here
-        obj = {"symmetrizable": True, "symmetrizer": list(d), "root_lengths": len(set(d))}
+        if not is_indecomposable(A):
+            raise DecomposableError("symmetrizer requires an indecomposable matrix")
+        obj = {"symmetrizable": True, "symmetrizer": d, "root_lengths": len(set(d))}
     else:
         assert witness is not None
         obj = {"symmetrizable": False, "witness": witness._asdict()}

@@ -7,9 +7,13 @@ deliberately independent from the Bareiss elimination used by the package.
 from __future__ import annotations
 
 import importlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -641,6 +645,7 @@ def test_kind_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(module, "KIND_CACHE_CELLS", bound)
     monkeypatch.setattr(module, "_KIND_CACHE", {})
     monkeypatch.setattr(module, "_kind_cache_cells", 0)
+    monkeypatch.setattr(module, "_KIND_ROWS", {})
     most = 0
     for label in range(5, 55):
         rows = path_with_heavy_end(60)
@@ -650,5 +655,31 @@ def test_kind_cache_is_bounded(monkeypatch):
         cells = sum(len(key) ** 2 for key in module._KIND_CACHE)
         assert cells == module._kind_cache_cells <= bound
         assert rows in module._KIND_CACHE
+        # The row table holds exactly the rows the live keys hold: it emptied
+        # when the cache started over, and every key holds the table's copy.
+        held = {id(row) for key in module._KIND_CACHE for row in key}
+        assert set(map(id, module._KIND_ROWS.values())) == held
         most = max(most, len(module._KIND_CACHE))
     assert most == 20
+
+
+def test_kind_cache_keys_share_rows():
+    # The search is memoized per process, so the catalog run needs a fresh one.
+    src = str(Path(importlib.import_module("dynkin").__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, dynkin\n"
+        "dynkin.enumerate_hyperbolic(3, 10)\n"
+        "dynkin.search_rank(11)\n"
+        "rows = [r for key in sys.modules['dynkin.classify']._KIND_CACHE for r in key]\n"
+        "print(len(rows), len({id(r) for r in rows}), len(set(rows)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    held, objects, values = map(int, out.split())
+    assert objects == values < held

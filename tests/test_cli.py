@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
 
@@ -82,6 +83,27 @@ class TestSymmetrize:
         obj = json.loads(out)
         assert obj["symmetrizable"] is False
         assert obj["witness"]["cycle"] == [1, 2, 3, 1]
+
+    def test_one_forest_pass(self, capsys, monkeypatch):
+        module = importlib.import_module("dynkin.symmetrize")
+        calls = []
+        forest = module._forest
+
+        def counted(rows):
+            calls.append(rows)
+            return forest(rows)
+
+        monkeypatch.setattr(module, "_forest", counted)
+        code, out, _ = run(capsys, ["symmetrize"], "2 -1 0\n-1 2 -2\n0 -1 2\n", monkeypatch)
+        assert code == 0
+        assert "symmetrizer: 1 1 2" in out
+        assert len(calls) == 1
+
+    def test_decomposable_symmetrizable_is_an_error(self, capsys, monkeypatch):
+        code, out, err = run(capsys, ["symmetrize"], "2 0\n0 2\n", monkeypatch)
+        assert code == 1
+        assert out == ""
+        assert err == "error: symmetrizer requires an indecomposable matrix\n"
 
 
 class TestOrbits:

@@ -2,7 +2,8 @@
 
 * The benchmark harness under ``perfbench/`` calls ``dynkin`` names and
   patches functions by module; those files are read here with ``ast``,
-  neither imported nor changed, and every name they use must exist.
+  neither imported nor changed, and every name they use must exist, also
+  those read by their string name through ``getattr``.
 * ``import dynkin.cli`` stays integer-only: it loads neither ``fractions``
   nor ``decimal``.  It also stays cheap to start: the records are named
   tuples and slot classes, so neither ``dataclasses`` nor ``inspect`` loads.
@@ -41,6 +42,35 @@ def test_worker_names_exist():
         if isinstance(node, ast.ImportFrom) and node.module == "dynkin":
             for alias in node.names:
                 importlib.import_module(f"dynkin.{alias.name}")
+
+
+def test_worker_getattr_targets_exist():
+    # ``getattr(sys.modules.get("dynkin.classify"), "_KIND_CACHE", None)``
+    # reads a module attribute by its string name; a rename would turn the
+    # metric into null instead of failing.
+    targets = []
+    for node in ast.walk(_tree("worker.py")):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            continue
+        modules = [
+            sub.value
+            for sub in ast.walk(node.args[0])
+            if isinstance(sub, ast.Constant) and str(sub.value).startswith("dynkin")
+        ]
+        assert len(modules) == 1, ast.unparse(node)
+        targets.append((modules[0], node.args[1].value))
+    assert ("dynkin.classify", "_KIND_CACHE") in targets
+    missing = [
+        f"{module}.{name}"
+        for module, name in targets
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
 
 
 def test_tracer_targets_exist():
