@@ -147,7 +147,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
         B = extend_finite_to_affine(A)
     else:
         B = overextend_affine(A, args.zero_vertex)
-    kind = kind_of_rows(B.rows) if is_indecomposable(B) else "decomposable"
+    kind = kind_of_rows(B.rows)
     if args.format == "json":
         obj = {"matrix": B.to_lists(), "kind": kind}
         print(json.dumps(obj, sort_keys=True))

@@ -101,22 +101,6 @@ def _canon(rows: Rows) -> Rows:
 # == one-vertex extensions ==
 
 
-def _materialize(base: Rows, chosen: list[tuple[int, int] | None]) -> Rows:
-    k = len(base)
-    new_row = [0] * (k + 1)
-    new_row[k] = 2
-    out = []
-    for i, row in enumerate(base):
-        lab = chosen[i]
-        if lab is None:
-            out.append(row + (0,))
-        else:
-            out.append(row + (-lab[0],))
-            new_row[i] = -lab[1]
-    out.append(tuple(new_row))
-    return tuple(out)
-
-
 def _distances(base: Rows) -> list[dict[int, int]]:
     """Edge distances in the connected ``base``, one BFS from each vertex."""
     out = []
@@ -134,13 +118,16 @@ def _distances(base: Rows) -> list[dict[int, int]]:
 
 def _triples_ok(
     base: Rows,
-    chosen: list[tuple[int, int] | None],
+    up: list[int],
+    down: list[int],
     i: int,
     reject: tuple[str, ...],
     near: set[int],
 ) -> bool:
     """The edge just chosen for slot ``i`` closes no short cycle and no bad triple.
 
+    ``up`` and ``down`` hold the new vertex's column above the diagonal and
+    its row left of it; slot ``j`` has an edge iff ``down[j]`` is nonzero.
     Two edges from the new vertex, to slots ``i`` and ``j``, close a cycle on
     ``dist(i, j) + 2`` vertices, so ``j`` must not be in ``near``, the slots
     closer to ``i`` than the girth rule allows.  No fully determined
@@ -150,22 +137,17 @@ def _triples_ok(
     finite.  The caller skips this for targets of rank 3, where the triple is
     the target itself.
     """
-    pi, qi = chosen[i]
     for j in range(i):
-        lab_j = chosen[j]
         b_ji = base[j][i]
-        if lab_j is not None:
+        if down[j]:
             if j in near:
                 return False
-            pj, qj = lab_j
-        elif b_ji:
-            pj = qj = 0
-        else:
+        elif not b_ji:
             continue  # disconnected triple, components vetted elsewhere
         triple = (
-            (2, b_ji, -pj),
-            (base[i][j], 2, -pi),
-            (-qj, -qi, 2),
+            (2, b_ji, up[j]),
+            (base[i][j], 2, up[i]),
+            (down[j], down[i], 2),
         )
         if kind_of_rows(triple) in reject:
             return False
@@ -181,32 +163,30 @@ def _attach_extensions(base: Rows, finite_max: int):
     triple through the new vertex must be finite; and the new vertex closes
     no cycle on ``finite_max`` vertices or fewer.  Depth-first over the
     attachment slots, so a branch dies at its first bad pair or triple.
+    Slot ``i`` takes no edge or a label ``(p, q)``, held as the matrix entries
+    ``up[i] = -p`` above the new diagonal entry and ``down[i] = -q`` left of it.
     """
     k = len(base)
     check_triples = k + 1 > 3
     reject = (INDEFINITE, AFFINE) if finite_max >= 3 else (INDEFINITE,)
     labels = LABELS if finite_max < 2 else tuple(lab for lab in LABELS if lab[0] * lab[1] < 4)
     near = [{j for j, d in dist.items() if d < finite_max - 1} for dist in _distances(base)]
-    chosen: list[tuple[int, int] | None] = [None] * k
-    options = (None,) + labels
+    up, down = [0] * k, [0] * k
+    options = ((0, 0),) + labels
 
-    def rec(i: int, any_edge: bool):
+    def rec(i: int):
         if i == k:
-            if any_edge:
-                yield _materialize(base, chosen)
+            if any(down):
+                yield tuple([r + (u,) for r, u in zip(base, up)] + [tuple(down) + (2,)])
             return
-        for lab in options:
-            chosen[i] = lab
-            if (
-                check_triples
-                and lab is not None
-                and not _triples_ok(base, chosen, i, reject, near[i])
-            ):
+        for p, q in options:
+            up[i], down[i] = -p, -q
+            if check_triples and q and not _triples_ok(base, up, down, i, reject, near[i]):
                 continue
-            yield from rec(i + 1, any_edge or lab is not None)
-        chosen[i] = None
+            yield from rec(i + 1)
+        up[i] = down[i] = 0
 
-    yield from rec(0, False)
+    yield from rec(0)
 
 
 # == connected finite and affine classes, by vertex count ==

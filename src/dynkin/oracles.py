@@ -248,15 +248,13 @@ def search_rank_bruteforce(n: int) -> tuple[Rows, ...]:
             f"brute-force enumeration covers ranks 3..{BRUTEFORCE_RANK_LIMIT}, got {n}"
         )
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    options = (None,) + _LABELS
+    options = ((0, 0),) + _LABELS
     found: set[Rows] = set()
     memo: dict[Rows, str] = {}
     for combo in product(options, repeat=len(slots)):
         rows = [[2 if a == b else 0 for b in range(n)] for a in range(n)]
-        for (i, j), lab in zip(slots, combo):
-            if lab is not None:
-                rows[i][j] = -lab[0]
-                rows[j][i] = -lab[1]
+        for (i, j), (p, q) in zip(slots, combo):
+            rows[i][j], rows[j][i] = -p, -q
         rt = tuple(tuple(r) for r in rows)
         if not mask_connected((1 << n) - 1, adjacency_bitmasks(rt)):
             continue

@@ -147,22 +147,20 @@ def _positive_closure(
     one root share its ``A beta``, and ``A gamma = A beta - (A beta)_i A e_i``
     is formed in O(n) only when ``gamma`` is expanded, so the frontier holds
     one pairing vector per expanded parent, not one per root waiting in it.
-    A simple root ``e_i`` has no parent and starts at ``A e_i``.
+    A simple root enters as ``(e_i, -A e_i, i)``, since ``e_i = r_i(-e_i)``:
+    the same update gives ``-A e_i + 2 A e_i = A e_i``.
     """
     n = A.rank
     cols = tuple(zip(*A.rows))  # cols[i] = A e_i
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     parent = {e: e for e in simple}
-    frontier: list[tuple[tuple[int, ...], tuple[int, ...] | None, int]]
-    frontier = [(e, None, i) for i, e in enumerate(simple)]
+    frontier: list[tuple[tuple[int, ...], tuple[int, ...], int]]
+    frontier = [(e, tuple(-c for c in cols[i]), i) for i, e in enumerate(simple)]
     while frontier:
-        nxt: list[tuple[tuple[int, ...], tuple[int, ...] | None, int]] = []
+        nxt: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
         for beta, a_up, r in frontier:
-            if a_up is None:
-                a_beta = cols[r]
-            else:
-                step = a_up[r]
-                a_beta = tuple(a - step * c for a, c in zip(a_up, cols[r]))
+            step = a_up[r]
+            a_beta = tuple(a - step * c for a, c in zip(a_up, cols[r]))
             h = sum(beta)
             for i in range(n):
                 pairing = a_beta[i]

@@ -16,12 +16,14 @@ import pytest
 from dynkin import RankBoundError
 from dynkin.classify import AFFINE, FINITE, kind_of_rows
 from dynkin.enumeration import (
+    LABELS,
     _attach_extensions,
     finite_affine_classes,
     hyperbolic_fast_flags,
     search_rank,
 )
 from dynkin.classify import hyperbolic_compact_scan
+from dynkin.gcm import validate_gcm
 from dynkin.oracles import (
     finite_affine_oracle,
     rows_fully_finite,
@@ -108,6 +110,7 @@ class TestSearchRank:
 
 #: Candidates ``search_rank(n)`` hands to the hyperbolicity filter.
 CANDIDATES_PER_RANK = {3: 400, 4: 206, 5: 277, 6: 313, 7: 313, 8: 372, 9: 416, 10: 421, 11: 420}
+CANDIDATES_PER_LEVEL = {2: 8, 3: 105, 4: 42, 5: 82, 6: 77, 7: 109, 8: 124, 9: 139, 10: 125}
 
 
 def _short_cycle_through_last(rows, limit):
@@ -140,14 +143,32 @@ class TestGirthRule:
         count = sum(1 for base in fins + affs for _ in _attach_extensions(base, n - 2))
         assert count == CANDIDATES_PER_RANK[n]
 
+    @pytest.mark.parametrize("k", sorted(CANDIDATES_PER_LEVEL))
+    def test_level_candidate_counts(self, k):
+        bases = finite_affine_classes(k - 1)[0]
+        count = sum(1 for base in bases for _ in _attach_extensions(base, k - 1))
+        assert count == CANDIDATES_PER_LEVEL[k]
+
     def test_no_candidate_closes_a_short_cycle(self):
         # (bases, finite_max) of every level 2..10 and every rank 3..11
         steps = [(finite_affine_classes(k - 1)[0], k - 1) for k in range(2, 11)]
         steps += [(sum(finite_affine_classes(n - 1), ()), n - 2) for n in range(3, 12)]
+        edges = {(-p, -q) for p, q in LABELS}
         for bases, finite_max in steps:
             tight = 0
             for base in bases:
+                seen = set()
                 for cand in _attach_extensions(base, finite_max):
+                    # the base bordered by one new row and column, each new
+                    # pair no edge or a negated label, at least one an edge
+                    assert tuple(row[:-1] for row in cand[:-1]) == base, cand
+                    assert cand[-1][-1] == 2, cand
+                    pairs = [(row[-1], c) for row, c in zip(cand, cand[-1][:-1])]
+                    assert all(pair == (0, 0) or pair in edges for pair in pairs), cand
+                    assert any(pair != (0, 0) for pair in pairs), cand
+                    validate_gcm(cand)
+                    assert cand not in seen, cand
+                    seen.add(cand)
                     assert not _short_cycle_through_last(cand, finite_max), cand
                     tight += _short_cycle_through_last(cand, finite_max + 1)
             # a cycle on finite_max + 1 vertices (the affine cycle at level k,
