@@ -32,12 +32,8 @@ from .classify import (
     INDEFINITE,
     CartanType,
     ComponentType,
-    HyperbolicityWitness,
     classify,
     classify_indecomposable,
-    hyperbolicity_witness,
-    is_compact_hyperbolic,
-    is_hyperbolic,
     principal_minors,
 )
 from .enumeration import finite_affine_classes, search_rank
@@ -56,9 +52,6 @@ from .gcm import (
     DynkinDiagram,
     EdgeLabel,
     GeneralizedCartanMatrix,
-    components,
-    dual,
-    induced_subdiagram,
     is_indecomposable,
     matrix_to_diagram,
     validate_gcm,
@@ -75,11 +68,9 @@ from .symmetrize import (
     UnbalancedCycleWitness,
     bilinear_form,
     cycle_criterion_agreement,
-    is_symmetric,
     is_symmetrizable,
     kac_cycle_oracle,
     random_gcm,
-    root_length_count,
     symmetrizer,
 )
 from .weyl import (
@@ -90,8 +81,6 @@ from .weyl import (
     orbit_partition_bruteforce,
     orbit_partitions_agree,
     real_roots_up_to_height,
-    reflect,
-    root_norm,
 )
 
 __version__ = "0.1.0"

@@ -57,8 +57,8 @@ subdiagrams of finite or affine diagrams are finite (Kac, Lemma 4.4), so the
 connected subdiagrams on ``n - 1`` vertices decide both flags.  The public API
 checks only those (:func:`hyperbolic_fast_flags`).  :func:`subdiagram_kinds`
 is the one ``2^n`` walk that classifies every proper connected subdiagram;
-:func:`hyperbolic_compact_scan` (the definition, kept as the reference),
-:func:`hyperbolicity_witness` and the catalog verifier all read it.
+:func:`hyperbolic_compact_scan` (the definition, kept as the reference) and
+the catalog verifier read it.
 
 :func:`kind_of_rows` memoizes kinds for the life of the process.  The memo is
 bounded in matrix cells, ``KIND_CACHE_CELLS``, and starts over when a new key
@@ -94,13 +94,9 @@ __all__ = [
     "INDEFINITE",
     "CartanType",
     "ComponentType",
-    "HyperbolicityWitness",
     "principal_minors",
     "classify_indecomposable",
     "classify",
-    "is_hyperbolic",
-    "is_compact_hyperbolic",
-    "hyperbolicity_witness",
 ]
 
 FINITE = "finite"
@@ -308,20 +304,6 @@ class ComponentType(NamedTuple):
     type: CartanType
 
 
-class HyperbolicityWitness(NamedTuple):
-    """Outcome of the hyperbolicity test with an explicit reason.
-
-    When ``A`` is indefinite but not hyperbolic, ``subset`` names a proper
-    connected induced subdiagram of indefinite type (the smallest such set,
-    ties broken lexicographically).  Otherwise ``subset`` is ``None`` and
-    ``reason`` explains which way the test was decided.
-    """
-
-    hyperbolic: bool
-    reason: str
-    subset: frozenset[int] | None
-
-
 def principal_minors(A: GeneralizedCartanMatrix) -> dict[frozenset[int], int]:
     """All principal minors of ``A``, keyed by 1-based index set.
 
@@ -363,13 +345,6 @@ def principal_minors(A: GeneralizedCartanMatrix) -> dict[frozenset[int], int]:
     return out
 
 
-def _require_indecomposable(A: GeneralizedCartanMatrix) -> None:
-    if not is_indecomposable(A):
-        raise DecomposableError(
-            "matrix is decomposable; classify() handles components separately"
-        )
-
-
 def _type_of_rows(rows: tuple[tuple[int, ...], ...]) -> CartanType:
     """Cartan type of connected, already validated ``rows``.
 
@@ -382,7 +357,10 @@ def _type_of_rows(rows: tuple[tuple[int, ...], ...]) -> CartanType:
 
 def classify_indecomposable(A: GeneralizedCartanMatrix) -> CartanType:
     """Cartan type of an indecomposable GCM (finite / affine / indefinite)."""
-    _require_indecomposable(A)
+    if not is_indecomposable(A):
+        raise DecomposableError(
+            "matrix is decomposable; classify() handles components separately"
+        )
     return _type_of_rows(A.rows)
 
 
@@ -402,43 +380,3 @@ def classify(A: GeneralizedCartanMatrix) -> tuple[ComponentType, ...]:
         ComponentType(mask_vertices(m), _type_of_rows(rows if whole else sub_rows(rows, m)))
         for m in comps
     )
-
-
-def is_hyperbolic(A: GeneralizedCartanMatrix) -> bool:
-    """Whether indecomposable ``A`` is of hyperbolic type.
-
-    Indefinite, and every proper connected induced subdiagram is of finite or
-    affine type.  Rank 1 is finite and therefore never hyperbolic.
-    """
-    return classify_indecomposable(A).hyperbolic
-
-
-def is_compact_hyperbolic(A: GeneralizedCartanMatrix) -> bool:
-    """Whether indecomposable ``A`` is compact hyperbolic.
-
-    Hyperbolic with every proper connected induced subdiagram of finite type
-    (affine subdiagrams excluded).
-    """
-    return classify_indecomposable(A).compact_hyperbolic
-
-
-def hyperbolicity_witness(A: GeneralizedCartanMatrix) -> HyperbolicityWitness:
-    """Hyperbolicity verdict together with the reason it was reached.
-
-    Finite and affine matrices are answered at any rank.  An indefinite one
-    needs the subset walk, restricted to rank <= 12 like :func:`principal_minors`.
-    """
-    _require_indecomposable(A)
-    kind = kind_of_rows(A.rows)
-    if kind != INDEFINITE:
-        return HyperbolicityWitness(False, f"matrix is of {kind} type", None)
-    if A.rank > MINOR_RANK_LIMIT:
-        raise RankBoundError(f"witness walk supported up to rank {MINOR_RANK_LIMIT}, got {A.rank}")
-    for mask, sub_kind in subdiagram_kinds(A.rows):
-        if sub_kind == INDEFINITE:
-            return HyperbolicityWitness(
-                False,
-                "proper connected subdiagram of indefinite type",
-                mask_vertices(mask),
-            )
-    return HyperbolicityWitness(True, "hyperbolic", None)

@@ -24,7 +24,7 @@ needs :mod:`dataclasses`, which is slow to import.
 from __future__ import annotations
 
 from itertools import combinations, compress
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DynkinError, MatrixValidationError, clip
 
@@ -34,10 +34,7 @@ __all__ = [
     "GeneralizedCartanMatrix",
     "validate_gcm",
     "matrix_to_diagram",
-    "dual",
     "is_indecomposable",
-    "components",
-    "induced_subdiagram",
 ]
 
 
@@ -247,12 +244,6 @@ def matrix_to_diagram(A: GeneralizedCartanMatrix) -> DynkinDiagram:
     return DynkinDiagram(rank=n, edges=tuple(edges))
 
 
-def dual(A: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
-    """Transpose of ``A`` (arrow directions reversed in the diagram)."""
-    n = A.rank
-    return GeneralizedCartanMatrix(tuple(tuple(A.rows[j][i] for j in range(n)) for i in range(n)))
-
-
 # == connectivity and subdiagrams ==
 
 
@@ -317,25 +308,7 @@ def graph_components(adj: Sequence[int]) -> tuple[frozenset[int], ...]:
     return tuple(map(mask_vertices, mask_components((1 << len(adj)) - 1, adj)))
 
 
-def components(A: GeneralizedCartanMatrix) -> tuple[frozenset[int], ...]:
-    """Connected components as 1-based vertex sets, ordered by smallest member."""
-    return graph_components(adjacency_bitmasks(A.rows))
-
-
 def is_indecomposable(A: GeneralizedCartanMatrix) -> bool:
     """Whether the diagram of ``A`` is connected."""
     adj = adjacency_bitmasks(A.rows)
     return mask_connected((1 << A.rank) - 1, adj)
-
-
-def induced_subdiagram(A: GeneralizedCartanMatrix, S: Iterable[int]) -> GeneralizedCartanMatrix:
-    """Submatrix of ``A`` on the 1-based vertex set ``S`` (ascending order)."""
-    keep = sorted(set(S))
-    if not keep:
-        raise DynkinError("subdiagram needs a non-empty vertex set")
-    for v in keep:
-        if not (1 <= v <= A.rank):
-            raise DynkinError(f"vertex {v} out of range 1..{A.rank}")
-    return GeneralizedCartanMatrix(
-        tuple(tuple(A.rows[i - 1][j - 1] for j in keep) for i in keep)
-    )

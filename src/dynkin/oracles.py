@@ -23,6 +23,8 @@ Lie algebras*, Lemma 4.4), memoized per oracle call, so the cross-checks test
   rank of the range as it passes.
 * ``search_rank_bruteforce`` (ranks 3..4) materializes every assignment with
   no aborts at all and filters afterwards.
+* :func:`reflect` applies one simple reflection to a root by the definition,
+  the reference for the root closure in :mod:`dynkin.weyl`.
 
 Why the attachment walk misses nothing.  Every connected graph on two or more
 vertices has a non-cut vertex ``v`` (an end of a longest path, or a leaf of a
@@ -50,8 +52,15 @@ from typing import Iterator
 
 from .canonical import canonical_rows
 from .classify import AFFINE, FINITE, INDEFINITE, det_int, sub_rows
-from .errors import RankBoundError
-from .gcm import adjacency_bitmasks, mask_components, mask_connected, proper_connected_masks
+from .errors import DynkinError, RankBoundError
+from .gcm import (
+    GeneralizedCartanMatrix,
+    adjacency_bitmasks,
+    mask_components,
+    mask_connected,
+    proper_connected_masks,
+)
+from .weyl import RootVector
 
 __all__ = [
     "finite_affine_oracle",
@@ -60,6 +69,7 @@ __all__ = [
     "search_rank_bruteforce",
     "definitional_kind",
     "rows_fully_finite",
+    "reflect",
     "ORACLE_RANK_LIMIT",
     "BRUTEFORCE_RANK_LIMIT",
 ]
@@ -261,3 +271,19 @@ def search_rank_bruteforce(n: int) -> tuple[Rows, ...]:
         if _hyperbolic_by_definition(rt, memo):
             found.add(canonical_rows(rt)[0])
     return tuple(sorted(found))
+
+
+# == the reference reflection ==
+
+
+def reflect(A: GeneralizedCartanMatrix, i: int, beta: RootVector) -> RootVector:
+    """Apply the simple reflection ``r_i`` (1-based ``i``) to ``beta``."""
+    n = A.rank
+    if len(beta.coords) != n:
+        raise DynkinError(f"root has {len(beta.coords)} coordinates, matrix has rank {n}")
+    A._check_vertex(i)
+    row = A.rows[i - 1]
+    pairing = sum(row[j] * beta.coords[j] for j in range(n))
+    coords = list(beta.coords)
+    coords[i - 1] -= pairing
+    return RootVector(tuple(coords))

@@ -39,9 +39,7 @@ __all__ = [
     "is_symmetrizable",
     "kac_cycle_oracle",
     "symmetrizer",
-    "is_symmetric",
     "bilinear_form",
-    "root_length_count",
     "random_gcm",
     "cycle_criterion_agreement",
 ]
@@ -255,11 +253,6 @@ def symmetrizer(A: GeneralizedCartanMatrix) -> Symmetrization:
     return Symmetrization(d=tuple(_symmetrizing_weights(A)))
 
 
-def is_symmetric(A: GeneralizedCartanMatrix) -> bool:
-    n = A.rank
-    return all(A.rows[i][j] == A.rows[j][i] for i in range(n) for j in range(i + 1, n))
-
-
 def bilinear_form(A: GeneralizedCartanMatrix) -> tuple[tuple[int, ...], ...]:
     """Symmetrized matrix ``B = diag(d) @ A`` of a symmetrizable GCM.
 
@@ -299,15 +292,6 @@ def inertia(B: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]:
     positive = sum(a != b for a, b in zip(signs, signs[1:]))
     zero = n - max(i for i, c in enumerate(poly) if c)
     return positive, n - positive - zero, zero
-
-
-def root_length_count(A: GeneralizedCartanMatrix) -> int:
-    """Number of distinct simple-root lengths of an indecomposable symmetrizable GCM.
-
-    Root lengths squared are ``B[i][i] = 2 d[i]``, so this is the number of
-    distinct symmetrizer weights.
-    """
-    return len(set(symmetrizer(A).d))
 
 
 # == sampler for randomized cross-checks ==

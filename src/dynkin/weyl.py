@@ -28,7 +28,9 @@ In a Coxeter group ``r_i`` and ``r_j`` are conjugate iff a path of odd
 orbit have conjugate reflections.  Hence the orbit blocks are exactly the
 components of the single-edge skeleton, which is how :func:`orbit_partition`
 computes them.  :func:`orbit_partition_bruteforce` recomputes the blocks from
-an actual root walk so the two can be compared.
+an actual root walk so the two can be compared.  The closure applies ``r_i``
+inline; :func:`dynkin.oracles.reflect` applies it by the definition, and the
+tests walk the roots with it against the closure.
 """
 
 from __future__ import annotations
@@ -45,15 +47,13 @@ from .gcm import (
     matrix_to_diagram,
 )
 from .classify import FINITE, kind_of_rows
-from .symmetrize import _symmetrizing_weights, bilinear_form
+from .symmetrize import _symmetrizing_weights
 
 __all__ = [
     "RootVector",
     "OrbitPartition",
     "DEFAULT_BUDGET",
-    "reflect",
     "real_roots_up_to_height",
-    "root_norm",
     "highest_root",
     "orbit_partition",
     "orbit_partition_bruteforce",
@@ -105,20 +105,7 @@ class OrbitPartition(FrozenRecord):
         raise DynkinError(f"vertex {i} is not covered by this partition")
 
 
-# == reflections and root closure ==
-
-
-def reflect(A: GeneralizedCartanMatrix, i: int, beta: RootVector) -> RootVector:
-    """Apply the simple reflection ``r_i`` (1-based ``i``) to ``beta``."""
-    n = A.rank
-    if len(beta.coords) != n:
-        raise DynkinError(f"root has {len(beta.coords)} coordinates, matrix has rank {n}")
-    A._check_vertex(i)
-    row = A.rows[i - 1]
-    pairing = sum(row[j] * beta.coords[j] for j in range(n))
-    coords = list(beta.coords)
-    coords[i - 1] -= pairing
-    return RootVector(tuple(coords))
+# == root closure ==
 
 
 def _find(
@@ -199,16 +186,6 @@ def real_roots_up_to_height(
     return tuple(
         RootVector(c) for c in sorted(found, key=lambda c: (sum(c), c))
     )
-
-
-def root_norm(A: GeneralizedCartanMatrix, beta: RootVector) -> int:
-    """Squared length ``beta^T B beta`` under the symmetrized bilinear form."""
-    B = bilinear_form(A)
-    n = A.rank
-    c = beta.coords
-    if len(c) != n:
-        raise DynkinError(f"root has {len(c)} coordinates, matrix has rank {n}")
-    return sum(c[i] * B[i][j] * c[j] for i in range(n) for j in range(n))
 
 
 def highest_root(A: GeneralizedCartanMatrix) -> RootVector:

@@ -5,6 +5,16 @@ diagrams; the package under test never sees these as inputs to trust, only as
 expectations to reproduce.  Vertex numbering: paths run 1..n in order; the
 D-family fork puts the two short tips last; the E-family hangs the branch
 vertex off position 4 (E8: chain 1-3-4-5-6-7-8 with 2 attached to 4).
+
+The finite B, C and F4 matrices read their arrows as Bourbaki does, with
+``A[i][j] = <alpha_i, alpha_j^vee>``; the package pairs the other way round
+(``A[i][j] = <alpha_i^vee, alpha_j>``, Kac), which transposes them.  The
+twisted affine generators are transcribed in the package's convention and
+pinned by Kac's marks, so some of them equal an untwisted generator as a
+matrix (``affine_b``, ``affine_c`` and ``affine_f4`` are Kac's
+``A_(2l-1)^(2)``, ``D_(l+1)^(2)`` and ``E_6^(2)``).  Every class test takes each
+fixture together with its transpose, so no class count depends on the
+convention.
 """
 
 from __future__ import annotations
@@ -114,6 +124,81 @@ def affine_f4() -> list[list[int]]:
 
 def affine_g2() -> list[list[int]]:
     return _add_vertex(cartan_g2(), {1: (1, 1)})
+
+
+# Twisted affine diagrams (Kac, Tables Aff 2 and Aff 3), written with
+# ``A[i][j] = <alpha_i^vee, alpha_j>``: the row holding -2, -3 or -4 belongs
+# to the shorter root, which the arrow points to.  The simple roots come as
+# alpha_1 .. alpha_l, then alpha_0, and ``TWISTED_MARKS`` holds Kac's marks
+# ``a`` in that order (``A a = 0``).
+
+
+def twisted_a2() -> list[list[int]]:
+    """A_2^(2): alpha_0 <= alpha_1 by a quadruple edge; marks 1, 2."""
+    return _add_vertex(cartan_a(1), {1: (1, 4)})
+
+
+def twisted_a_even(n: int) -> list[list[int]]:
+    """A_2n^(2), n >= 2: alpha_0 <= alpha_1 - ... - alpha_(n-1) <= alpha_n."""
+    return _add_vertex(cartan_b(n), {1: (1, 2)})
+
+
+def twisted_a_odd(n: int) -> list[list[int]]:
+    """A_(2n-1)^(2), n >= 3: alpha_0 and alpha_1 on alpha_2, alpha_(n-1) <= alpha_n."""
+    return _add_vertex(cartan_b(n), {2: (1, 1)})
+
+
+def twisted_d(n: int) -> list[list[int]]:
+    """D_(n+1)^(2), n >= 2: alpha_0 <= alpha_1 - ... - alpha_(n-1) => alpha_n."""
+    return _add_vertex(cartan_c(n), {1: (1, 2)})
+
+
+def twisted_e6() -> list[list[int]]:
+    """E_6^(2): alpha_0 - alpha_1 - alpha_2 <= alpha_3 - alpha_4."""
+    return _add_vertex(cartan_f4(), {1: (1, 1)})
+
+
+def twisted_d4() -> list[list[int]]:
+    """D_4^(3): alpha_0 - alpha_1 <= alpha_2 by a triple edge."""
+    return _add_vertex([[2, -3], [-1, 2]], {1: (1, 1)})
+
+
+#: name -> (matrix, Kac's marks in its vertex order) for each twisted
+#: affine diagram on at most 10 vertices.
+TWISTED_MARKS: dict[str, tuple[list[list[int]], tuple[int, ...]]] = {
+    "A_2^(2)": (twisted_a2(), (1, 2)),
+    **{f"A_{2 * n}^(2)": (twisted_a_even(n), (2,) * (n - 1) + (1, 2)) for n in range(2, 10)},
+    **{
+        f"A_{2 * n - 1}^(2)": (twisted_a_odd(n), (1,) + (2,) * (n - 2) + (1, 1))
+        for n in range(3, 10)
+    },
+    **{f"D_{n + 1}^(2)": (twisted_d(n), (1,) * (n + 1)) for n in range(2, 10)},
+    "E_6^(2)": (twisted_e6(), (2, 3, 2, 1, 1)),
+    "D_4^(3)": (twisted_d4(), (2, 1, 1)),
+}
+
+
+def textbook_levels(k: int) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
+    """Every finite and every affine fixture on ``k`` vertices, ``1 <= k <= 10``.
+
+    Transposes are left to the caller: the class counts take the two
+    orientations of a multiple edge as two classes.
+    """
+    finite = [cartan_a(k)]
+    finite += [cartan_b(k)] if k >= 2 else []
+    finite += [cartan_c(k)] if k >= 3 else []
+    finite += [cartan_d(k)] if k >= 4 else []
+    finite += [cartan_e(k)] if k in (6, 7, 8) else []
+    finite += {2: [cartan_g2()], 4: [cartan_f4()]}.get(k, [])
+    n = k - 1
+    affine = [affine_a(n)] if n >= 1 else []
+    affine += [affine_b(n)] if n >= 3 else []
+    affine += [affine_c(n)] if n >= 2 else []
+    affine += [affine_d(n)] if n >= 4 else []
+    affine += [affine_e(n)] if n in (6, 7, 8) else []
+    affine += {3: [affine_g2()], 5: [affine_f4()]}.get(k, [])
+    affine += [rows for rows, _ in TWISTED_MARKS.values() if len(rows) == k]
+    return finite, affine
 
 
 def path_with_heavy_end(n: int) -> list[list[int]]:

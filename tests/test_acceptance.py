@@ -13,11 +13,12 @@ import time
 
 import pytest
 
+import dynkin.oracles
 from dynkin import (
+    classify_indecomposable,
     enumerate_hyperbolic,
     extend_finite_to_affine,
     highest_root,
-    is_hyperbolic,
     is_symmetrizable,
     kac_cycle_oracle,
     orbit_partitions_agree,
@@ -29,7 +30,7 @@ from dynkin import (
     verify_catalog,
 )
 from dynkin.canonical import canonical_rows
-from dynkin.classify import INDEFINITE, kind_of_rows
+from dynkin.classify import kind_of_rows
 from dynkin.gcm import adjacency_bitmasks
 from dynkin.oracles import search_ranks_oracle
 from dynkin.symmetrize import cycle_criterion_agreement
@@ -67,6 +68,42 @@ def degrees_and_products(rows) -> tuple[list[int], list[int]]:
     return degrees, products
 
 
+class OracleOverBudget(Exception):
+    """The oracle walk passed its budget; the message names where it stopped."""
+
+
+def clock_the_oracle(monkeypatch, budget_s: float) -> list:
+    """Read the clock once per base of the oracle's attachment walk.
+
+    ``dynkin.oracles._levels`` looks ``_attachments`` up on every base, so a
+    walk stuck inside one rank still stops: the wrapper raises
+    :class:`OracleOverBudget`, naming the level being grown and the base
+    reached, as soon as ``budget_s`` has passed.  Returns the bases seen.
+    """
+    inner = dynkin.oracles._attachments
+    t0 = time.perf_counter()
+    bases = []
+
+    def attachments(base, memo):
+        bases.append(base)
+        elapsed = time.perf_counter() - t0
+        if elapsed >= budget_s:
+            raise OracleOverBudget(
+                f"oracle took {elapsed:.1f}s and stopped at level {len(base) + 1}, base {base}"
+            )
+        return inner(base, memo)
+
+    monkeypatch.setattr(dynkin.oracles, "_attachments", attachments)
+    return bases
+
+
+def test_oracle_clock_stops_at_the_first_base(monkeypatch):
+    bases = clock_the_oracle(monkeypatch, 0.0)
+    with pytest.raises(OracleOverBudget, match=r"at level 2, base \(\(2,\),\)$"):
+        next(search_ranks_oracle(3, 3))
+    assert bases == [((2,),)]
+
+
 @pytest.fixture(scope="module")
 def timed_catalog():
     t0 = time.perf_counter()
@@ -92,7 +129,7 @@ class TestAcceptance:
             f"{len(entries)} classes, {sym} symmetrizable, {elapsed:.1f}s",
         )
 
-    def test_02_per_rank_split_and_oracle(self, timed_catalog):
+    def test_02_per_rank_split_and_oracle(self, timed_catalog, monkeypatch):
         entries, _ = timed_catalog
         problems = []
         counts = {r: sum(1 for e in entries if e.rank == r) for r in range(3, 11)}
@@ -101,16 +138,19 @@ class TestAcceptance:
         if sum(counts.values()) != EXPECTED_TOTAL:
             problems.append(f"counts sum to {sum(counts.values())}")
         t0 = time.perf_counter()
-        for rank, slow in search_ranks_oracle(3, 10):
-            fast = search_rank(rank)
-            if fast != slow:
-                problems.append(f"oracle disagreement at rank {rank}")
-            if len(fast) != EXPECTED_PER_RANK[rank]:
-                problems.append(f"rank {rank}: {len(fast)} classes")
-            oracle_elapsed = time.perf_counter() - t0
-            if oracle_elapsed >= ORACLE_BUDGET_S:  # checked as the walk goes, not at its end
-                problems.append(f"oracle took {oracle_elapsed:.1f}s and stopped after rank {rank}")
-                break
+        clock_the_oracle(monkeypatch, ORACLE_BUDGET_S)
+        try:
+            for rank, slow in search_ranks_oracle(3, 10):
+                fast = search_rank(rank)
+                if fast != slow:
+                    problems.append(f"oracle disagreement at rank {rank}")
+                if len(fast) != EXPECTED_PER_RANK[rank]:
+                    problems.append(f"rank {rank}: {len(fast)} classes")
+        except OracleOverBudget as exc:
+            problems.append(str(exc))
+        oracle_elapsed = time.perf_counter() - t0
+        if oracle_elapsed >= ORACLE_BUDGET_S:  # the time after the last base counts too
+            problems.append(f"oracle took {oracle_elapsed:.1f}s, budget {ORACLE_BUDGET_S:.0f}s")
         report(
             2,
             "per-rank-split",
@@ -119,7 +159,7 @@ class TestAcceptance:
             f"in {oracle_elapsed:.1f}s",
         )
 
-    def test_03_rank_11_empty(self):
+    def test_03_rank_11_empty(self, monkeypatch):
         t0 = time.perf_counter()
         found = search_rank(11)
         elapsed = time.perf_counter() - t0
@@ -129,12 +169,16 @@ class TestAcceptance:
         if elapsed >= RANK11_BUDGET_S:
             problems.append(f"took {elapsed:.1f}s, budget {RANK11_BUDGET_S:.0f}s")
         t0 = time.perf_counter()
-        slow = search_rank_oracle(11)
+        clock_the_oracle(monkeypatch, ORACLE_BUDGET_S)
+        try:
+            slow = search_rank_oracle(11)
+            if slow != ():
+                problems.append(f"the oracle found {len(slow)} rank-11 classes")
+        except OracleOverBudget as exc:
+            problems.append(str(exc))
         oracle_elapsed = time.perf_counter() - t0
-        if slow != ():
-            problems.append(f"the oracle found {len(slow)} rank-11 classes")
-        if oracle_elapsed >= ORACLE_BUDGET_S:
-            problems.append(f"oracle took {oracle_elapsed:.1f}s")
+        if oracle_elapsed >= ORACLE_BUDGET_S:  # the time after the last base counts too
+            problems.append(f"oracle took {oracle_elapsed:.1f}s, budget {ORACLE_BUDGET_S:.0f}s")
         report(
             3,
             "rank-11-empty",
@@ -293,7 +337,7 @@ class TestAcceptance:
         small = overextend_affine(extend_finite_to_affine(validate_gcm([[2]])))
         if small.rows != ((2, -1, 0), (-1, 2, -2), (0, -2, 2)):
             problems.append(f"small chain produced {small.rows}")
-        if not is_hyperbolic(small):
+        if not classify_indecomposable(small).hyperbolic:
             problems.append("small chain result is not hyperbolic")
         if not in_catalog(small.rows):
             problems.append("small chain result missing from the catalog")
@@ -304,7 +348,7 @@ class TestAcceptance:
         if kind_of_rows(affine.rows) != "affine" or affine.rank != 9:
             problems.append("E8 affinization is not a rank-9 affine matrix")
         big = overextend_affine(affine)
-        if kind_of_rows(big.rows) != INDEFINITE or not is_hyperbolic(big):
+        if not classify_indecomposable(big).hyperbolic:
             problems.append("overextended E8 is not hyperbolic")
         degrees, products = degrees_and_products(big.rows)
         if set(products) != {1}:

@@ -26,12 +26,7 @@ from dynkin import (
     RankBoundError,
     classify,
     classify_indecomposable,
-    components,
     extend_finite_to_affine,
-    hyperbolicity_witness,
-    induced_subdiagram,
-    is_compact_hyperbolic,
-    is_hyperbolic,
     principal_minors,
     validate_gcm,
 )
@@ -43,7 +38,7 @@ from dynkin.classify import (
     sub_rows,
 )
 from dynkin.enumeration import finite_affine_classes
-from dynkin.gcm import is_indecomposable
+from dynkin.gcm import adjacency_bitmasks, graph_components, is_indecomposable
 from dynkin.oracles import definitional_kind
 from dynkin.symmetrize import is_symmetrizable, random_gcm
 
@@ -410,8 +405,6 @@ class TestHyperbolicity:
         assert info.kind == INDEFINITE
         assert info.hyperbolic
         assert info.compact_hyperbolic
-        assert is_hyperbolic(unbalanced_triangle)
-        assert is_compact_hyperbolic(unbalanced_triangle)
 
     def test_hyperbolic_not_compact(self):
         A = validate_gcm([[2, -1, 0], [-1, 2, -2], [0, -2, 2]])
@@ -434,37 +427,9 @@ class TestHyperbolicity:
         assert info.kind == INDEFINITE
         assert not info.hyperbolic
 
-    def test_witness_names_bad_subset(self):
-        A = validate_gcm(
-            [
-                [2, -3, 0, 0],
-                [-2, 2, -1, 0],
-                [0, -1, 2, -1],
-                [0, 0, -1, 2],
-            ]
-        )
-        w = hyperbolicity_witness(A)
-        assert not w.hyperbolic
-        assert w.subset == frozenset({1, 2})
-
-    def test_witness_for_hyperbolic(self, unbalanced_triangle):
-        w = hyperbolicity_witness(unbalanced_triangle)
-        assert w.hyperbolic
-        assert w.subset is None
-
     def test_finite_and_affine_are_not_hyperbolic(self):
-        assert not is_hyperbolic(validate_gcm(cartan_a(4)))
-        assert not is_hyperbolic(validate_gcm([[2, -2], [-2, 2]]))
-
-    def test_witness_rank_cap(self):
-        # the subset walk is exponential: an indefinite matrix above rank 12 raises
-        with pytest.raises(RankBoundError, match="up to rank 12, got 13"):
-            hyperbolicity_witness(validate_gcm(path_with_heavy_end(13)))
-        assert hyperbolicity_witness(validate_gcm(path_with_heavy_end(12))).subset == {11, 12}
-        # finite and affine verdicts need no walk and hold at any rank
-        for rows, kind in ((cartan_a(20), FINITE), (affine_a(19), AFFINE), (affine_d(19), AFFINE)):
-            w = hyperbolicity_witness(validate_gcm(rows))
-            assert (w.hyperbolic, w.reason, w.subset) == (False, f"matrix is of {kind} type", None)
+        assert not classify_indecomposable(validate_gcm(cartan_a(4))).hyperbolic
+        assert not classify_indecomposable(validate_gcm([[2, -2], [-2, 2]])).hyperbolic
 
 
 class TestClassifyDispatch:
@@ -490,8 +455,14 @@ class TestClassifyDispatch:
             A = validate_gcm(rows)
             for drop in range(1, A.rank + 1):
                 keep = [v for v in range(1, A.rank + 1) if v != drop]
-                for comp in classify(induced_subdiagram(A, keep)):
+                for comp in classify(submatrix(A, keep)):
                     assert comp.type.kind == FINITE
+
+
+def submatrix(A, vertices):
+    """Validated principal submatrix of ``A`` on the 1-based ``vertices``, ascending."""
+    keep = sorted(vertices)
+    return validate_gcm([[A.rows[i - 1][j - 1] for j in keep] for i in keep])
 
 
 def direct_sum(*blocks):
@@ -509,15 +480,15 @@ def direct_sum(*blocks):
 class TestClassifyAgainstComponentRoute:
     """``classify`` against the route it replaced: a validated matrix per component.
 
-    The reference rebuilds each component with ``induced_subdiagram`` and
-    classifies it with ``classify_indecomposable``, in ``components`` order.
+    The reference validates each component's submatrix again and classifies
+    it with ``classify_indecomposable``, in ``graph_components`` order.
     """
 
     @staticmethod
     def reference(A):
         return tuple(
-            ComponentType(c, classify_indecomposable(induced_subdiagram(A, c)))
-            for c in components(A)
+            ComponentType(c, classify_indecomposable(submatrix(A, c)))
+            for c in graph_components(adjacency_bitmasks(A.rows))
         )
 
     def test_relabelled_catalog_entries(self, catalog):
@@ -605,7 +576,8 @@ class TestPublicHyperbolicityRoute:
             expected = hyperbolic_compact_scan(A.rows)
             (comp,) = classify(A)
             assert (comp.type.hyperbolic, comp.type.compact_hyperbolic) == expected
-            assert (is_hyperbolic(A), is_compact_hyperbolic(A)) == expected
+            info = classify_indecomposable(A)
+            assert (info.hyperbolic, info.compact_hyperbolic) == expected
             seen[expected] += 1
         assert min(seen[(True, True)], seen[(True, False)], seen[(False, False)]) >= 20
 
@@ -618,10 +590,9 @@ class TestPublicHyperbolicityRoute:
         hostile = validate_gcm(path_with_heavy_end(22))
         for A in (unbalanced_triangle, validate_gcm(cartan_e(8)), hostile):
             classify(A)
-            is_hyperbolic(A)
-            is_compact_hyperbolic(A)
+            classify_indecomposable(A)
         assert classify(hostile)[0].type.kind == INDEFINITE
-        assert not is_hyperbolic(hostile)
+        assert not classify_indecomposable(hostile).hyperbolic
 
     def test_finite_and_affine_skip_the_corank1_scan(self, monkeypatch):
         def refuse(rows):
@@ -632,9 +603,7 @@ class TestPublicHyperbolicityRoute:
         cycle = validate_gcm(affine_a(39))  # 40 vertices, every neighbour -1
         for A, kind in ((validate_gcm(cartan_e(8)), FINITE), (cycle, AFFINE)):
             assert classify_indecomposable(A) == classify(A)[0].type
-            assert classify_indecomposable(A).kind == kind
-            assert not is_hyperbolic(A)
-            assert not is_compact_hyperbolic(A)
+            assert classify_indecomposable(A) == (kind, False, False)
 
 
 def test_kind_cache_is_bounded(monkeypatch):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from dynkin import RankBoundError
+from dynkin.canonical import canonical_rows
 from dynkin.classify import AFFINE, FINITE, kind_of_rows
 from dynkin.enumeration import (
     LABELS,
@@ -32,7 +33,14 @@ from dynkin.oracles import (
     search_ranks_oracle,
 )
 
-from lie_fixtures import AFFINE_CLASS_COUNTS, FINITE_CLASS_COUNTS
+from lie_fixtures import AFFINE_CLASS_COUNTS, FINITE_CLASS_COUNTS, TWISTED_MARKS, textbook_levels
+
+
+def classes_with_transposes(matrices) -> tuple:
+    """Sorted canonical rows of each matrix and of its transpose."""
+    rows = [tuple(map(tuple, m)) for m in matrices]
+    rows += [tuple(zip(*r)) for r in rows]
+    return tuple(sorted({canonical_rows(r)[0] for r in rows}))
 
 
 class TestFiniteAffineLevels:
@@ -51,8 +59,6 @@ class TestFiniteAffineLevels:
                 assert kind_of_rows(rows) == AFFINE
 
     def test_members_are_canonical_and_distinct(self):
-        from dynkin.canonical import canonical_rows
-
         for k in range(1, 11):
             fin, aff = finite_affine_classes(k)
             pool = list(fin) + list(aff)
@@ -61,8 +67,19 @@ class TestFiniteAffineLevels:
                 assert canonical_rows(rows)[0] == rows
 
     def test_matches_oracle(self):
+        # Three routes to each level: the search, the oracle, and a third
+        # written by hand from Kac's tables, each fixture with its transpose.
         for k in range(1, 11):
-            assert finite_affine_oracle(k) == finite_affine_classes(k), k
+            fin, aff = (classes_with_transposes(m) for m in textbook_levels(k))
+            assert (len(fin), len(aff)) == (FINITE_CLASS_COUNTS[k], AFFINE_CLASS_COUNTS.get(k, 0))
+            assert finite_affine_classes(k) == (fin, aff), k
+            assert finite_affine_oracle(k) == (fin, aff), k
+
+    @pytest.mark.parametrize("name", sorted(TWISTED_MARKS))
+    def test_twisted_fixtures_annihilate_kac_marks(self, name):
+        rows, marks = TWISTED_MARKS[name]
+        assert len(marks) == len(rows)
+        assert [sum(x * a for x, a in zip(row, marks)) for row in rows] == [0] * len(rows)
 
     def test_oracle_bounds(self):
         for k in (0, 11):
@@ -100,8 +117,6 @@ class TestSearchRank:
             search_rank_bruteforce(5)
 
     def test_results_sorted_and_canonical(self):
-        from dynkin.canonical import canonical_rows
-
         found = search_rank(4)
         assert list(found) == sorted(found)
         for rows in found:

@@ -1,4 +1,4 @@
-"""Core data model: validation, diagrams, duals, subdiagrams."""
+"""Core data model: validation, diagrams, connectivity, subdiagram masks."""
 
 from __future__ import annotations
 
@@ -10,17 +10,14 @@ import pytest
 from dynkin import (
     DynkinDiagram,
     EdgeLabel,
-    GeneralizedCartanMatrix,
     MatrixValidationError,
-    components,
-    dual,
-    induced_subdiagram,
+    classify,
     is_indecomposable,
     matrix_to_diagram,
     validate_gcm,
 )
 from dynkin.errors import DynkinError
-from dynkin.gcm import adjacency_bitmasks, proper_connected_masks
+from dynkin.gcm import adjacency_bitmasks, graph_components, proper_connected_masks
 from dynkin.symmetrize import random_gcm
 
 
@@ -127,14 +124,6 @@ class TestDiagramRoundTrip:
             DynkinDiagram(rank=rank, edges=())
 
 
-class TestDual:
-    def test_g2(self, g2):
-        assert dual(g2).rows == ((2, -3), (-1, 2))
-
-    def test_involution(self, unbalanced_triangle):
-        assert dual(dual(unbalanced_triangle)) == unbalanced_triangle
-
-
 class TestConnectivity:
     def test_indecomposable(self, arrow_chain):
         assert is_indecomposable(arrow_chain)
@@ -143,7 +132,7 @@ class TestConnectivity:
     def test_decomposable(self):
         A = validate_gcm([[2, -1, 0], [-1, 2, 0], [0, 0, 2]])
         assert not is_indecomposable(A)
-        assert components(A) == (frozenset({1, 2}), frozenset({3}))
+        assert tuple(c.vertices for c in classify(A)) == (frozenset({1, 2}), frozenset({3}))
 
     def test_components_cover(self):
         rng = random.Random(3)
@@ -155,7 +144,8 @@ class TestConnectivity:
                     if rng.random() < 0.25:
                         rows[i][j] = rows[j][i] = -1
             A = validate_gcm(rows)
-            comps = components(A)
+            comps = graph_components(adjacency_bitmasks(A.rows))
+            assert comps == tuple(c.vertices for c in classify(A))
             assert sorted(v for c in comps for v in c) == list(range(1, n + 1))
             # no edges across components
             for a in range(n):
@@ -177,23 +167,6 @@ class TestAdjacencyBitmasks:
                         expected[i] |= 1 << j
             assert adjacency_bitmasks(rows) == expected
             assert adjacency_bitmasks([list(r) for r in rows]) == expected
-
-
-class TestInducedSubdiagram:
-    def test_basic(self, unbalanced_triangle):
-        S = induced_subdiagram(unbalanced_triangle, {1, 3})
-        assert S.rows == ((2, -1), (-2, 2))
-
-    def test_order_is_ascending(self, unbalanced_triangle):
-        assert induced_subdiagram(unbalanced_triangle, {3, 1}) == induced_subdiagram(
-            unbalanced_triangle, {1, 3}
-        )
-
-    def test_rejects_empty_and_out_of_range(self, unbalanced_triangle):
-        with pytest.raises(DynkinError):
-            induced_subdiagram(unbalanced_triangle, set())
-        with pytest.raises(DynkinError):
-            induced_subdiagram(unbalanced_triangle, {0, 1})
 
 
 def _connected_by_search(verts, adj):

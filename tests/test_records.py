@@ -1,6 +1,6 @@
 """Record types: immutable, compared and hashed by value, shown as ``Name(field=value)``.
 
-Eleven plain records are named tuples.  ``GeneralizedCartanMatrix``,
+Ten plain records are named tuples.  ``GeneralizedCartanMatrix``,
 ``DynkinDiagram`` and ``OrbitPartition`` check or normalise their input, so
 they are slot classes that compare equal only to their own type.
 """
@@ -22,7 +22,6 @@ from dynkin import (
     DynkinError,
     EdgeLabel,
     GeneralizedCartanMatrix,
-    HyperbolicityWitness,
     MatrixValidationError,
     OrbitPartition,
     PropertyCheck,
@@ -42,7 +41,6 @@ NAMED_TUPLES = [
     RootVector((1, 0, 1)),
     FINITE_TYPE,
     ComponentType(frozenset({1, 2}), FINITE_TYPE),
-    HyperbolicityWitness(False, "matrix is of finite type", None),
     Symmetrization((1, 2)),
     UnbalancedCycleWitness((1, 2, 3, 1), -4, -2),
     CanonicalForm(A2.rows, (0, 1)),

@@ -12,6 +12,7 @@ from dynkin import (
     DynkinError,
     RootVector,
     WrongTypeError,
+    bilinear_form,
     finite_affine_classes,
     highest_root,
     matrix_to_diagram,
@@ -19,10 +20,9 @@ from dynkin import (
     orbit_partition_bruteforce,
     orbit_partitions_agree,
     real_roots_up_to_height,
-    reflect,
-    root_norm,
     validate_gcm,
 )
+from dynkin.oracles import reflect
 from dynkin.symmetrize import random_gcm
 from dynkin.weyl import DEFAULT_BUDGET, _positive_closure
 
@@ -48,6 +48,20 @@ class TestReflect:
             beta = RootVector(tuple(rng.randint(-3, 3) for _ in range(4)))
             i = rng.randint(1, 4)
             assert reflect(A, i, reflect(A, i, beta)) == beta
+
+    def test_keeps_the_norm_of_the_bilinear_form(self):
+        rng = random.Random(31)
+        A = fixture("B4")
+        B = bilinear_form(A)
+
+        def norm(beta):
+            c = beta.coords
+            return sum(c[i] * B[i][j] * c[j] for i in range(4) for j in range(4))
+
+        for _ in range(100):
+            beta = RootVector(tuple(rng.randint(-2, 2) for _ in range(4)))
+            i = rng.randint(1, 4)
+            assert norm(reflect(A, i, beta)) == norm(beta)
 
     def test_only_one_coordinate_moves(self, g2):
         # r_1(alpha_2) adds -a(1,2) = 1 to coordinate 1 and fixes coordinate 2
@@ -104,7 +118,7 @@ class TestPositiveRoots:
             real_roots_up_to_height(k10, 14, budget=21_834)
 
     def test_matches_a_walk_by_reflect(self):
-        # The closure against a walk that applies the public ``reflect`` to
+        # The closure against a walk that applies the reference ``reflect`` to
         # every root it holds and recomputes each pairing from the rows.
         rng = random.Random(1804)
         for _ in range(60):
@@ -137,22 +151,6 @@ class TestPositiveRoots:
             tracemalloc.stop()
         assert len(forest) == 12_048
         assert peak - held < held / 2
-
-
-class TestRootNorm:
-    def test_affine_rank2(self):
-        A = validate_gcm([[2, -1], [-4, 2]])
-        assert root_norm(A, RootVector((1, 0))) == 8
-        assert root_norm(A, RootVector((0, 1))) == 2
-        assert root_norm(A, RootVector((1, 1))) == 2
-
-    def test_invariant_under_reflection(self):
-        rng = random.Random(31)
-        A = fixture("B4")
-        for _ in range(100):
-            beta = RootVector(tuple(rng.randint(-2, 2) for _ in range(4)))
-            i = rng.randint(1, 4)
-            assert root_norm(A, reflect(A, i, beta)) == root_norm(A, beta)
 
 
 class TestHighestRoot:
