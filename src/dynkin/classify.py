@@ -62,13 +62,15 @@ the catalog verifier read it.
 
 :func:`kind_of_rows` memoizes kinds for the life of the process.  The memo is
 bounded in matrix cells, ``KIND_CACHE_CELLS``, and starts over when a new key
-would pass the bound.  Its keys share rows: each stored key holds the first
-stored copy of every row value, through a table that empties together with
-the memo.  The search's submatrices repeat rows heavily, so after the catalog
-run (ranks 3..11) the memo holds 1,195 row tuples instead of 23,478 and takes
-0.63 MB instead of 2.83 MB.  Where rows do not repeat the table is pure cost:
-classifying 1,500 seeded random GCMs of rank 20 in one process peaks at
-30.4 MB instead of 26.7 MB.
+would pass the bound.  Keys of rank at most ``SHARED_ROWS_RANK`` (11, the
+largest rank the search stores) share rows: each holds the first stored copy
+of every row value, through a table that empties together with the memo.  The
+search's submatrices repeat rows heavily, so after the catalog run (ranks
+3..11) the memo's 2,000 keys hold 1,001 row tuples instead of 12,481 and take
+0.39 MB instead of 1.47 MB.  Larger keys keep their own rows, since there the
+table would be pure cost: sharing the rows of every key, classifying 1,500
+seeded random GCMs of rank 20 in one process peaks at 29.9 MB instead of
+26.5 MB.
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ AFFINE = "affine"
 INDEFINITE = "indefinite"
 
 MINOR_RANK_LIMIT = 12
-KIND_CACHE_CELLS = 1 << 22  # ranks 3..11 memoize 3,475 kinds in 177,608 cells
+KIND_CACHE_CELLS = 1 << 22  # ranks 3..11 memoize 2,000 kinds in 90,157 cells
+SHARED_ROWS_RANK = 11  # keys up to this rank share rows; the search stores none larger
 
 
 # == exact integer determinants ==
@@ -174,14 +177,14 @@ def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     Memoized across calls, since the enumeration classifies the same small
     submatrices over and over.  The memo is bounded by the cells of its keys,
     not their count: it starts over when a new key would take it past
-    ``KIND_CACHE_CELLS``.  A stored key holds the first stored copy of each
-    of its rows, found through a table from row value to row that empties
-    together with the memo; lookups use the caller's ``rows`` as they are.
-    After the catalog run the 3,475 keys hold 23,478 rows but only 1,195
-    distinct ones, and clearing the memo frees 0.63 MB instead of 2.83 MB
-    (``tracemalloc``).  Where rows rarely repeat across keys the table costs
-    memory instead, one dict slot per distinct stored row, and each miss
-    hashes its rows once more.
+    ``KIND_CACHE_CELLS``.  A stored key of rank at most ``SHARED_ROWS_RANK``
+    holds the first stored copy of each of its rows, found through a table
+    from row value to row that empties together with the memo; lookups use
+    the caller's ``rows`` as they are.  After the catalog run the 2,000 keys
+    hold 12,481 rows but only 1,001 distinct ones, and the memo takes 0.39 MB
+    instead of 1.47 MB (``tracemalloc``).  Larger keys are stored as they
+    come: their rows rarely repeat across keys, so the table would cost one
+    dict slot per distinct stored row and hash every row of a miss once more.
     """
     global _kind_cache_cells
     cached = _KIND_CACHE.get(rows)
@@ -193,7 +196,9 @@ def kind_of_rows(rows: tuple[tuple[int, ...], ...]) -> str:
         _KIND_CACHE.clear()
         _KIND_ROWS.clear()
         _kind_cache_cells = 0
-    _KIND_CACHE[tuple(map(_KIND_ROWS.setdefault, rows, rows))] = kind
+    if len(rows) <= SHARED_ROWS_RANK:
+        rows = tuple(map(_KIND_ROWS.setdefault, rows, rows))
+    _KIND_CACHE[rows] = kind
     _kind_cache_cells += cells
     return kind
 

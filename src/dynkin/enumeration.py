@@ -51,8 +51,31 @@ target forces to be finite (``finite_max``: ``k - 1`` for level ``k``,
   vertices at rank ``n``; from ``finite_max = 3`` on it also excludes every
   triangle through the new vertex.
 
-Only branches that no admissible target can complete are cut, so the classes
-found do not depend on the pruning.
+These three rules cut only branches that no admissible target can complete.
+
+One more rule, the parent rule, cuts branches that do reach a target, so that
+each class is built from one parent instead of from every non-cut vertex
+whose deletion leaves a base (McKay's canonical construction path: B. D.
+McKay, *Isomorph-free exhaustive generation*, J. Algorithms 26, 1998).  The
+key of a vertex is its ``(row sum, column sum)``, and the new vertex ``v``
+must end with the largest key among the candidate's non-cut vertices.  A
+branch is cut as soon as it cannot: when a base vertex ``u`` that is non-cut
+in the base, already decided and not joined to ``v`` has a key greater than
+``v``'s current ``(2 + sum of its row, 2 + sum of its column)``.  The rule is
+safe to apply early: ``u``'s key is its base key in every completion, ``u``
+stays non-cut (``v`` is joined to ``base - u``, which is connected), and
+``v``'s sums only fall as more slots take edges.
+
+The invariant is that every class keeps at least one branch.  Take a target
+class ``T`` and a non-cut vertex ``u*`` of ``T`` with the largest key.
+``T - u*`` is connected, and finite (at level ``k``) or finite or affine (at
+rank ``n``), so its canonical form is a base of that step.  The first three
+rules cut no branch that leads to an admissible target, so some candidate
+from that base is isomorphic to ``T`` with ``v`` in the place of ``u*``.
+Along its branch no key can beat ``v``'s final key, the key of ``u*``, so the
+parent rule cuts it nowhere either.  The classes found therefore do not
+depend on the pruning, and the canonical forms still remove the duplicates
+that the parent rule leaves (ties in the key, and vertices it does not see).
 
 Candidate filtering uses :func:`dynkin.classify.hyperbolic_fast_flags`, the
 corank-1 criterion: a connected indefinite diagram is hyperbolic iff every
@@ -72,6 +95,7 @@ from functools import cache
 from .canonical import canonical_rows
 from .classify import AFFINE, FINITE, INDEFINITE, hyperbolic_fast_flags, kind_of_rows
 from .errors import RankBoundError
+from .gcm import adjacency_bitmasks, mask_connected
 
 __all__ = [
     "LABELS",
@@ -161,8 +185,13 @@ def _attach_extensions(base: Rows, finite_max: int):
     forces to be finite (the corank lemma in the module docstring).  At 2 or
     more the product-4 labels are dropped; at 3 or more every determined
     triple through the new vertex must be finite; and the new vertex closes
-    no cycle on ``finite_max`` vertices or fewer.  Depth-first over the
-    attachment slots, so a branch dies at its first bad pair or triple.
+    no cycle on ``finite_max`` vertices or fewer.  None of these cuts a
+    branch that an admissible target can complete.  The parent rule (module
+    docstring) cuts a branch once a decided non-cut base vertex with no edge
+    to the new vertex has a larger ``(row sum, column sum)`` key than the new
+    vertex has so far; every class still keeps the branch whose new vertex is
+    one of its largest-key non-cut vertices.  Depth-first over the attachment
+    slots, so a branch dies at its first bad pair, key or triple.
     Slot ``i`` takes no edge or a label ``(p, q)``, held as the matrix entries
     ``up[i] = -p`` above the new diagonal entry and ``down[i] = -q`` left of it.
     """
@@ -171,22 +200,37 @@ def _attach_extensions(base: Rows, finite_max: int):
     reject = (INDEFINITE, AFFINE) if finite_max >= 3 else (INDEFINITE,)
     labels = LABELS if finite_max < 2 else tuple(lab for lab in LABELS if lab[0] * lab[1] < 4)
     near = [{j for j, d in dist.items() if d < finite_max - 1} for dist in _distances(base)]
+    # (row sum, column sum) of each non-cut base vertex; () for a cut vertex,
+    # since the empty tuple sorts below every key
+    adj = adjacency_bitmasks(base)
+    keys = [
+        (sum(row), sum(col)) if mask_connected(((1 << k) - 1) ^ (1 << u), adj) else ()
+        for u, (row, col) in enumerate(zip(base, zip(*base)))
+    ]
     up, down = [0] * k, [0] * k
     options = ((0, 0),) + labels
 
-    def rec(i: int):
+    def rec(i: int, top: tuple[int, ...], row_sum: int, col_sum: int):
+        # top is the largest key of a decided non-cut base vertex with no edge
+        # to the new vertex; (row_sum, col_sum), the new vertex's key so far,
+        # only falls from here
         if i == k:
             if any(down):
                 yield tuple([r + (u,) for r, u in zip(base, up)] + [tuple(down) + (2,)])
             return
         for p, q in options:
             up[i], down[i] = -p, -q
-            if check_triples and q and not _triples_ok(base, up, down, i, reject, near[i]):
-                continue
-            yield from rec(i + 1)
+            if q:
+                if top > (row_sum - q, col_sum - p):
+                    continue
+                if check_triples and not _triples_ok(base, up, down, i, reject, near[i]):
+                    continue
+                yield from rec(i + 1, top, row_sum - q, col_sum - p)
+            elif keys[i] <= (row_sum, col_sum):
+                yield from rec(i + 1, max(top, keys[i]), row_sum, col_sum)
         up[i] = down[i] = 0
 
-    yield from rec(0)
+    yield from rec(0, (), 2, 2)
 
 
 # == connected finite and affine classes, by vertex count ==

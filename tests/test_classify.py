@@ -624,12 +624,33 @@ def test_kind_cache_is_bounded(monkeypatch):
         cells = sum(len(key) ** 2 for key in module._KIND_CACHE)
         assert cells == module._kind_cache_cells <= bound
         assert rows in module._KIND_CACHE
-        # The row table holds exactly the rows the live keys hold: it emptied
-        # when the cache started over, and every key holds the table's copy.
-        held = {id(row) for key in module._KIND_CACHE for row in key}
-        assert set(map(id, module._KIND_ROWS.values())) == held
+        assert not module._KIND_ROWS  # keys above SHARED_ROWS_RANK keep their own rows
         most = max(most, len(module._KIND_CACHE))
     assert most == 20
+
+
+def test_kind_cache_shares_rows_up_to_rank_11(monkeypatch):
+    # Paths on 9..12 vertices with a heavy end; the bound holds the first two keys.
+    module = importlib.import_module("dynkin.classify")
+    assert module.SHARED_ROWS_RANK == 11
+    monkeypatch.setattr(module, "KIND_CACHE_CELLS", 11 * 11 + 12 * 12)
+    monkeypatch.setattr(module, "_KIND_CACHE", {})
+    monkeypatch.setattr(module, "_kind_cache_cells", 0)
+    monkeypatch.setattr(module, "_KIND_ROWS", {})
+    paths = {n: tuple(map(tuple, path_with_heavy_end(n))) for n in (9, 10, 11, 12)}
+    for n in (11, 12):
+        kind_of_rows(paths[n])
+    stored = {len(key): key for key in module._KIND_CACHE}
+    assert sorted(stored) == [11, 12]
+    assert all(module._KIND_ROWS[row] is row for row in stored[11])
+    assert not any(row in module._KIND_ROWS for row in stored[12])
+    # The row table holds exactly the rows the live keys hold: it empties
+    # when the cache starts over, and every key holds the table's copy.
+    for n in (10, 9):
+        kind_of_rows(paths[n])
+        held = {id(row) for key in module._KIND_CACHE for row in key}
+        assert set(map(id, module._KIND_ROWS.values())) == held
+    assert sorted(map(len, module._KIND_CACHE)) == [9, 10]
 
 
 def test_kind_cache_keys_share_rows():

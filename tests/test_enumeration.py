@@ -124,8 +124,8 @@ class TestSearchRank:
 
 
 #: Candidates ``search_rank(n)`` hands to the hyperbolicity filter.
-CANDIDATES_PER_RANK = {3: 400, 4: 206, 5: 277, 6: 313, 7: 313, 8: 372, 9: 416, 10: 421, 11: 420}
-CANDIDATES_PER_LEVEL = {2: 8, 3: 105, 4: 42, 5: 82, 6: 77, 7: 109, 8: 124, 9: 139, 10: 125}
+CANDIDATES_PER_RANK = {3: 363, 4: 150, 5: 109, 6: 120, 7: 123, 8: 148, 9: 167, 10: 177, 11: 185}
+CANDIDATES_PER_LEVEL = {2: 8, 3: 91, 4: 25, 5: 41, 6: 36, 7: 46, 8: 51, 9: 56, 10: 52}
 
 
 def _short_cycle_through_last(rows, limit):
@@ -165,12 +165,12 @@ class TestGirthRule:
         assert count == CANDIDATES_PER_LEVEL[k]
 
     def test_no_candidate_closes_a_short_cycle(self):
-        # (bases, finite_max) of every level 2..10 and every rank 3..11
-        steps = [(finite_affine_classes(k - 1)[0], k - 1) for k in range(2, 11)]
-        steps += [(sum(finite_affine_classes(n - 1), ()), n - 2) for n in range(3, 12)]
+        # (bases, finite_max, rank step?) of every level 2..10 and rank 3..11
+        steps = [(finite_affine_classes(k - 1)[0], k - 1, False) for k in range(2, 11)]
+        steps += [(sum(finite_affine_classes(n - 1), ()), n - 2, True) for n in range(3, 12)]
         edges = {(-p, -q) for p, q in LABELS}
-        for bases, finite_max in steps:
-            tight = 0
+        for bases, finite_max, rank_step in steps:
+            tight = whole = 0
             for base in bases:
                 seen = set()
                 for cand in _attach_extensions(base, finite_max):
@@ -186,9 +186,68 @@ class TestGirthRule:
                     seen.add(cand)
                     assert not _short_cycle_through_last(cand, finite_max), cand
                     tight += _short_cycle_through_last(cand, finite_max + 1)
-            # a cycle on finite_max + 1 vertices (the affine cycle at level k,
-            # a corank-1 cycle at rank n) is still offered
-            assert tight or finite_max < 2, finite_max
+                    whole += _short_cycle_through_last(cand, len(cand))
+            # a cycle through every vertex (the affine cycle at level k, the
+            # n-cycle at rank n) is still offered
+            assert whole or finite_max < 2, finite_max
+            # and so is a cycle on finite_max + 1 vertices: at every level, and
+            # the (n - 1)-cycle at ranks 4 and 5.  From rank 6 on the parent
+            # rule leaves that cycle to the affine cycle base: the vertex off
+            # the cycle has the larger key.
+            assert tight or finite_max < 2 or (rank_step and finite_max >= 4), finite_max
+
+
+def _connected_without(rows, u):
+    """Whether deleting vertex ``u`` leaves ``rows`` connected (plain search)."""
+    rest = [v for v in range(len(rows)) if v != u]
+    seen = {rest[0]}
+    stack = [rest[0]]
+    while stack:
+        a = stack.pop()
+        for b in rest:
+            if rows[a][b] and b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return len(seen) == len(rest)
+
+
+def _largest_key_non_cut(rows):
+    """The non-cut vertices of ``rows`` whose (row sum, column sum) is largest."""
+    keys = {
+        u: (sum(rows[u]), sum(row[u] for row in rows))
+        for u in range(len(rows))
+        if _connected_without(rows, u)
+    }
+    best = max(keys.values())
+    return [u for u, key in keys.items() if key == best]
+
+
+def _parent_step(step, n):
+    """(classes, bases, finite_max) of level or rank ``n``."""
+    if step == "level":
+        return sum(finite_affine_classes(n), ()), finite_affine_classes(n - 1)[0], n - 1
+    return search_rank(n), sum(finite_affine_classes(n - 1), ()), n - 2
+
+
+class TestParentRule:
+    """Every class keeps a branch: the parent rule's proof, class by class."""
+
+    @pytest.mark.parametrize(
+        "step, n", [("level", k) for k in range(2, 11)] + [("rank", n) for n in range(3, 11)]
+    )
+    def test_every_class_is_reached_from_each_largest_key_parent(self, step, n):
+        classes, bases, finite_max = _parent_step(step, n)
+        bases = set(bases)
+        offered = {}
+        for target in classes:
+            for u in _largest_key_non_cut(target):
+                keep = [v for v in range(len(target)) if v != u]
+                parent = canonical_rows(tuple(tuple(target[a][b] for b in keep) for a in keep))[0]
+                assert parent in bases, (target, u)
+                if parent not in offered:
+                    found = _attach_extensions(parent, finite_max)
+                    offered[parent] = {canonical_rows(cand)[0] for cand in found}
+                assert target in offered[parent], (target, u)
 
 
 class TestFastFlags:
