@@ -3,40 +3,39 @@
 The package decides the finite / affine / indefinite trichotomy exactly over
 the integers, recognizes hyperbolic and compact hyperbolic diagrams, computes
 symmetrizers and simple-root orbit structure, performs affine extension and
-overextension, and enumerates every hyperbolic diagram class of rank 3 to 10
-together with independent oracle routes that re-derive every rank 3 to 11.
+overextension, and enumerates every hyperbolic diagram class of rank 3 to 10.
+
+This namespace holds the API the README documents, the symmetrized bilinear
+form and real-root data, the diagram view, principal minors, and every
+exception class.  Each other public name has one import path, the module
+that defines it:
+
+* :mod:`dynkin.catalog` -- the catalog file format (``catalog_to_lines``,
+  ``catalog_from_lines``, the TSV and LaTeX tables) and the verifier
+  (``verify_catalog`` with its ``CatalogReport`` and ``PropertyCheck``);
+* :mod:`dynkin.oracles`, :mod:`dynkin.symmetrize` and :mod:`dynkin.weyl`
+  -- the independent cross-check routes: the unpruned searches of every
+  rank 3 to 11, the cycle criterion for symmetrizability and the orbit
+  reflection walk.  ``import dynkin`` does not load :mod:`dynkin.oracles`;
+* :mod:`dynkin.classify` -- the kind constants and ``ComponentType``.  The
+  attribute ``dynkin.classify`` is the function; ``from dynkin.classify
+  import ...`` still reaches the module.
 
 Everything operates on immutable data with pure functions; results are
 deterministic and all arithmetic is exact and in integers.
 """
 
-from .canonical import CanonicalForm, canonical_form
+from .canonical import canonical_form
 from .catalog import (
     CatalogEntry,
-    CatalogReport,
-    PropertyCheck,
-    catalog_from_lines,
-    catalog_to_latex,
-    catalog_to_lines,
-    catalog_to_tsv,
     enumerate_hyperbolic,
     extend_finite_to_affine,
     overextend_affine,
     read_catalog,
-    verify_catalog,
     write_catalog,
 )
-from .classify import (
-    AFFINE,
-    FINITE,
-    INDEFINITE,
-    CartanType,
-    ComponentType,
-    classify,
-    classify_indecomposable,
-    principal_minors,
-)
-from .enumeration import finite_affine_classes, search_rank
+from .classify import CartanType, classify, classify_indecomposable, principal_minors
+from .enumeration import search_rank
 from .errors import (
     BudgetExceededError,
     CatalogFormatError,
@@ -48,39 +47,9 @@ from .errors import (
     RankBoundError,
     WrongTypeError,
 )
-from .gcm import (
-    DynkinDiagram,
-    EdgeLabel,
-    GeneralizedCartanMatrix,
-    is_indecomposable,
-    matrix_to_diagram,
-    validate_gcm,
-)
-from .oracles import search_rank_bruteforce, search_rank_oracle
-from .parsing import (
-    format_matrix_text,
-    parse_matrix_input,
-    parse_matrix_json,
-    parse_matrix_text,
-)
-from .symmetrize import (
-    Symmetrization,
-    UnbalancedCycleWitness,
-    bilinear_form,
-    cycle_criterion_agreement,
-    is_symmetrizable,
-    kac_cycle_oracle,
-    random_gcm,
-    symmetrizer,
-)
-from .weyl import (
-    OrbitPartition,
-    RootVector,
-    highest_root,
-    orbit_partition,
-    orbit_partition_bruteforce,
-    orbit_partitions_agree,
-    real_roots_up_to_height,
-)
+from .gcm import DynkinDiagram, EdgeLabel, GeneralizedCartanMatrix, matrix_to_diagram, validate_gcm
+from .parsing import parse_matrix_input
+from .symmetrize import Symmetrization, bilinear_form, is_symmetrizable, symmetrizer
+from .weyl import OrbitPartition, RootVector, highest_root, orbit_partition, real_roots_up_to_height
 
 __version__ = "0.1.0"

@@ -20,20 +20,18 @@ from dynkin import (
     extend_finite_to_affine,
     highest_root,
     is_symmetrizable,
-    kac_cycle_oracle,
-    orbit_partitions_agree,
     overextend_affine,
     real_roots_up_to_height,
     search_rank,
-    search_rank_oracle,
     validate_gcm,
-    verify_catalog,
 )
 from dynkin.canonical import canonical_rows
+from dynkin.catalog import verify_catalog
 from dynkin.classify import kind_of_rows
 from dynkin.gcm import adjacency_bitmasks
-from dynkin.oracles import search_ranks_oracle
-from dynkin.symmetrize import cycle_criterion_agreement
+from dynkin.oracles import search_rank_oracle, search_ranks_oracle
+from dynkin.symmetrize import cycle_criterion_agreement, kac_cycle_oracle
+from dynkin.weyl import orbit_partitions_agree
 
 from lie_fixtures import FINITE_FIXTURES
 

@@ -11,19 +11,21 @@ from dynkin import (
     CatalogFormatError,
     RankBoundError,
     WrongTypeError,
-    catalog_from_lines,
-    catalog_to_latex,
-    catalog_to_lines,
-    catalog_to_tsv,
     enumerate_hyperbolic,
     extend_finite_to_affine,
     overextend_affine,
     read_catalog,
     validate_gcm,
-    verify_catalog,
     write_catalog,
 )
 from dynkin.canonical import canonical_rows
+from dynkin.catalog import (
+    catalog_from_lines,
+    catalog_to_latex,
+    catalog_to_lines,
+    catalog_to_tsv,
+    verify_catalog,
+)
 from dynkin.errors import DynkinError
 from dynkin.weyl import OrbitPartition
 

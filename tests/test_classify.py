@@ -18,11 +18,7 @@ from pathlib import Path
 import pytest
 
 from dynkin import (
-    AFFINE,
-    ComponentType,
     DecomposableError,
-    FINITE,
-    INDEFINITE,
     RankBoundError,
     classify,
     classify_indecomposable,
@@ -31,6 +27,10 @@ from dynkin import (
     validate_gcm,
 )
 from dynkin.classify import (
+    AFFINE,
+    FINITE,
+    INDEFINITE,
+    ComponentType,
     _leading_minor_kind,
     det_int,
     hyperbolic_compact_scan,

@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from dynkin import catalog_to_lines, parse_matrix_input, read_catalog, write_catalog
+from dynkin import parse_matrix_input, read_catalog, write_catalog
+from dynkin.catalog import catalog_to_lines
 from dynkin.cli import main
 
 
@@ -307,7 +308,47 @@ class TestEnumerate:
         assert "rank range" in err
 
 
+#: The whole ``verify-catalog`` report on the full catalog, with the
+#: criterion check at its default seed 0.
+FULL_CATALOG_REPORT = (
+    "PASS rank-bound: all ranks within 3..10\n"
+    "PASS well-formed: ids unique, matrices canonical, flags consistent\n"
+    "PASS hyperbolic: every entry hyperbolic, compact flags agree with the subset scan\n"
+    "PASS symmetrizer: flags match recomputation; stored weights symmetrize exactly\n"
+    "PASS lorentzian: symmetrized forms have signature (n-1, 1); det A < 0 on every entry\n"
+    "PASS duality: transpose classes present, dual pairing is an involution\n"
+    "PASS affine-subdiagram-corank: every proper connected affine subdiagram has exactly "
+    "rank-1 vertices\n"
+    "PASS corank1-connected: every entry keeps a connected subdiagram on rank-1 vertices\n"
+    "PASS product4-edges: symmetrizable entries carry a product-4 edge exactly in rank 3 "
+    "non-compact\n"
+    "PASS rank3-affine-edge: rank-3 symmetrizable entries: non-compact iff an edge subdiagram "
+    "is affine\n"
+    "PASS max-edge-product: symmetrizable entries of rank >= 4 keep edge products <= 3\n"
+    "PASS compact-profile: compactness stops at rank 5, symmetrizable compactness at rank 4\n"
+    "PASS ranks-7-10-symmetrizable: every entry of rank 7..10 is symmetrizable\n"
+    "PASS root-length-bound: root-length counts stay at <= 4 with exactly one entry reaching 4\n"
+    "PASS orbit-block-bound: orbit block counts stay at <= 4 and attain 4\n"
+    "PASS equal-norm-orbit-split: witness: 3-003\n"
+    "PASS orbit-oracle: stored orbit blocks rechecked; reflection-walk orbits agree with the "
+    "skeleton partition\n"
+    "PASS headline-counts: ranks 3..10: 123/53/22/22/4/5/5/4 classes, 44/40/20/20/4/5/5/4 "
+    "symmetrizable, ids <rank>-001..N\n"
+    "PASS criterion-equivalence: 2000 random matrices, seed 0, 0 disagreements between the two "
+    "symmetrizability routes\n"
+    "verified 238 entries: all checks passed\n"
+)
+
+
 class TestVerifyCatalog:
+    def test_full_catalog_report_is_pinned(self, capsys, tmp_path, catalog, monkeypatch):
+        path = tmp_path / "full.jsonl"
+        write_catalog(catalog, path)
+        monkeypatch.delenv("DYNKIN_SEED", raising=False)
+        code, out, err = run(capsys, ["verify-catalog", "--in", str(path)])
+        assert (code, err) == (0, "")
+        assert out == FULL_CATALOG_REPORT
+
     def test_full_catalog_passes(self, capsys, tmp_path, catalog, monkeypatch):
         path = tmp_path / "full.jsonl"
         write_catalog(catalog, path)

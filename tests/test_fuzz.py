@@ -26,7 +26,7 @@ import random
 import sys
 
 import dynkin.cli
-from dynkin import catalog_to_lines, verify_catalog
+from dynkin.catalog import catalog_to_lines, verify_catalog
 from dynkin.cli import main
 from dynkin.errors import clip
 from dynkin.symmetrize import random_gcm

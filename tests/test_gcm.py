@@ -12,12 +12,16 @@ from dynkin import (
     EdgeLabel,
     MatrixValidationError,
     classify,
-    is_indecomposable,
     matrix_to_diagram,
     validate_gcm,
 )
 from dynkin.errors import DynkinError
-from dynkin.gcm import adjacency_bitmasks, graph_components, proper_connected_masks
+from dynkin.gcm import (
+    adjacency_bitmasks,
+    graph_components,
+    is_indecomposable,
+    proper_connected_masks,
+)
 from dynkin.symmetrize import random_gcm
 
 

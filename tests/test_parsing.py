@@ -4,15 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from dynkin import (
-    MatrixParseError,
-    MatrixValidationError,
-    format_matrix_text,
-    parse_matrix_input,
-    parse_matrix_json,
-    parse_matrix_text,
-    validate_gcm,
-)
+from dynkin import MatrixParseError, MatrixValidationError, parse_matrix_input, validate_gcm
+from dynkin.parsing import format_matrix_text, parse_matrix_json, parse_matrix_text
 
 
 class TestTextFormat:

@@ -13,23 +13,21 @@ import pickle
 import pytest
 
 from dynkin import (
-    CanonicalForm,
     CartanType,
     CatalogEntry,
-    CatalogReport,
-    ComponentType,
     DynkinDiagram,
     DynkinError,
     EdgeLabel,
     GeneralizedCartanMatrix,
     MatrixValidationError,
     OrbitPartition,
-    PropertyCheck,
     RootVector,
     Symmetrization,
-    UnbalancedCycleWitness,
-    verify_catalog,
 )
+from dynkin.canonical import CanonicalForm
+from dynkin.catalog import CatalogReport, PropertyCheck, verify_catalog
+from dynkin.classify import ComponentType
+from dynkin.symmetrize import UnbalancedCycleWitness
 
 A2 = GeneralizedCartanMatrix(((2, -1), (-1, 2)))
 FINITE_TYPE = CartanType("finite", False, False)

@@ -4,9 +4,13 @@
   patches functions by module; those files are read here with ``ast``,
   neither imported nor changed, and every name they use must exist, also
   those read by their string name through ``getattr``.
-* ``dynkin`` exports exactly the names pinned in ``PUBLIC_NAMES``, so a new
-  export or a removal is a deliberate diff here, and every module's
-  ``__all__`` names only what the module defines or imports.
+* ``dynkin`` exports exactly the names pinned in ``PUBLIC_NAMES``: the API
+  the README documents, the real-root data, every exception class, and the
+  names the benchmark calls as ``dynkin.X``.  A new export or a removal is a
+  deliberate diff here.  Every other public name has one import path, its
+  module, as ``MOVED_NAMES`` pins, and every module's ``__all__`` names only
+  what the module defines or imports.
+* ``import dynkin`` leaves the oracle routes of ``dynkin.oracles`` unloaded.
 * ``import dynkin.cli`` stays integer-only: it loads neither ``fractions``
   nor ``decimal``.  It also stays cheap to start: the records are named
   tuples and slot classes, so neither ``dataclasses`` nor ``inspect`` loads.
@@ -28,22 +32,46 @@ import dynkin
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PUBLIC_NAMES = (
-    "AFFINE", "BudgetExceededError", "CanonicalForm", "CartanType", "CatalogEntry",
-    "CatalogFormatError", "CatalogReport", "ComponentType", "DecomposableError",
-    "DynkinDiagram", "DynkinError", "EdgeLabel", "FINITE", "GeneralizedCartanMatrix",
-    "INDEFINITE", "MatrixParseError", "MatrixValidationError", "NotSymmetrizableError",
-    "OrbitPartition", "PropertyCheck", "RankBoundError", "RootVector", "Symmetrization",
-    "UnbalancedCycleWitness", "WrongTypeError", "bilinear_form", "canonical_form",
-    "catalog_from_lines", "catalog_to_latex", "catalog_to_lines", "catalog_to_tsv",
-    "classify", "classify_indecomposable", "cycle_criterion_agreement",
-    "enumerate_hyperbolic", "extend_finite_to_affine", "finite_affine_classes",
-    "format_matrix_text", "highest_root", "is_indecomposable", "is_symmetrizable",
-    "kac_cycle_oracle", "matrix_to_diagram", "orbit_partition", "orbit_partition_bruteforce",
-    "orbit_partitions_agree", "overextend_affine", "parse_matrix_input", "parse_matrix_json",
-    "parse_matrix_text", "principal_minors", "random_gcm", "read_catalog",
-    "real_roots_up_to_height", "search_rank", "search_rank_bruteforce", "search_rank_oracle",
-    "symmetrizer", "validate_gcm", "verify_catalog", "write_catalog",
+    "BudgetExceededError", "CartanType", "CatalogEntry", "CatalogFormatError",
+    "DecomposableError", "DynkinDiagram", "DynkinError", "EdgeLabel", "GeneralizedCartanMatrix",
+    "MatrixParseError", "MatrixValidationError", "NotSymmetrizableError", "OrbitPartition",
+    "RankBoundError", "RootVector", "Symmetrization", "WrongTypeError", "bilinear_form",
+    "canonical_form", "classify", "classify_indecomposable", "enumerate_hyperbolic",
+    "extend_finite_to_affine", "highest_root", "is_symmetrizable", "matrix_to_diagram",
+    "orbit_partition", "overextend_affine", "parse_matrix_input", "principal_minors",
+    "read_catalog", "real_roots_up_to_height", "search_rank", "symmetrizer", "validate_gcm",
+    "write_catalog",
 )
+
+#: Public names with one import path, the module that defines them; ``dynkin``
+#: does not re-export them.
+MOVED_NAMES = {
+    "CatalogReport": "dynkin.catalog",
+    "PropertyCheck": "dynkin.catalog",
+    "catalog_from_lines": "dynkin.catalog",
+    "catalog_to_latex": "dynkin.catalog",
+    "catalog_to_lines": "dynkin.catalog",
+    "catalog_to_tsv": "dynkin.catalog",
+    "verify_catalog": "dynkin.catalog",
+    "AFFINE": "dynkin.classify",
+    "FINITE": "dynkin.classify",
+    "INDEFINITE": "dynkin.classify",
+    "ComponentType": "dynkin.classify",
+    "CanonicalForm": "dynkin.canonical",
+    "finite_affine_classes": "dynkin.enumeration",
+    "is_indecomposable": "dynkin.gcm",
+    "format_matrix_text": "dynkin.parsing",
+    "parse_matrix_json": "dynkin.parsing",
+    "parse_matrix_text": "dynkin.parsing",
+    "UnbalancedCycleWitness": "dynkin.symmetrize",
+    "cycle_criterion_agreement": "dynkin.symmetrize",
+    "kac_cycle_oracle": "dynkin.symmetrize",
+    "random_gcm": "dynkin.symmetrize",
+    "orbit_partition_bruteforce": "dynkin.weyl",
+    "orbit_partitions_agree": "dynkin.weyl",
+    "search_rank_bruteforce": "dynkin.oracles",
+    "search_rank_oracle": "dynkin.oracles",
+}
 
 #: Names kept off the surface: no code calls them.  ``reflect`` stays in
 #: ``dynkin.oracles`` as the reference route for the root closure.
@@ -152,13 +180,33 @@ def test_tracer_targets_exist():
     assert missing == []
 
 
-def test_cli_import_loads_no_rational_arithmetic():
+def _fresh_modules(statement: str, names: set[str]) -> list[str]:
+    """The ``names`` loaded after ``statement`` runs in a fresh interpreter."""
     src = str(Path(dynkin.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    heavy = {"fractions", "decimal", "dataclasses", "inspect"}
-    probe = f"import sys, dynkin.cli; print(sorted({heavy!r} & set(sys.modules)))"
+    probe = f"import sys; {statement}; print(sorted({names!r} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out)
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    heavy = {"fractions", "decimal", "dataclasses", "inspect"}
+    assert _fresh_modules("import dynkin.cli", heavy) == []
+
+
+def test_package_import_loads_no_oracle_routes():
+    assert _fresh_modules("import dynkin", {"dynkin.oracles"}) == []
+    assert _fresh_modules("import dynkin.oracles", {"dynkin.oracles"}) == ["dynkin.oracles"]
+
+
+def test_moved_names_live_in_their_module():
+    assert [n for n in MOVED_NAMES if n in dir(dynkin)] == []
+    missing = [
+        f"{module}.{n}"
+        for n, module in MOVED_NAMES.items()
+        if not hasattr(importlib.import_module(module), n)
+    ]
+    assert missing == []

@@ -14,12 +14,12 @@ from dynkin import (
     NotSymmetrizableError,
     bilinear_form,
     classify_indecomposable,
-    is_indecomposable,
     is_symmetrizable,
     overextend_affine,
     symmetrizer,
     validate_gcm,
 )
+from dynkin.gcm import is_indecomposable
 from dynkin.symmetrize import (
     cycle_criterion_agreement,
     inertia,

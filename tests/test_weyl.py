@@ -13,18 +13,21 @@ from dynkin import (
     RootVector,
     WrongTypeError,
     bilinear_form,
-    finite_affine_classes,
     highest_root,
     matrix_to_diagram,
     orbit_partition,
-    orbit_partition_bruteforce,
-    orbit_partitions_agree,
     real_roots_up_to_height,
     validate_gcm,
 )
+from dynkin.enumeration import finite_affine_classes
 from dynkin.oracles import reflect
 from dynkin.symmetrize import random_gcm
-from dynkin.weyl import DEFAULT_BUDGET, _positive_closure
+from dynkin.weyl import (
+    DEFAULT_BUDGET,
+    _positive_closure,
+    orbit_partition_bruteforce,
+    orbit_partitions_agree,
+)
 
 from lie_fixtures import (
     FINITE_FIXTURES,
