@@ -18,6 +18,7 @@ mathematically bogus entry be loaded and then flagged.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -316,12 +317,13 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
 
     The check still computes ``det A`` on every entry.
 
-    An entry the file loader would reject (say one built with
-    ``CatalogEntry._replace``) is listed under ``well-formed`` and tested by
-    no other check.  An entry outside ``MIN_RANK..MAX_RANK`` is never walked
-    (``2^rank`` work, a root walk, or the ``O(rank^4)`` characteristic
-    polynomial) nor canonically labelled: the checks that walk an entry list
-    it as offending instead.
+    ``well-formed`` lists every entry whose matrix repeats another entry's,
+    so a class stored twice under two ids fails.  An entry the file loader
+    would reject (say one built with ``CatalogEntry._replace``) is listed
+    under ``well-formed`` and tested by no other check.  An entry outside
+    ``MIN_RANK..MAX_RANK`` is never walked (``2^rank`` work, a root walk, or
+    the ``O(rank^4)`` characteristic polynomial) nor canonically labelled:
+    the checks that walk an entry list it as offending instead.
     """
     checks: list[PropertyCheck] = []
 
@@ -349,11 +351,13 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
     add("rank-bound", _offending(out_of_range), f"all ranks within {MIN_RANK}..{MAX_RANK}")
 
     seen_ids: set[str] = set()
+    row_counts = Counter(e.matrix.rows for e in walkable)
 
     def malformed(e: CatalogEntry) -> bool:
         rows = e.matrix.rows
         ok = (
             e.canonical_id not in seen_ids
+            and row_counts[rows] == 1
             and e.canonical_id.startswith(f"{e.rank}-")
             and canonical_rows(rows)[0] == rows
             and e.orbit_semantics == semantics_for(e.symmetrizable)

@@ -267,8 +267,7 @@ def hyperbolic_fast_flags(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, bool
 def subdiagram_kinds(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, str]]:
     """(mask, kind) of each proper connected subdiagram of ``rows`` (``2^n`` work).
 
-    In the walker's order: by size, then lexicographically, so the first
-    subdiagram of a kind is a smallest one.
+    In the walker's order, ascending by mask.
     """
     for mask in proper_connected_masks(adjacency_bitmasks(rows)):
         yield mask, kind_of_rows(sub_rows(rows, mask))

@@ -26,6 +26,8 @@ import sys
 from pathlib import Path
 
 from .catalog import (
+    MAX_RANK,
+    MIN_RANK,
     catalog_to_latex,
     catalog_to_lines,
     catalog_to_tsv,
@@ -252,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_extend)
 
     p = sub.add_parser("enumerate", help="write the hyperbolic catalog to a file")
-    p.add_argument("--min-rank", type=int, default=3)
-    p.add_argument("--max-rank", type=int, default=10)
+    p.add_argument("--min-rank", type=int, default=MIN_RANK)
+    p.add_argument("--max-rank", type=int, default=MAX_RANK)
     p.add_argument("--out", required=True, metavar="PATH", help="output file")
     p.add_argument(
         "--format",

@@ -49,7 +49,10 @@ target forces to be finite (``finite_max``: ``k - 1`` for level ``k``,
   vertices, more than ``finite_max``.  The rule keeps the affine cycle on
   ``k`` vertices at level ``k`` and the cycles on ``n - 1`` and ``n``
   vertices at rank ``n``; from ``finite_max = 3`` on it also excludes every
-  triangle through the new vertex.
+  triangle through the new vertex.  It is one bit test per slot: the ball of
+  radius ``finite_max - 2`` around each base vertex is grown from the base's
+  adjacency bitmasks, and a slot may take an edge only if no ball around a
+  slot already joined to the new vertex holds it (distance is symmetric).
 
 These three rules cut only branches that no admissible target can complete.
 
@@ -90,7 +93,8 @@ with this module.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 
 from .canonical import canonical_rows
 from .classify import AFFINE, FINITE, INDEFINITE, hyperbolic_fast_flags, kind_of_rows
@@ -105,6 +109,8 @@ __all__ = [
 
 Rows = tuple[tuple[int, ...], ...]
 
+_SEARCH_RANK_LIMIT = 11  # the top rank searched; the levels stop one below it
+
 #: Every edge label (p, q) with p * q <= 4, the full alphabet for rank >= 3.
 LABELS: tuple[tuple[int, int], ...] = (
     (1, 1),
@@ -118,55 +124,24 @@ LABELS: tuple[tuple[int, int], ...] = (
 )
 
 
-def _canon(rows: Rows) -> Rows:
-    return canonical_rows(rows)[0]
-
-
 # == one-vertex extensions ==
 
 
-def _distances(base: Rows) -> list[dict[int, int]]:
-    """Edge distances in the connected ``base``, one BFS from each vertex."""
-    out = []
-    for source in range(len(base)):
-        dist = {source: 0}
-        queue = [source]
-        for u in queue:  # the queue grows while it is read
-            for v, a in enumerate(base[u]):
-                if a and v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        out.append(dist)
-    return out
-
-
 def _triples_ok(
-    base: Rows,
-    up: list[int],
-    down: list[int],
-    i: int,
-    reject: tuple[str, ...],
-    near: set[int],
+    base: Rows, up: list[int], down: list[int], i: int, reject: tuple[str, ...]
 ) -> bool:
-    """The edge just chosen for slot ``i`` closes no short cycle and no bad triple.
+    """No fully determined connected triple through the new vertex and slot ``i`` is bad.
 
     ``up`` and ``down`` hold the new vertex's column above the diagonal and
     its row left of it; slot ``j`` has an edge iff ``down[j]`` is nonzero.
-    Two edges from the new vertex, to slots ``i`` and ``j``, close a cycle on
-    ``dist(i, j) + 2`` vertices, so ``j`` must not be in ``near``, the slots
-    closer to ``i`` than the girth rule allows.  No fully determined
-    connected triple through the new vertex may have a kind in ``reject``:
-    ``(INDEFINITE,)`` when the triple is only known to be a proper subdiagram
-    of the target, and also ``AFFINE`` when the corank lemma forces it to be
-    finite.  The caller skips this for targets of rank 3, where the triple is
-    the target itself.
+    No such triple may have a kind in ``reject``: ``(INDEFINITE,)`` when the
+    triple is only known to be a proper subdiagram of the target, and also
+    ``AFFINE`` when the corank lemma forces it to be finite.  The caller skips
+    this for targets of rank 3, where the triple is the target itself.
     """
     for j in range(i):
         b_ji = base[j][i]
-        if down[j]:
-            if j in near:
-                return False
-        elif not b_ji:
+        if not (down[j] or b_ji):
             continue  # disconnected triple, components vetted elsewhere
         triple = (
             (2, b_ji, up[j]),
@@ -185,8 +160,14 @@ def _attach_extensions(base: Rows, finite_max: int):
     forces to be finite (the corank lemma in the module docstring).  At 2 or
     more the product-4 labels are dropped; at 3 or more every determined
     triple through the new vertex must be finite; and the new vertex closes
-    no cycle on ``finite_max`` vertices or fewer.  None of these cuts a
-    branch that an admissible target can complete.  The parent rule (module
+    no cycle on ``finite_max`` vertices or fewer.  For that last rule
+    ``near[i]`` is the bitmask of the base vertices within distance
+    ``finite_max - 2`` of ``i``, grown ring by ring from the adjacency
+    bitmasks ``adj``, and ``blocked`` is the union of ``near`` over the slots
+    already joined to the new vertex: slot ``i`` may take an edge only if its
+    bit in ``blocked`` is clear.  For bases of at most two vertices the radius
+    is at most 0, so the rule never fires there.  None of these cuts a branch
+    that an admissible target can complete.  The parent rule (module
     docstring) cuts a branch once a decided non-cut base vertex with no edge
     to the new vertex has a larger ``(row sum, column sum)`` key than the new
     vertex has so far; every class still keeps the branch whose new vertex is
@@ -199,10 +180,12 @@ def _attach_extensions(base: Rows, finite_max: int):
     check_triples = k + 1 > 3
     reject = (INDEFINITE, AFFINE) if finite_max >= 3 else (INDEFINITE,)
     labels = LABELS if finite_max < 2 else tuple(lab for lab in LABELS if lab[0] * lab[1] < 4)
-    near = [{j for j, d in dist.items() if d < finite_max - 1} for dist in _distances(base)]
+    adj = adjacency_bitmasks(base)
+    near = [1 << i for i in range(k)]
+    for _ in range(finite_max - 2):
+        near = [reduce(or_, (adj[j] for j in range(k) if ball >> j & 1), ball) for ball in near]
     # (row sum, column sum) of each non-cut base vertex; () for a cut vertex,
     # since the empty tuple sorts below every key
-    adj = adjacency_bitmasks(base)
     keys = [
         (sum(row), sum(col)) if mask_connected(((1 << k) - 1) ^ (1 << u), adj) else ()
         for u, (row, col) in enumerate(zip(base, zip(*base)))
@@ -210,10 +193,10 @@ def _attach_extensions(base: Rows, finite_max: int):
     up, down = [0] * k, [0] * k
     options = ((0, 0),) + labels
 
-    def rec(i: int, top: tuple[int, ...], row_sum: int, col_sum: int):
+    def rec(i: int, top: tuple[int, ...], row_sum: int, col_sum: int, blocked: int):
         # top is the largest key of a decided non-cut base vertex with no edge
         # to the new vertex; (row_sum, col_sum), the new vertex's key so far,
-        # only falls from here
+        # only falls from here; blocked holds the slots too close to a joined one
         if i == k:
             if any(down):
                 yield tuple([r + (u,) for r, u in zip(base, up)] + [tuple(down) + (2,)])
@@ -221,16 +204,16 @@ def _attach_extensions(base: Rows, finite_max: int):
         for p, q in options:
             up[i], down[i] = -p, -q
             if q:
-                if top > (row_sum - q, col_sum - p):
+                if top > (row_sum - q, col_sum - p) or blocked >> i & 1:
                     continue
-                if check_triples and not _triples_ok(base, up, down, i, reject, near[i]):
+                if check_triples and not _triples_ok(base, up, down, i, reject):
                     continue
-                yield from rec(i + 1, top, row_sum - q, col_sum - p)
+                yield from rec(i + 1, top, row_sum - q, col_sum - p, blocked | near[i])
             elif keys[i] <= (row_sum, col_sum):
-                yield from rec(i + 1, max(top, keys[i]), row_sum, col_sum)
+                yield from rec(i + 1, max(top, keys[i]), row_sum, col_sum, blocked)
         up[i] = down[i] = 0
 
-    yield from rec(0, (), 2, 2)
+    yield from rec(0, (), 2, 2, 0)
 
 
 # == connected finite and affine classes, by vertex count ==
@@ -238,9 +221,14 @@ def _attach_extensions(base: Rows, finite_max: int):
 
 @cache
 def finite_affine_classes(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
-    """Canonical connected finite-type and affine classes on ``k`` vertices."""
-    if k < 1:
-        raise RankBoundError("vertex count must be at least 1")
+    """Canonical connected finite-type and affine classes on ``k = 1..10`` vertices.
+
+    Any other ``k``, a non-integer too, raises :class:`RankBoundError`.
+    """
+    if not (isinstance(k, int) and 1 <= k < _SEARCH_RANK_LIMIT):
+        raise RankBoundError(
+            f"finite and affine levels cover 1..{_SEARCH_RANK_LIMIT - 1} vertices, got {k}"
+        )
     if k == 1:
         return (((2,),),), ()
     fins: set[Rows] = set()
@@ -249,9 +237,9 @@ def finite_affine_classes(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
         for cand in _attach_extensions(base, k - 1):
             kind = kind_of_rows(cand)
             if kind == FINITE:
-                fins.add(_canon(cand))
+                fins.add(canonical_rows(cand)[0])
             elif kind == AFFINE:
-                affs.add(_canon(cand))
+                affs.add(canonical_rows(cand)[0])
     return tuple(sorted(fins)), tuple(sorted(affs))
 
 
@@ -260,17 +248,19 @@ def finite_affine_classes(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
 
 @cache
 def search_rank(n: int) -> tuple[Rows, ...]:
-    """All hyperbolic classes of rank ``n`` (canonical rows, sorted).
+    """All hyperbolic classes of rank ``n = 3..11`` (canonical rows, sorted).
 
-    Rank 11 and beyond is a legal query and returns empty; the emptiness at 11
-    is itself one of the facts the test suite pins down.
+    Rank 11 returns empty; that emptiness is itself one of the facts the test
+    suite pins down.  Any other ``n``, a non-integer too, raises
+    :class:`RankBoundError`, so the search answers only where the independent
+    oracle routes check it.
     """
-    if n < 3:
-        raise RankBoundError(f"hyperbolic search starts at rank 3, got {n}")
+    if not (isinstance(n, int) and 3 <= n <= _SEARCH_RANK_LIMIT):
+        raise RankBoundError(f"hyperbolic search covers ranks 3..{_SEARCH_RANK_LIMIT}, got {n}")
     fins, affs = finite_affine_classes(n - 1)
     found: set[Rows] = set()
     for base in fins + affs:
         for cand in _attach_extensions(base, n - 2):
             if hyperbolic_fast_flags(cand)[0]:
-                found.add(_canon(cand))
+                found.add(canonical_rows(cand)[0])
     return tuple(sorted(found))

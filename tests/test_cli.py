@@ -10,7 +10,7 @@ import pytest
 
 from dynkin import parse_matrix_input, read_catalog, write_catalog
 from dynkin.catalog import catalog_to_lines
-from dynkin.cli import main
+from dynkin.cli import EXIT_VERIFY, main
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -383,6 +383,23 @@ class TestVerifyCatalog:
         assert code == 3
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(fails) == 1 and fails[0].startswith("FAIL headline-counts: "), fails
+        assert "verification failed" in err
+
+    def test_repeated_class_fails_well_formed(self, capsys, tmp_path, catalog):
+        # 3-001 and 3-007 are both self-dual, so the dual pairing stays an involution
+        first = next(e for e in catalog if e.canonical_id == "3-001")
+        entries = tuple(
+            first._replace(canonical_id="3-007", dual_id="3-007")
+            if e.canonical_id == "3-007"
+            else e
+            for e in catalog
+        )
+        path = tmp_path / "repeated.jsonl"
+        write_catalog(entries, path)
+        code, out, err = run(capsys, ["verify-catalog", "--in", str(path)])
+        assert code == EXIT_VERIFY
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL well-formed: offending entries: 3-001, 3-007"], fails
         assert "verification failed" in err
 
     def test_bad_seed_is_usage_error_before_the_catalog_is_read(

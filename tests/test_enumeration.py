@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,8 @@ from dynkin.enumeration import (
 from dynkin.classify import hyperbolic_compact_scan
 from dynkin.gcm import validate_gcm
 from dynkin.oracles import (
+    ORACLE_RANK_LIMIT,
+    _levels,
     finite_affine_oracle,
     rows_fully_finite,
     search_rank_bruteforce,
@@ -69,11 +72,15 @@ class TestFiniteAffineLevels:
     def test_matches_oracle(self):
         # Three routes to each level: the search, the oracle, and a third
         # written by hand from Kac's tables, each fixture with its transpose.
-        for k in range(1, 11):
+        # The oracle's ten levels come from one walk, the one finite_affine_oracle reads.
+        walk = islice(_levels(ORACLE_RANK_LIMIT + 1), ORACLE_RANK_LIMIT - 1)
+        for k, (oracle_fin, oracle_aff, _) in enumerate(walk, start=1):
             fin, aff = (classes_with_transposes(m) for m in textbook_levels(k))
             assert (len(fin), len(aff)) == (FINITE_CLASS_COUNTS[k], AFFINE_CLASS_COUNTS.get(k, 0))
             assert finite_affine_classes(k) == (fin, aff), k
-            assert finite_affine_oracle(k) == (fin, aff), k
+            assert (tuple(sorted(oracle_fin)), tuple(sorted(oracle_aff))) == (fin, aff), k
+        assert k == 10
+        assert finite_affine_oracle(5) == finite_affine_classes(5)
 
     @pytest.mark.parametrize("name", sorted(TWISTED_MARKS))
     def test_twisted_fixtures_annihilate_kac_marks(self, name):
@@ -109,8 +116,12 @@ class TestSearchRank:
         assert set(search_rank(3)) == set(search_rank_bruteforce(3))
 
     def test_rank_bounds(self):
-        with pytest.raises(RankBoundError):
-            search_rank(2)
+        for n in (2, 12, 1200, 4.0, "4", None):
+            with pytest.raises(RankBoundError, match=f"ranks 3..11, got {n}"):
+                search_rank(n)
+        for k in (0, 11, 4.0):
+            with pytest.raises(RankBoundError, match=f"1..10 vertices, got {k}"):
+                finite_affine_classes(k)
         with pytest.raises(RankBoundError):
             search_rank_oracle(12)
         with pytest.raises(RankBoundError):
@@ -309,7 +320,6 @@ class TestOracleBoundary:
             "hyperbolic_fast_flags",
             "_attach_extensions",
             "_triples_ok",
-            "_distances",
             "LABELS",
             "finite_affine_classes",
             "search_rank",
