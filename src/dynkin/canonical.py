@@ -140,6 +140,15 @@ def canonical_form(A: GeneralizedCartanMatrix) -> CanonicalForm:
 
     Two GCMs describe the same diagram up to vertex naming exactly when their
     canonical forms have equal rows.
+
+    Cost: each of the ``n`` positions builds a length-``n`` candidate row for
+    every vertex of the first cell of every live state, so a path is cubic in
+    the rank.  The path ``A_n`` takes about 0.22 s at rank 100 and 1.7-1.9 s
+    at rank 200 (CPython 3.11, one core of an Intel Xeon host).  There is no
+    rank cap: building the catalog and looking a matrix up in it need rank 10
+    at most.  Symmetry that twin pruning cannot see multiplies the live
+    states; past 20,000 of them the search raises :class:`DynkinError`
+    ("canonical labelling state explosion").
     """
     rows, perm = canonical_rows(A.rows)
     return CanonicalForm(rows=rows, permutation=perm)

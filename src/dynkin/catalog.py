@@ -37,6 +37,7 @@ from .enumeration import search_rank
 from .errors import CatalogFormatError, DynkinError, RankBoundError, WrongTypeError, clip
 from .gcm import (
     GeneralizedCartanMatrix,
+    _shown,
     adjacency_bitmasks,
     is_indecomposable,
     mask_connected,
@@ -122,10 +123,17 @@ def _entry_id(rank: int, ordinal: int) -> str:
 
 
 def _rank_entries(rank: int, mats: tuple[tuple[tuple[int, ...], ...], ...]) -> list[CatalogEntry]:
+    """Catalog entries of one rank from the search's canonical rows ``mats``.
+
+    The rows are not checked again: :func:`search_rank` builds each one as a
+    valid GCM, a single vertex joined to a finite or affine class by edges
+    whose two entries are negative together, and the test suite validates
+    every one.
+    """
     ids = {rows: _entry_id(rank, k) for k, rows in enumerate(mats, start=1)}
     entries = []
     for k, rows in enumerate(mats, start=1):
-        A = validate_gcm(rows)
+        A = GeneralizedCartanMatrix._trusted(rows)
         hyper, compact = hyperbolic_fast_flags(rows)
         assert hyper, "enumeration produced a non-hyperbolic matrix"
         weights, witness = _weights_or_witness(rows)  # rows are connected
@@ -162,7 +170,7 @@ def enumerate_hyperbolic(
     if not (MIN_RANK <= rank_min <= rank_max <= MAX_RANK):
         raise RankBoundError(
             f"rank range must satisfy {MIN_RANK} <= min <= max <= {MAX_RANK}, "
-            f"got {rank_min}..{rank_max}"
+            f"got {_shown(rank_min)}..{_shown(rank_max)}"
         )
     out: list[CatalogEntry] = []
     for rank in range(rank_min, rank_max + 1):
@@ -186,8 +194,10 @@ def extend_finite_to_affine(A: GeneralizedCartanMatrix) -> GeneralizedCartanMatr
 
     Everything is derived from the rows ``A`` already holds: one
     indecomposability check, one symmetrizer, and one highest-root climb that
-    yields ``A theta`` as it goes.  Only the output is validated, once, when
-    it is built.
+    yields ``A theta`` as it goes.  The output is valid by construction and
+    is not checked again: ``theta`` is dominant, so every ``(A theta)_j >= 0``.
+    The new column and the new row are therefore ``<= 0``, and zero together,
+    since ``d_j > 0`` and ``(theta, theta) > 0``; the new diagonal entry is 2.
     """
     if not is_indecomposable(A):
         raise WrongTypeError("affine extension requires an indecomposable matrix")
@@ -202,8 +212,8 @@ def extend_finite_to_affine(A: GeneralizedCartanMatrix) -> GeneralizedCartanMatr
         r, rem = divmod(-2 * d[j] * a_theta[j], norm)
         assert rem == 0, "pairings must be integers"
         new_row.append(r)
-    rows = [[2] + new_row] + [[-a_theta[j]] + list(A.rows[j]) for j in range(n)]
-    out = validate_gcm(rows)
+    rows = ((2, *new_row),) + tuple((-a_theta[j], *A.rows[j]) for j in range(n))
+    out = GeneralizedCartanMatrix._trusted(rows)
     assert is_indecomposable(out), "affine extension must stay connected"
     assert kind_of_rows(out.rows) == AFFINE, "affine extension must be affine"
     return out
@@ -219,6 +229,10 @@ def overextend_affine(
     index 1, the default ``zero_vertex``) hangs the chain off the affine
     vertex.  The caller decides what to make of the result's type; nothing
     about it is assumed here.
+
+    The output is valid by construction and is not checked again: it borders
+    the validated ``A`` with one ``(-1, -1)`` pair and zeros, and a 2 on the
+    new diagonal.
     """
     if not is_indecomposable(A):
         raise WrongTypeError("overextension requires an indecomposable matrix")
@@ -227,7 +241,8 @@ def overextend_affine(
     A._check_vertex(zero_vertex)
     edge = [0] * A.rank  # the new vertex's row and column against the old vertices
     edge[zero_vertex - 1] = -1
-    return validate_gcm([[2] + edge] + [[e] + list(r) for e, r in zip(edge, A.rows)])
+    rows = ((2, *edge),) + tuple((e, *r) for e, r in zip(edge, A.rows))
+    return GeneralizedCartanMatrix._trusted(rows)
 
 
 # == verification harness ==

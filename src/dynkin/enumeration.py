@@ -99,7 +99,7 @@ from operator import or_
 from .canonical import canonical_rows
 from .classify import AFFINE, FINITE, INDEFINITE, hyperbolic_fast_flags, kind_of_rows
 from .errors import RankBoundError
-from .gcm import adjacency_bitmasks, mask_connected
+from .gcm import _shown, adjacency_bitmasks, mask_connected
 
 __all__ = [
     "LABELS",
@@ -227,7 +227,7 @@ def finite_affine_classes(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
     """
     if not (isinstance(k, int) and 1 <= k < _SEARCH_RANK_LIMIT):
         raise RankBoundError(
-            f"finite and affine levels cover 1..{_SEARCH_RANK_LIMIT - 1} vertices, got {k}"
+            f"finite and affine levels cover 1..{_SEARCH_RANK_LIMIT - 1} vertices, got {_shown(k)}"
         )
     if k == 1:
         return (((2,),),), ()
@@ -256,7 +256,9 @@ def search_rank(n: int) -> tuple[Rows, ...]:
     oracle routes check it.
     """
     if not (isinstance(n, int) and 3 <= n <= _SEARCH_RANK_LIMIT):
-        raise RankBoundError(f"hyperbolic search covers ranks 3..{_SEARCH_RANK_LIMIT}, got {n}")
+        raise RankBoundError(
+            f"hyperbolic search covers ranks 3..{_SEARCH_RANK_LIMIT}, got {_shown(n)}"
+        )
     fins, affs = finite_affine_classes(n - 1)
     found: set[Rows] = set()
     for base in fins + affs:

@@ -14,6 +14,25 @@ A Dynkin diagram is the equivalent edge-labelled graph: vertices 1..n, and for
 each off-diagonal pair with nonzero entries an undirected edge ``{i, j}``
 carrying the label ``(p, q) = (-A[i][j], -A[j][i])`` recorded for ``i < j``.
 
+Where the axioms are checked
+----------------------------
+
+Every matrix that comes from outside is checked once, when it is wrapped:
+:func:`validate_gcm` and ``GeneralizedCartanMatrix(rows)`` check their rows,
+and so do the text and JSON parsers and the catalog loader, which build
+through them (the JSON parser runs the one-pass check itself, so that its own
+message for a non-integer entry keeps coming first).  The check makes one pass
+over the entries and, only when that pass finds a fault, the ordered passes
+that name the first violated axiom.
+
+A matrix the package builds from rows it has already checked is not checked
+again.  ``GeneralizedCartanMatrix._trusted`` wraps such rows unchecked, and it
+is called only where a docstring says why the rows hold the axioms: the
+affine extension and the overextension of a validated matrix, the catalog
+entries built from the search's rows, the random sampler and the JSON parser.
+:func:`matrix_to_diagram` likewise builds its diagram without re-checking the
+edges of a validated matrix.
+
 All types in this module are immutable and hashable; functions are pure.
 Plain records are :class:`typing.NamedTuple` classes; the types that check
 their input on construction are ``__slots__`` classes built on
@@ -106,6 +125,14 @@ class DynkinDiagram(FrozenRecord):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda e: (e[0], e[1]))))
 
+    @classmethod
+    def _trusted(cls, rank: int, edges: tuple[tuple[int, int, EdgeLabel], ...]) -> DynkinDiagram:
+        """Wrap ``edges``, already well formed and sorted by ``(i, j)``, without checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "edges", edges)
+        return self
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -134,6 +161,12 @@ class GeneralizedCartanMatrix(FrozenRecord):
 
     Construct via :func:`validate_gcm` (or directly; the axioms are checked
     either way).  ``rows`` is a tuple of row tuples.
+
+    The package's own constructions from checked rows (affine extension,
+    overextension, catalog entries, the random sampler) and the JSON parser,
+    after its one-pass check, wrap their rows with the unchecked
+    :meth:`_trusted` instead; each says in its docstring why the rows hold
+    the axioms.
     """
 
     __slots__ = ("rows",)
@@ -142,6 +175,16 @@ class GeneralizedCartanMatrix(FrozenRecord):
     def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
         _check_axioms(rows)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> GeneralizedCartanMatrix:
+        """Wrap tuple ``rows`` that are known to hold the axioms, without checking them.
+
+        Only for callers whose docstring says why their rows are valid.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        return self
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -166,10 +209,58 @@ class GeneralizedCartanMatrix(FrozenRecord):
 
     def _check_vertex(self, i: int) -> None:
         if not (1 <= i <= self.rank):
-            raise DynkinError(f"vertex {i} out of range 1..{self.rank}")
+            raise DynkinError(f"vertex {_shown(i)} out of range 1..{self.rank}")
 
 
 def _check_axioms(rows: tuple[tuple[int, ...], ...]) -> None:
+    """Raise :class:`MatrixValidationError` for the first axiom ``rows`` violate.
+
+    The one pass of :func:`_axioms_hold` settles almost every call; only when
+    it finds a fault do the ordered passes run, to name the axiom and place.
+    """
+    if not _axioms_hold(rows):
+        _check_axioms_in_order(rows)
+
+
+def _axioms_hold(rows: object) -> bool:
+    """Whether ``rows`` is a square tuple of tuples of ``int`` entries that hold the axioms.
+
+    One pass over the entries, taking each off-diagonal pair ``(i, j)``,
+    ``(j, i)`` together.  ``False`` means only "not shown valid here": a
+    ``bool``, an ``int`` subclass or a list of rows is left to
+    :func:`_check_axioms_in_order`, which decides and words the error.
+    """
+    if rows.__class__ is not tuple:
+        return False
+    n = len(rows)
+    if not n:
+        return False
+    for row in rows:
+        if row.__class__ is not tuple or len(row) != n:
+            return False
+    for i, row in enumerate(rows):
+        d = row[i]
+        if d.__class__ is not int or d != 2:
+            return False
+        for j in range(i):
+            v = row[j]
+            w = rows[j][i]
+            if v.__class__ is not int or w.__class__ is not int:
+                return False
+            if v:
+                if v > 0 or not w or w > 0:
+                    return False
+            elif w:
+                return False
+    return True
+
+
+def _check_axioms_in_order(rows: tuple[tuple[int, ...], ...]) -> None:
+    """The axioms one pass each, in the order shape, integrality, diagonal, sign, zero-symmetry.
+
+    Raises :class:`MatrixValidationError` for the first fault, with its axiom,
+    its 1-based position and a message; returns if there is none.
+    """
     n = len(rows)
     if n < 1:
         raise MatrixValidationError("shape", None, "matrix must have at least one row")
@@ -234,14 +325,19 @@ def validate_gcm(entries: Sequence[Sequence[int]]) -> GeneralizedCartanMatrix:
 
 
 def matrix_to_diagram(A: GeneralizedCartanMatrix) -> DynkinDiagram:
-    """Dynkin diagram of ``A``: one labelled edge per nonzero pair ``i < j``."""
+    """Dynkin diagram of ``A``: one labelled edge per nonzero pair ``i < j``.
+
+    The edges are valid by construction, so they are not checked again: each
+    pair ``i < j`` comes once and in order, and the sign and zero-symmetry
+    axioms of the validated ``A`` make both labels positive.
+    """
     edges = []
     n = A.rank
     for i in range(n):
         for j in range(i + 1, n):
             if A.rows[i][j] != 0:
                 edges.append((i + 1, j + 1, EdgeLabel(-A.rows[i][j], -A.rows[j][i])))
-    return DynkinDiagram(rank=n, edges=tuple(edges))
+    return DynkinDiagram._trusted(n, tuple(edges))
 
 
 # == connectivity and subdiagrams ==

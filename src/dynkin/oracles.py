@@ -55,6 +55,7 @@ from .classify import AFFINE, FINITE, INDEFINITE, det_int, sub_rows
 from .errors import DynkinError, RankBoundError
 from .gcm import (
     GeneralizedCartanMatrix,
+    _shown,
     adjacency_bitmasks,
     mask_components,
     mask_connected,
@@ -217,7 +218,9 @@ def finite_affine_oracle(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
     the module docstring.
     """
     if not 1 <= k < ORACLE_RANK_LIMIT:
-        raise RankBoundError(f"oracle levels cover 1..{ORACLE_RANK_LIMIT - 1} vertices, got {k}")
+        raise RankBoundError(
+            f"oracle levels cover 1..{ORACLE_RANK_LIMIT - 1} vertices, got {_shown(k)}"
+        )
     fins, affs, _ = next(islice(_levels(ORACLE_RANK_LIMIT + 1), k - 1, None))
     return tuple(sorted(fins)), tuple(sorted(affs))
 
@@ -231,7 +234,7 @@ def search_ranks_oracle(lo: int, hi: int) -> Iterator[tuple[int, tuple[Rows, ...
     for n in (lo, hi):
         if not 3 <= n <= ORACLE_RANK_LIMIT:
             raise RankBoundError(
-                f"oracle enumeration covers ranks 3..{ORACLE_RANK_LIMIT}, got {n}"
+                f"oracle enumeration covers ranks 3..{ORACLE_RANK_LIMIT}, got {_shown(n)}"
             )
     for n, (_, _, hyps) in enumerate(islice(_levels(lo), hi), start=1):
         if n >= lo:
@@ -255,7 +258,7 @@ def search_rank_bruteforce(n: int) -> tuple[Rows, ...]:
     """
     if not 3 <= n <= BRUTEFORCE_RANK_LIMIT:
         raise RankBoundError(
-            f"brute-force enumeration covers ranks 3..{BRUTEFORCE_RANK_LIMIT}, got {n}"
+            f"brute-force enumeration covers ranks 3..{BRUTEFORCE_RANK_LIMIT}, got {_shown(n)}"
         )
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     options = ((0, 0),) + _LABELS

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .errors import DynkinError, MatrixParseError, clip
-from .gcm import GeneralizedCartanMatrix, validate_gcm
+from .gcm import GeneralizedCartanMatrix, _axioms_hold, validate_gcm
 
 __all__ = [
     "parse_matrix_text",
@@ -55,6 +55,13 @@ def load_json(text: str, error: type[DynkinError], where: str = "") -> object:
 
 
 def parse_matrix_json(text: str) -> GeneralizedCartanMatrix:
+    """Parse a JSON array of arrays, bare or under a ``"matrix"`` key.
+
+    The rows are checked once: when the one-pass axiom check accepts them they
+    are valid and wrapped as they are.  Otherwise a non-integer entry is
+    reported first, as a :class:`MatrixParseError`, and then the axioms are
+    checked in order.
+    """
     obj = load_json(text, MatrixParseError)
     if isinstance(obj, dict):
         if "matrix" not in obj:
@@ -62,11 +69,14 @@ def parse_matrix_json(text: str) -> GeneralizedCartanMatrix:
         obj = obj["matrix"]
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise MatrixParseError("JSON matrix must be an array of arrays")
-    for i, row in enumerate(obj, start=1):
+    rows = tuple(map(tuple, obj))
+    if _axioms_hold(rows):
+        return GeneralizedCartanMatrix._trusted(rows)
+    for i, row in enumerate(rows, start=1):
         for j, v in enumerate(row, start=1):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise MatrixParseError(f"entry {clip(repr(v))} at ({i}, {j}) is not an integer")
-    return validate_gcm(obj)
+    return validate_gcm(rows)
 
 
 def parse_matrix_input(text: str) -> GeneralizedCartanMatrix:

@@ -305,6 +305,11 @@ def random_gcm(
     Used to cross-check the two symmetrizability routes on dense, cycle-rich
     diagrams.  Every pair independently gets an edge with probability
     ``edge_prob``; edge entries are uniform in ``[-max_label, -1]``.
+
+    A matrix of rank 1 or more is valid by construction and is not checked:
+    2 on the diagonal, and each pair either zero in both entries or drawn
+    from ``[-max_label, -1]`` in both, which fails for ``max_label < 1``.
+    Rank 0 or below is still rejected by :func:`validate_gcm`.
     """
     rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i in range(rank):
@@ -312,7 +317,9 @@ def random_gcm(
             if rng.random() < edge_prob:
                 rows[i][j] = -rng.randint(1, max_label)
                 rows[j][i] = -rng.randint(1, max_label)
-    return validate_gcm(rows)
+    if not rows:
+        return validate_gcm(rows)
+    return GeneralizedCartanMatrix._trusted(tuple(map(tuple, rows)))
 
 
 def cycle_criterion_agreement(samples: int, seed: int = 0) -> list[GeneralizedCartanMatrix]:
