@@ -37,6 +37,8 @@ from .enumeration import search_rank
 from .errors import CatalogFormatError, DynkinError, RankBoundError, WrongTypeError, clip
 from .gcm import (
     GeneralizedCartanMatrix,
+    _check_range,
+    _is_int,
     _shown,
     adjacency_bitmasks,
     is_indecomposable,
@@ -167,11 +169,10 @@ def enumerate_hyperbolic(
 
     Deterministic: entries are sorted by rank, then by canonical matrix.
     """
-    if not (MIN_RANK <= rank_min <= rank_max <= MAX_RANK):
-        raise RankBoundError(
-            f"rank range must satisfy {MIN_RANK} <= min <= max <= {MAX_RANK}, "
-            f"got {_shown(rank_min)}..{_shown(rank_max)}"
-        )
+    got = f"{_shown(rank_min)}..{_shown(rank_max)}".replace("{", "{{").replace("}", "}}")
+    message = f"rank range must satisfy {MIN_RANK} <= min <= max <= {MAX_RANK}, got {got}"
+    _check_range(rank_min, MIN_RANK, MAX_RANK, RankBoundError, message)
+    _check_range(rank_max, rank_min, MAX_RANK, RankBoundError, message)
     out: list[CatalogEntry] = []
     for rank in range(rank_min, rank_max + 1):
         out.extend(_rank_entries(rank, search_rank(rank)))
@@ -621,17 +622,13 @@ def _entry_to_obj(e: CatalogEntry) -> dict:
     return dict(zip(_ENTRY_KEYS, values))
 
 
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _entry_from_obj(obj: dict, lineno: int) -> CatalogEntry:
     if not isinstance(obj, dict) or set(obj) != set(_ENTRY_KEYS):
         raise CatalogFormatError(f"line {lineno}: unexpected entry fields")
     ident, rank, rows, compact, sym, d, rho, blocks, semantics, dual = map(obj.get, _ENTRY_KEYS)
     try:
         matrix = validate_gcm(rows)
-    except (DynkinError, TypeError) as exc:  # TypeError: not a sequence of rows
+    except DynkinError as exc:
         raise CatalogFormatError(f"line {lineno}: bad matrix: {exc}") from None
     if not _is_int(rank) or rank != matrix.rank:
         raise CatalogFormatError(f"line {lineno}: rank field does not match the matrix")

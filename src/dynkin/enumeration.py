@@ -93,13 +93,13 @@ with this module.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import reduce
 from operator import or_
 
 from .canonical import canonical_rows
 from .classify import AFFINE, FINITE, INDEFINITE, hyperbolic_fast_flags, kind_of_rows
 from .errors import RankBoundError
-from .gcm import _shown, adjacency_bitmasks, mask_connected
+from .gcm import _check_range, adjacency_bitmasks, mask_connected
 
 __all__ = [
     "LABELS",
@@ -219,46 +219,43 @@ def _attach_extensions(base: Rows, finite_max: int):
 # == connected finite and affine classes, by vertex count ==
 
 
-@cache
+#: The levels built so far, filled only after a level's argument is checked.
+_LEVELS: dict[int, tuple[tuple[Rows, ...], tuple[Rows, ...]]] = {1: ((((2,),),), ())}
+
+
 def finite_affine_classes(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
     """Canonical connected finite-type and affine classes on ``k = 1..10`` vertices.
 
-    Any other ``k``, a non-integer too, raises :class:`RankBoundError`.
+    Each level is built once, from the finite classes one level down, and
+    kept.  Any other ``k``, a non-integer too, raises :class:`RankBoundError`.
     """
-    if not (isinstance(k, int) and 1 <= k < _SEARCH_RANK_LIMIT):
-        raise RankBoundError(
-            f"finite and affine levels cover 1..{_SEARCH_RANK_LIMIT - 1} vertices, got {_shown(k)}"
-        )
-    if k == 1:
-        return (((2,),),), ()
-    fins: set[Rows] = set()
-    affs: set[Rows] = set()
-    for base in finite_affine_classes(k - 1)[0]:
-        for cand in _attach_extensions(base, k - 1):
-            kind = kind_of_rows(cand)
-            if kind == FINITE:
-                fins.add(canonical_rows(cand)[0])
-            elif kind == AFFINE:
-                affs.add(canonical_rows(cand)[0])
-    return tuple(sorted(fins)), tuple(sorted(affs))
+    message = f"finite and affine levels cover 1..{_SEARCH_RANK_LIMIT - 1} vertices, got {{}}"
+    _check_range(k, 1, _SEARCH_RANK_LIMIT - 1, RankBoundError, message)
+    if k not in _LEVELS:
+        found: dict[str, set[Rows]] = {FINITE: set(), AFFINE: set()}
+        for base in finite_affine_classes(k - 1)[0]:
+            for cand in _attach_extensions(base, k - 1):
+                kind = kind_of_rows(cand)
+                if kind in found:
+                    found[kind].add(canonical_rows(cand)[0])
+        _LEVELS[k] = tuple(sorted(found[FINITE])), tuple(sorted(found[AFFINE]))
+    return _LEVELS[k]
 
 
 # == the hyperbolic search ==
 
 
-@cache
 def search_rank(n: int) -> tuple[Rows, ...]:
     """All hyperbolic classes of rank ``n = 3..11`` (canonical rows, sorted).
 
     Rank 11 returns empty; that emptiness is itself one of the facts the test
     suite pins down.  Any other ``n``, a non-integer too, raises
     :class:`RankBoundError`, so the search answers only where the independent
-    oracle routes check it.
+    oracle routes check it.  Each call searches afresh on the kept levels of
+    :func:`finite_affine_classes`.
     """
-    if not (isinstance(n, int) and 3 <= n <= _SEARCH_RANK_LIMIT):
-        raise RankBoundError(
-            f"hyperbolic search covers ranks 3..{_SEARCH_RANK_LIMIT}, got {_shown(n)}"
-        )
+    message = f"hyperbolic search covers ranks 3..{_SEARCH_RANK_LIMIT}, got {{}}"
+    _check_range(n, 3, _SEARCH_RANK_LIMIT, RankBoundError, message)
     fins, affs = finite_affine_classes(n - 1)
     found: set[Rows] = set()
     for base in fins + affs:

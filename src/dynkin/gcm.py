@@ -18,12 +18,17 @@ Where the axioms are checked
 ----------------------------
 
 Every matrix that comes from outside is checked once, when it is wrapped:
-:func:`validate_gcm` and ``GeneralizedCartanMatrix(rows)`` check their rows,
-and so do the text and JSON parsers and the catalog loader, which build
-through them (the JSON parser runs the one-pass check itself, so that its own
-message for a non-integer entry keeps coming first).  The check makes one pass
-over the entries and, only when that pass finds a fault, the ordered passes
-that name the first violated axiom.
+:func:`validate_gcm` and ``GeneralizedCartanMatrix(rows)`` accept any
+sequence of rows, turn them into tuples and check them, and so do the text
+and JSON parsers and the catalog loader, which build through them (the JSON
+parser runs the one-pass check itself, so that its own message for a
+non-integer entry keeps coming first).  The check makes one pass over the
+entries and, only when that pass finds a fault, the ordered passes that name
+the first violated axiom.
+
+Every rank, vertex, height and budget argument of the package is a plain
+integer (an ``int`` that is not a ``bool``) in a stated range, and
+:func:`_check_range` is the one place that checks it.
 
 A matrix the package builds from rows it has already checked is not checked
 again.  ``GeneralizedCartanMatrix._trusted`` wraps such rows unchecked, and it
@@ -43,7 +48,7 @@ needs :mod:`dataclasses`, which is slow to import.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DynkinError, MatrixValidationError, clip
 
@@ -110,17 +115,18 @@ class DynkinDiagram(FrozenRecord):
     edges: tuple[tuple[int, int, EdgeLabel], ...]
 
     def __init__(self, rank: int, edges: tuple[tuple[int, int, EdgeLabel], ...]) -> None:
-        if not isinstance(rank, int) or rank < 1:
-            raise DynkinError(f"diagram rank must be a positive integer, got {rank!r}")
+        message = "diagram rank must be a positive integer, got {}"
+        _check_range(rank, 1, 2**63 - 1, DynkinError, message, repr)
         seen = set()
         for edge in edges:
             i, j, label = _edge_fields(edge)
             if not (1 <= i < j <= rank):
-                raise DynkinError(f"edge ({i}, {j}) out of range for rank {rank}")
+                raise DynkinError(f"edge ({_shown(i)}, {_shown(j)}) out of range for rank {rank}")
             if (i, j) in seen:
                 raise DynkinError(f"duplicate edge ({i}, {j})")
             if label.p < 1 or label.q < 1:
-                raise DynkinError(f"edge ({i}, {j}) has non-positive label {label}")
+                p, q = map(_shown, label)
+                raise DynkinError(f"edge ({i}, {j}) has non-positive label EdgeLabel(p={p}, q={q})")
             seen.add((i, j))
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda e: (e[0], e[1]))))
@@ -146,10 +152,11 @@ def _edge_fields(edge: object) -> tuple[int, int, EdgeLabel]:
     """``(i, j, label)`` of one diagram edge, or :class:`DynkinError` naming it."""
     if isinstance(edge, tuple) and len(edge) == 3:
         i, j, label = edge
-        if isinstance(label, EdgeLabel) and all(isinstance(x, int) for x in (i, j, *label)):
+        if isinstance(label, EdgeLabel) and all(map(_is_int, (i, j, *label))):
             return i, j, label
     raise DynkinError(
-        f"malformed edge {edge!r}: expected (i, j, EdgeLabel(p, q)) with integer entries"
+        f"malformed edge {_shown(edge, repr)}: "
+        "expected (i, j, EdgeLabel(p, q)) with integer entries"
     )
 
 
@@ -159,8 +166,10 @@ def _edge_fields(edge: object) -> tuple[int, int, EdgeLabel]:
 class GeneralizedCartanMatrix(FrozenRecord):
     """Immutable, validated generalized Cartan matrix.
 
-    Construct via :func:`validate_gcm` (or directly; the axioms are checked
-    either way).  ``rows`` is a tuple of row tuples.
+    Construct via :func:`validate_gcm` or directly, from any sequence of
+    rows; the axioms are checked either way, and anything that is not a
+    sequence of sequences raises :class:`MatrixValidationError` with axiom
+    ``shape``.  ``rows`` is stored as a tuple of row tuples.
 
     The package's own constructions from checked rows (affine extension,
     overextension, catalog entries, the random sampler) and the JSON parser,
@@ -172,7 +181,11 @@ class GeneralizedCartanMatrix(FrozenRecord):
     __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, rows: Sequence[Sequence[int]]) -> None:
+        try:
+            rows = tuple(map(tuple, rows))
+        except TypeError as exc:  # the matrix or a row is not iterable
+            raise MatrixValidationError("shape", None, str(exc)) from None
         _check_axioms(rows)
         object.__setattr__(self, "rows", rows)
 
@@ -208,8 +221,7 @@ class GeneralizedCartanMatrix(FrozenRecord):
         return [list(r) for r in self.rows]
 
     def _check_vertex(self, i: int) -> None:
-        if not (1 <= i <= self.rank):
-            raise DynkinError(f"vertex {_shown(i)} out of range 1..{self.rank}")
+        _check_range(i, 1, self.rank, DynkinError, f"vertex {{}} out of range 1..{self.rank}")
 
 
 def _check_axioms(rows: tuple[tuple[int, ...], ...]) -> None:
@@ -270,7 +282,7 @@ def _check_axioms_in_order(rows: tuple[tuple[int, ...], ...]) -> None:
                 "shape", None, f"row {idx + 1} has length {len(row)}, expected {n}"
             )
         for jdx, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise MatrixValidationError(
                     "integrality",
                     (idx + 1, jdx + 1),
@@ -303,12 +315,30 @@ def _check_axioms_in_order(rows: tuple[tuple[int, ...], ...]) -> None:
                 )
 
 
-def _shown(v: int) -> str:
-    """Entry ``v`` for an error message, clipped like every quoted input value."""
+def _shown(v: object, render: Callable[[object], str] = str) -> str:
+    """``render(v)`` for an error message, clipped like every quoted input value."""
     try:
-        return clip(str(v))
-    except ValueError:  # more digits than the interpreter converts to text
-        return f"<integer of {v.bit_length()} bits>"
+        return clip(render(v))
+    except ValueError:  # holds an integer of more digits than the interpreter converts to text
+        return f"<integer of {v.bit_length()} bits>" if _is_int(v) else f"<{type(v).__name__}>"
+
+
+def _is_int(v: object) -> bool:
+    """Whether ``v`` is an integer: an ``int`` that is not a ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_range(
+    v: object, lo: int, hi: int, error: type[DynkinError], message: str, render: Callable = str
+) -> None:
+    """Raise ``error(message.format(_shown(v, render)))`` unless ``v`` is an integer in ``lo..hi``.
+
+    The one check of every rank, vertex, height and budget argument, so a
+    ``bool``, a float, a string or an integer past the interpreter's digit
+    limit each ends in the caller's :class:`DynkinError` subclass.
+    """
+    if not (_is_int(v) and lo <= v <= hi):
+        raise error(message.format(_shown(v, render)))
 
 
 def validate_gcm(entries: Sequence[Sequence[int]]) -> GeneralizedCartanMatrix:
@@ -317,8 +347,7 @@ def validate_gcm(entries: Sequence[Sequence[int]]) -> GeneralizedCartanMatrix:
     Raises :class:`MatrixValidationError` naming the first violated axiom and
     the offending 1-based position.
     """
-    rows = tuple(tuple(r) for r in entries)
-    return GeneralizedCartanMatrix(rows)
+    return GeneralizedCartanMatrix(entries)
 
 
 # == conversions ==

@@ -55,7 +55,7 @@ from .classify import AFFINE, FINITE, INDEFINITE, det_int, sub_rows
 from .errors import DynkinError, RankBoundError
 from .gcm import (
     GeneralizedCartanMatrix,
-    _shown,
+    _check_range,
     adjacency_bitmasks,
     mask_components,
     mask_connected,
@@ -217,10 +217,8 @@ def finite_affine_oracle(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
     classes one level down, which suffices by the non-cut vertex argument in
     the module docstring.
     """
-    if not 1 <= k < ORACLE_RANK_LIMIT:
-        raise RankBoundError(
-            f"oracle levels cover 1..{ORACLE_RANK_LIMIT - 1} vertices, got {_shown(k)}"
-        )
+    message = f"oracle levels cover 1..{ORACLE_RANK_LIMIT - 1} vertices, got {{}}"
+    _check_range(k, 1, ORACLE_RANK_LIMIT - 1, RankBoundError, message)
     fins, affs, _ = next(islice(_levels(ORACLE_RANK_LIMIT + 1), k - 1, None))
     return tuple(sorted(fins)), tuple(sorted(affs))
 
@@ -231,11 +229,9 @@ def search_ranks_oracle(lo: int, hi: int) -> Iterator[tuple[int, tuple[Rows, ...
     The levels are grown once, and each rank is checked as the walk passes
     it, so checking a range costs about what its top rank alone costs.
     """
+    message = f"oracle enumeration covers ranks 3..{ORACLE_RANK_LIMIT}, got {{}}"
     for n in (lo, hi):
-        if not 3 <= n <= ORACLE_RANK_LIMIT:
-            raise RankBoundError(
-                f"oracle enumeration covers ranks 3..{ORACLE_RANK_LIMIT}, got {_shown(n)}"
-            )
+        _check_range(n, 3, ORACLE_RANK_LIMIT, RankBoundError, message)
     for n, (_, _, hyps) in enumerate(islice(_levels(lo), hi), start=1):
         if n >= lo:
             yield n, tuple(sorted(hyps))
@@ -256,10 +252,8 @@ def search_rank_bruteforce(n: int) -> tuple[Rows, ...]:
 
     No aborts of any kind; exists purely to backstop the other two routes.
     """
-    if not 3 <= n <= BRUTEFORCE_RANK_LIMIT:
-        raise RankBoundError(
-            f"brute-force enumeration covers ranks 3..{BRUTEFORCE_RANK_LIMIT}, got {_shown(n)}"
-        )
+    message = f"brute-force enumeration covers ranks 3..{BRUTEFORCE_RANK_LIMIT}, got {{}}"
+    _check_range(n, 3, BRUTEFORCE_RANK_LIMIT, RankBoundError, message)
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     options = ((0, 0),) + _LABELS
     found: set[Rows] = set()

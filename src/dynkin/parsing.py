@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .errors import DynkinError, MatrixParseError, clip
-from .gcm import GeneralizedCartanMatrix, _axioms_hold, validate_gcm
+from .gcm import GeneralizedCartanMatrix, _axioms_hold, _is_int, validate_gcm
 
 __all__ = [
     "parse_matrix_text",
@@ -74,7 +74,7 @@ def parse_matrix_json(text: str) -> GeneralizedCartanMatrix:
         return GeneralizedCartanMatrix._trusted(rows)
     for i, row in enumerate(rows, start=1):
         for j, v in enumerate(row, start=1):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise MatrixParseError(f"entry {clip(repr(v))} at ({i}, {j}) is not an integer")
     return validate_gcm(rows)
 

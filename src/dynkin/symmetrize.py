@@ -31,7 +31,7 @@ from operator import mul
 from typing import Iterator, NamedTuple
 
 from .errors import DecomposableError, NotSymmetrizableError, RankBoundError
-from .gcm import GeneralizedCartanMatrix, is_indecomposable, validate_gcm
+from .gcm import GeneralizedCartanMatrix, _check_range, is_indecomposable, validate_gcm
 
 __all__ = [
     "Symmetrization",
@@ -200,10 +200,8 @@ def kac_cycle_oracle(A: GeneralizedCartanMatrix) -> bool:
     diagram is enumerated and its two direction products compared.
     """
     n = A.rank
-    if n > CYCLE_ORACLE_RANK_LIMIT:
-        raise RankBoundError(
-            f"cycle oracle supported up to rank {CYCLE_ORACLE_RANK_LIMIT}, got {n}"
-        )
+    message = f"cycle oracle supported up to rank {CYCLE_ORACLE_RANK_LIMIT}, got {{}}"
+    _check_range(n, 1, CYCLE_ORACLE_RANK_LIMIT, RankBoundError, message)
     rows = A.rows
     for cycle in _simple_cycles(rows):
         seq = list(cycle) + [cycle[0]]

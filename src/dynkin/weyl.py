@@ -42,6 +42,9 @@ from .gcm import (
     DynkinDiagram,
     FrozenRecord,
     GeneralizedCartanMatrix,
+    _check_range,
+    _is_int,
+    _shown,
     graph_components,
     is_indecomposable,
     matrix_to_diagram,
@@ -100,9 +103,9 @@ class OrbitPartition(FrozenRecord):
 
     def block_of(self, i: int) -> frozenset[int]:
         for b in self.blocks:
-            if i in b:
+            if _is_int(i) and i in b:
                 return b
-        raise DynkinError(f"vertex {i} is not covered by this partition")
+        raise DynkinError(f"vertex {_shown(i)} is not covered by this partition")
 
 
 # == root closure ==
@@ -136,7 +139,12 @@ def _positive_closure(
     one pairing vector per expanded parent, not one per root waiting in it.
     A simple root enters as ``(e_i, -A e_i, i)``, since ``e_i = r_i(-e_i)``:
     the same update gives ``-A e_i + 2 A e_i = A e_i``.
+
+    ``height`` and ``budget`` must be 64-bit integers; anything else raises
+    :class:`DynkinError` before the walk.
     """
+    _check_range(height, -2**63, 2**63 - 1, DynkinError, "height must be a 64-bit integer, got {}")
+    _check_range(budget, -2**63, 2**63 - 1, DynkinError, "budget must be a 64-bit integer, got {}")
     n = A.rank
     cols = tuple(zip(*A.rows))  # cols[i] = A e_i
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -177,15 +185,15 @@ def real_roots_up_to_height(
 ) -> tuple[RootVector, ...]:
     """Positive real roots of height <= ``height``, reachable within the window.
 
-    Canonically ordered by height, then lexicographically by coordinates.
-    Raises :class:`BudgetExceededError` instead of returning a truncated set.
+    Canonically ordered by height, then lexicographically by coordinates;
+    empty for a ``height`` below 1.  Raises :class:`BudgetExceededError`
+    instead of returning a truncated set, and :class:`DynkinError` for a
+    ``height`` or ``budget`` that is not a 64-bit integer.
     """
+    found = _positive_closure(A, height, budget)
     if height < 1:
         return ()
-    found = _positive_closure(A, height, budget)
-    return tuple(
-        RootVector(c) for c in sorted(found, key=lambda c: (sum(c), c))
-    )
+    return tuple(RootVector(c) for c in sorted(found, key=lambda c: (sum(c), c)))
 
 
 def highest_root(A: GeneralizedCartanMatrix) -> RootVector:

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import dynkin.cli
 from dynkin import parse_matrix_input, read_catalog, write_catalog
 from dynkin.catalog import catalog_to_lines
 from dynkin.cli import EXIT_VERIFY, main
@@ -254,6 +255,14 @@ class TestEnumerate:
         )
         assert code == 0
         assert "oracle agreement for ranks 3..3: ok" in out
+
+    def test_oracle_disagreement(self, capsys, monkeypatch, tmp_path):
+        # the written catalog is what the oracle checks: one class short fails
+        monkeypatch.setattr(dynkin.cli, "search_ranks_oracle", lambda lo, hi: iter([(3, ())]))
+        argv = ["enumerate", "--min-rank", "3", "--max-rank", "3", "--out", str(tmp_path / "c")]
+        code, _, err = run(capsys, argv + ["--oracle"])
+        assert code == EXIT_VERIFY
+        assert err == "FAIL oracle disagreement at rank 3\n"
 
     def test_oracle_flag_above_rank_5(self, capsys, tmp_path):
         out_path = tmp_path / "rank6.jsonl"

@@ -9,8 +9,14 @@
   rows must also be the exact tuples of ``int`` the one-pass check accepts.
 * The unchecked constructors are called only from an allow-list of
   functions, each of whose docstrings says why its rows are valid.
-* A rank or vertex with more digits than the interpreter prints still gives
-  the documented :class:`DynkinError` subclass.
+* A rank, vertex, height or budget with more digits than the interpreter
+  prints still gives the documented :class:`DynkinError` subclass.
+* The constructor takes any sequence of rows and stores tuples; anything
+  that is not a sequence of rows is a ``shape`` fault.
+* One place decides what an integer argument is: no module builds a
+  :class:`RankBoundError` itself, only ``gcm._is_int`` asks whether an
+  integer is a ``bool``, and no function carries a ``functools`` cache that
+  would see an argument before its check.
 """
 
 from __future__ import annotations
@@ -27,15 +33,24 @@ from dynkin import (
     GeneralizedCartanMatrix,
     MatrixParseError,
     MatrixValidationError,
+    RootVector,
+    classify,
     enumerate_hyperbolic,
     extend_finite_to_affine,
     overextend_affine,
+    real_roots_up_to_height,
     validate_gcm,
 )
+from dynkin.catalog import catalog_from_lines, catalog_to_lines
 from dynkin.enumeration import finite_affine_classes, search_rank
-from dynkin.errors import DynkinError, RankBoundError
+from dynkin.errors import CatalogFormatError, DynkinError, RankBoundError
 from dynkin.gcm import _axioms_hold, _check_axioms_in_order
-from dynkin.oracles import finite_affine_oracle, search_rank_bruteforce, search_rank_oracle
+from dynkin.oracles import (
+    finite_affine_oracle,
+    reflect,
+    search_rank_bruteforce,
+    search_rank_oracle,
+)
 from dynkin.parsing import parse_matrix_json, parse_matrix_text
 from dynkin.symmetrize import random_gcm
 from lie_fixtures import cartan_a, cartan_b, cartan_c, cartan_d, cartan_e, cartan_f4, cartan_g2
@@ -173,6 +188,29 @@ def test_every_boundary_checks(build):
         assert info.value.axiom == axiom
 
 
+def test_constructor_stores_tuples():
+    A = GeneralizedCartanMatrix([[2, -1], [-1, 2]])
+    assert A.rows == ((2, -1), (-1, 2))
+    assert A == validate_gcm(((2, -1), (-1, 2))) and hash(A) == hash(validate_gcm(A.rows))
+    assert classify(A)[0].type.kind == "finite"
+
+
+@pytest.mark.parametrize("entries", [None, [1], 3, [[2], 5]], ids=repr)
+def test_non_sequence_is_a_shape_fault(entries):
+    for build in (validate_gcm, GeneralizedCartanMatrix):
+        with pytest.raises(MatrixValidationError, match="object is not iterable") as info:
+            build(entries)
+        assert (info.value.axiom, info.value.position) == ("shape", None)
+
+
+def test_catalog_matrix_that_is_not_rows():
+    header, line = catalog_to_lines(enumerate_hyperbolic(3, 3)[:1]).splitlines()
+    obj = json.loads(line)
+    obj["matrix"] = None
+    with pytest.raises(CatalogFormatError, match="line 2: bad matrix: 'NoneType' object is not"):
+        catalog_from_lines(f"{header}\n{json.dumps(obj)}\n")
+
+
 # == what is wrapped unchecked holds the axioms ==
 
 
@@ -282,6 +320,9 @@ HUGE_CALLS = {
     "finite_affine_oracle": (finite_affine_oracle, RankBoundError),
     "search_rank_oracle": (search_rank_oracle, RankBoundError),
     "search_rank_bruteforce": (search_rank_bruteforce, RankBoundError),
+    "reflect": (lambda v: reflect(validate_gcm([[2]]), v, RootVector((1,))), DynkinError),
+    "height": (lambda v: real_roots_up_to_height(validate_gcm([[2]]), v), DynkinError),
+    "budget": (lambda v: real_roots_up_to_height(validate_gcm([[2]]), 1, v), DynkinError),
 }
 
 
@@ -292,3 +333,71 @@ def test_huge_integer_is_described(name, sign):
     with pytest.raises(error, match=f"<integer of {HUGE.bit_length()} bits>") as info:
         call(sign * HUGE)
     assert len(str(info.value)) < 200
+
+
+# == one place decides what an integer argument is ==
+
+#: (module, function) that may ask ``isinstance(x, bool)``, and why.
+BOOL_CHECKS = {
+    ("gcm", "_is_int"): "the integer rule itself",
+    ("catalog", "_entry_from_obj"): "the catalog flags must be booleans",
+    ("catalog", "_tsv_cell"): "booleans print as true and false",
+}
+
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def _functions():
+    """``(module, innermost function or None, node)`` for every node of ``src/dynkin``."""
+
+    def walk(module, node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            yield module, inner, child
+            yield from walk(module, child, inner)
+
+    for path in sorted(Path(dynkin.__file__).parent.glob("*.py")):
+        yield from walk(path.stem, ast.parse(path.read_text(encoding="utf-8")), None)
+
+
+def _name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_rank_bound_errors_come_from_the_range_check():
+    built = [
+        (module, child.lineno)
+        for module, _, child in _functions()
+        if isinstance(child, ast.Call) and _name(child) == "RankBoundError"
+    ]
+    assert built == []
+
+
+def test_only_the_integer_rule_asks_for_bool():
+    askers = set()
+    for module, func, child in _functions():
+        if (
+            isinstance(child, ast.Call)
+            and _name(child) == "isinstance"
+            and len(child.args) == 2
+            and _name(child.args[1]) in ("bool", "int")
+        ):
+            where = (module, func.name if func is not None else "<module>")
+            if _name(child.args[1]) == "int":
+                assert where == ("gcm", "_is_int"), f"{module}.py:{child.lineno}"
+            askers.add(where)
+    assert askers == set(BOOL_CHECKS)
+
+
+def test_no_function_is_cached():
+    cached = [
+        f"{module}.{child.name}"
+        for module, _, child in _functions()
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_name(d) in CACHE_DECORATORS for d in child.decorator_list)
+    ]
+    assert cached == []
