@@ -41,8 +41,8 @@ from .gcm import (
     _is_int,
     _shown,
     adjacency_bitmasks,
+    connected_deletions,
     is_indecomposable,
-    mask_connected,
     matrix_to_diagram,
     validate_gcm,
 )
@@ -449,15 +449,9 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
         walks=True,
     )
 
-    def corank1_disconnected(e: CatalogEntry) -> bool:
-        n = e.rank
-        adj = adjacency_bitmasks(e.matrix.rows)
-        full = (1 << n) - 1
-        return not any(mask_connected(full ^ (1 << v), adj) for v in range(n))
-
     check(
         "corank1-connected",
-        corank1_disconnected,
+        lambda e: next(connected_deletions(adjacency_bitmasks(e.matrix.rows)), None) is None,
         "every entry keeps a connected subdiagram on rank-1 vertices",
     )
     check(

@@ -84,9 +84,10 @@ from .gcm import (
     GeneralizedCartanMatrix,
     _check_range,
     adjacency_bitmasks,
+    connected_deletions,
     is_indecomposable,
     mask_components,
-    mask_connected,
+    mask_indices,
     mask_vertices,
     proper_connected_masks,
 )
@@ -154,7 +155,7 @@ def det_int(rows: tuple[tuple[int, ...], ...]) -> int:
 
 def sub_rows(rows: tuple[tuple[int, ...], ...], mask: int) -> tuple[tuple[int, ...], ...]:
     """Submatrix on the 0-based index bitmask ``mask``."""
-    idx = [i for i in range(len(rows)) if mask >> i & 1]
+    idx = mask_indices(mask)
     if len(idx) < 2:  # itemgetter needs an index, and returns a bare item for one
         return tuple((rows[i][i],) for i in idx)
     pick = itemgetter(*idx)
@@ -246,16 +247,13 @@ def hyperbolic_fast_flags(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, bool
     """(hyperbolic, compact) flags of connected ``rows`` via corank-1 subdiagrams.
 
     Equivalent to :func:`hyperbolic_compact_scan` (see the module docstring).
+    Reads the subdiagrams that :func:`dynkin.gcm.connected_deletions` yields,
+    in vertex order, and stops at the first indefinite one.
     """
-    n = len(rows)
-    adj = adjacency_bitmasks(rows)
-    full = (1 << n) - 1
+    full = (1 << len(rows)) - 1
     compact = True
-    for v in range(n):
-        m = full ^ (1 << v)
-        if not mask_connected(m, adj):
-            continue
-        kind = kind_of_rows(sub_rows(rows, m))
+    for v in connected_deletions(adjacency_bitmasks(rows)):
+        kind = kind_of_rows(sub_rows(rows, full ^ (1 << v)))
         if kind == INDEFINITE:
             return False, False
         if kind == AFFINE:

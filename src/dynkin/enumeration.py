@@ -99,7 +99,7 @@ from operator import or_
 from .canonical import canonical_rows
 from .classify import AFFINE, FINITE, INDEFINITE, hyperbolic_fast_flags, kind_of_rows
 from .errors import RankBoundError
-from .gcm import _check_range, adjacency_bitmasks, mask_connected
+from .gcm import _check_range, adjacency_bitmasks, connected_deletions, mask_indices
 
 __all__ = [
     "LABELS",
@@ -183,13 +183,12 @@ def _attach_extensions(base: Rows, finite_max: int):
     adj = adjacency_bitmasks(base)
     near = [1 << i for i in range(k)]
     for _ in range(finite_max - 2):
-        near = [reduce(or_, (adj[j] for j in range(k) if ball >> j & 1), ball) for ball in near]
+        near = [reduce(or_, (adj[j] for j in mask_indices(ball)), ball) for ball in near]
     # (row sum, column sum) of each non-cut base vertex; () for a cut vertex,
     # since the empty tuple sorts below every key
-    keys = [
-        (sum(row), sum(col)) if mask_connected(((1 << k) - 1) ^ (1 << u), adj) else ()
-        for u, (row, col) in enumerate(zip(base, zip(*base)))
-    ]
+    keys = [()] * k
+    for u in connected_deletions(adj):
+        keys[u] = (sum(base[u]), sum(row[u] for row in base))
     up, down = [0] * k, [0] * k
     options = ((0, 0),) + labels
 
@@ -204,7 +203,7 @@ def _attach_extensions(base: Rows, finite_max: int):
         for p, q in options:
             up[i], down[i] = -p, -q
             if q:
-                if top > (row_sum - q, col_sum - p) or blocked >> i & 1:
+                if top > (row_sum - q, col_sum - p) or blocked & (1 << i):
                     continue
                 if check_triples and not _triples_ok(base, up, down, i, reject):
                     continue

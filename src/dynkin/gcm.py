@@ -38,6 +38,20 @@ entries built from the search's rows, the random sampler and the JSON parser.
 :func:`matrix_to_diagram` likewise builds its diagram without re-checking the
 edges of a validated matrix.
 
+Graph questions
+---------------
+
+The graph of a matrix is one adjacency bitmask per vertex
+(:func:`adjacency_bitmasks`), and each question about it has one walk here,
+whose cost follows its answer.  :func:`mask_indices` lists the set bits of a
+mask, one step per set bit, and every vertex set, submatrix and distance
+ball is read through it.  :func:`connected_deletions` lists the vertices
+whose deletion leaves the graph connected.  Those give the connected
+subdiagrams on ``n - 1`` vertices that decide hyperbolicity, the base
+vertices the search's parent rule keys, and the verifier's
+``corank1-connected`` check.  :func:`mask_components` peels off one
+component at a time.
+
 All types in this module are immutable and hashable; functions are pure.
 Plain records are :class:`typing.NamedTuple` classes; the types that check
 their input on construction are ``__slots__`` classes built on
@@ -48,7 +62,7 @@ needs :mod:`dataclasses`, which is slow to import.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DynkinError, MatrixValidationError, clip
 
@@ -103,20 +117,33 @@ class EdgeLabel(NamedTuple):
     q: int
 
 
+DIAGRAM_RANK_LIMIT = 2**14  # the largest rank a diagram is built with from outside
+
+
 class DynkinDiagram(FrozenRecord):
     """Edge-labelled graph form of a GCM.
 
-    ``edges`` holds ``(i, j, label)`` triples with ``1 <= i < j <= rank``,
-    sorted by ``(i, j)``.
+    Built from a rank in ``1..DIAGRAM_RANK_LIMIT`` and any iterable of
+    ``(i, j, label)`` triples, which is read once; ``edges`` holds them as a
+    tuple, ``1 <= i < j <= rank``, sorted by ``(i, j)``.  The limit bounds
+    :func:`dynkin.weyl.orbit_partition`, whose component masks hold about
+    ``rank**2 / 2`` bits on an edgeless diagram: about 20 MB at the limit.
+    :func:`matrix_to_diagram` is not limited, since its matrix already holds
+    ``rank**2`` entries.
     """
 
     __slots__ = ("rank", "edges")
     rank: int
     edges: tuple[tuple[int, int, EdgeLabel], ...]
 
-    def __init__(self, rank: int, edges: tuple[tuple[int, int, EdgeLabel], ...]) -> None:
-        message = "diagram rank must be a positive integer, got {}"
-        _check_range(rank, 1, 2**63 - 1, DynkinError, message, repr)
+    def __init__(self, rank: int, edges: Iterable[tuple[int, int, EdgeLabel]]) -> None:
+        message = "diagram rank must be a positive integer, got {}; the limit is "
+        message += str(DIAGRAM_RANK_LIMIT)
+        _check_range(rank, 1, DIAGRAM_RANK_LIMIT, DynkinError, message, repr)
+        try:
+            edges = tuple(edges)
+        except TypeError as exc:  # the edges are not iterable
+            raise DynkinError(f"diagram edges: {exc}") from None
         seen = set()
         for edge in edges:
             i, j, label = _edge_fields(edge)
@@ -408,6 +435,17 @@ def mask_connected(mask: int, adj: Sequence[int]) -> bool:
     return mask != 0 and mask_component(mask, adj) == mask
 
 
+def connected_deletions(adj: Sequence[int]) -> Iterator[int]:
+    """Each 0-based vertex whose deletion leaves the graph ``adj`` connected, in order.
+
+    The non-cut vertices of a connected graph; none for a single vertex,
+    whose deletion leaves the empty graph.  Lazy, so a caller that stops at
+    the first answer pays for no more.
+    """
+    full = (1 << len(adj)) - 1
+    return (v for v in range(len(adj)) if mask_connected(full ^ (1 << v), adj))
+
+
 def proper_connected_masks(adj: Sequence[int]) -> Iterator[int]:
     """Each proper connected induced vertex set once, as a bitmask (``2^n`` work).
 
@@ -418,9 +456,23 @@ def proper_connected_masks(adj: Sequence[int]) -> Iterator[int]:
             yield mask
 
 
+def mask_indices(mask: int) -> list[int]:
+    """The 0-based set bits of ``mask`` in ascending order.
+
+    Each step reads the lowest bit, ``mask & -mask``, and clears it with
+    ``mask & (mask - 1)``, so the loop runs once per set bit, not once per
+    bit of the width.
+    """
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
 def mask_vertices(mask: int) -> frozenset[int]:
     """The 1-based vertex set of the 0-based bitmask ``mask``."""
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    return frozenset(i + 1 for i in mask_indices(mask))
 
 
 def graph_components(adj: Sequence[int]) -> tuple[frozenset[int], ...]:

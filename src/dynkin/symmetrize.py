@@ -111,22 +111,24 @@ def _forest(
     return d, parent, nontree
 
 
-def _tree_path_to_root(u: int, parent: list[int]) -> list[int]:
-    path = [u]
-    while parent[path[-1]] >= 0:
-        path.append(parent[path[-1]])
-    return path
-
-
 def _fundamental_cycle(u: int, v: int, parent: list[int]) -> list[int]:
-    """Vertex cycle (no closing repeat) through tree paths of ``u`` and ``v``."""
-    up_u = _tree_path_to_root(u, parent)
-    up_v = _tree_path_to_root(v, parent)
-    pos_in_u = {x: k for k, x in enumerate(up_u)}
-    lca = next(x for x in up_v if x in pos_in_u)
-    head = up_u[: pos_in_u[lca] + 1]  # u .. lca
-    tail = up_v[: up_v.index(lca)]  # v .. child of lca
-    return head + list(reversed(tail))
+    """Vertex cycle (no closing repeat) of the non-tree edge ``(u, v)``: ``u`` .. ``v``.
+
+    One walk, linear in the two tree paths: from ``u`` up to its root, then
+    from ``v`` up until it meets that path, at the lowest common ancestor;
+    the part of the first path above that ancestor is then dropped.
+    """
+    head = [u]
+    while parent[head[-1]] >= 0:
+        head.append(parent[head[-1]])
+    on_head = set(head)
+    tail = []  # v .. the child of the common ancestor
+    while v not in on_head:
+        tail.append(v)
+        v = parent[v]
+    while head[-1] != v:
+        head.pop()
+    return head + tail[::-1]
 
 
 def _normalize_cycle(verts: list[int]) -> list[int]:
@@ -155,12 +157,7 @@ def _weights_or_witness(
         if d[u] * rows[u][v] != d[v] * rows[v][u]:
             cycle = _normalize_cycle(_fundamental_cycle(u, v, parent))
             seq = cycle + [cycle[0]]
-            fwd, rev = _cycle_products(rows, seq)
-            return d, UnbalancedCycleWitness(
-                cycle=tuple(x + 1 for x in seq),
-                forward_product=fwd,
-                reverse_product=rev,
-            )
+            return d, UnbalancedCycleWitness(tuple(x + 1 for x in seq), *_cycle_products(rows, seq))
     return d, None
 
 

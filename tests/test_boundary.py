@@ -17,6 +17,9 @@ Two sweeps, both in process:
   gives where a docstring states the cost.  The ranks run from 1 to 30: all
   of 1..13, which hold the rank caps of :func:`principal_minors` (12) and the
   cycle oracle (8), then 20 and 30.
+* Diagram rank.  A diagram takes ranks up to ``DIAGRAM_RANK_LIMIT`` and no
+  more, and the orbit blocks of an edgeless diagram at 8,000 vertices and at
+  the limit each take at most ``CALL_BOUND_S`` of CPU time.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from dynkin import (
     validate_gcm,
 )
 from dynkin.enumeration import finite_affine_classes
+from dynkin.gcm import DIAGRAM_RANK_LIMIT
 from dynkin.oracles import (
     finite_affine_oracle,
     reflect,
@@ -271,3 +275,22 @@ def test_matrix_argument(name):
         if elapsed > DOCUMENTED_BOUND_S.get((name, family), CALL_BOUND_S):
             slow.append((family, n, round(elapsed, 2)))
     assert slow == []
+
+
+# == diagram rank ==
+
+
+@pytest.mark.parametrize("n", [8000, DIAGRAM_RANK_LIMIT])
+def test_edgeless_orbit_partition(n):
+    D = DynkinDiagram(n, ())
+    t0 = time.process_time()
+    blocks = orbit_partition(D).blocks
+    elapsed = time.process_time() - t0
+    assert blocks == tuple(frozenset((v,)) for v in range(1, n + 1))
+    assert elapsed <= CALL_BOUND_S
+
+
+def test_rank_past_the_limit():
+    message = f"positive integer, got {DIAGRAM_RANK_LIMIT + 1}; the limit is {DIAGRAM_RANK_LIMIT}"
+    with pytest.raises(DynkinError, match=message):
+        DynkinDiagram(DIAGRAM_RANK_LIMIT + 1, ())

@@ -1,4 +1,9 @@
-"""Core data model: validation, diagrams, connectivity, subdiagram masks."""
+"""Core data model: validation, diagrams, connectivity, subdiagram masks.
+
+The graph walks (:func:`mask_indices`, :func:`connected_deletions`) are
+checked against plain scans over every bit and every vertex, on seeded random
+graphs of ranks 0..70, so that the masks pass 64 bits.
+"""
 
 from __future__ import annotations
 
@@ -18,8 +23,11 @@ from dynkin import (
 from dynkin.errors import DynkinError
 from dynkin.gcm import (
     adjacency_bitmasks,
+    connected_deletions,
     graph_components,
     is_indecomposable,
+    mask_indices,
+    mask_vertices,
     proper_connected_masks,
 )
 from dynkin.symmetrize import random_gcm
@@ -127,6 +135,20 @@ class TestDiagramRoundTrip:
         with pytest.raises(DynkinError, match=re.escape(f"positive integer, got {rank!r}")):
             DynkinDiagram(rank=rank, edges=())
 
+    def test_edges_are_read_once(self):
+        edges = [(2, 3, EdgeLabel(1, 2)), (1, 2, EdgeLabel(1, 1))]
+        D = DynkinDiagram(3, (e for e in edges))
+        assert D.edges == ((1, 2, EdgeLabel(1, 1)), (2, 3, EdgeLabel(1, 2)))
+        assert D == DynkinDiagram(3, edges) == DynkinDiagram(3, tuple(edges))
+        with pytest.raises(DynkinError, match="duplicate edge"):
+            DynkinDiagram(3, (e for e in edges + edges))
+
+    @pytest.mark.parametrize("edges", [None, 5])
+    def test_non_iterable_edges(self, edges):
+        message = f"diagram edges: '{type(edges).__name__}' object is not iterable"
+        with pytest.raises(DynkinError, match=re.escape(message)):
+            DynkinDiagram(3, edges)
+
 
 class TestConnectivity:
     def test_indecomposable(self, arrow_chain):
@@ -185,6 +207,51 @@ def _connected_by_search(verts, adj):
                 reached.add(v)
                 todo.append(v)
     return reached == verts
+
+
+def _random_adjacency(rng: random.Random, n: int) -> list[int]:
+    """Random edges of one density on ``n`` vertices, and in half the draws a spanning tree."""
+    adj = [0] * n
+    tree = rng.random() < 0.5
+    prob = rng.choice((0.02, 0.1, 0.5))
+    for j in range(n):
+        for i in range(j):
+            if rng.random() < prob:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        if tree and j:
+            i = rng.randrange(j)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+class TestGraphWalks:
+    def test_mask_indices_match_a_bit_scan(self):
+        rng = random.Random(2029)
+        for n in range(71):
+            adj = _random_adjacency(rng, n)
+            masks = adj + [(1 << n) - 1, rng.getrandbits(n) if n else 0, 1 << n >> 1]
+            for mask in masks:
+                expected = [i for i in range(n) if mask >> i & 1]
+                assert mask_indices(mask) == expected
+                assert mask_vertices(mask) == frozenset(i + 1 for i in expected)
+
+    def test_connected_deletions_match_a_vertex_scan(self):
+        rng = random.Random(2030)
+        kept = lost = 0  # deletions that keep the graph connected, and the others
+        for n in range(71):
+            for _ in range(2):
+                adj = _random_adjacency(rng, n)
+                expected = [
+                    v
+                    for v in range(n)
+                    if n > 1 and _connected_by_search(set(range(n)) - {v}, adj)
+                ]
+                assert list(connected_deletions(adj)) == expected
+                kept += len(expected)
+                lost += n - len(expected)
+        assert kept > 1000 and lost > 1000
 
 
 class TestProperConnectedMasks:

@@ -21,6 +21,8 @@ from dynkin import (
 )
 from dynkin.gcm import is_indecomposable
 from dynkin.symmetrize import (
+    _forest,
+    _fundamental_cycle,
     cycle_criterion_agreement,
     inertia,
     kac_cycle_oracle,
@@ -67,6 +69,39 @@ class TestIsSymmetrizable:
             rows[w.cycle[t + 1] - 1][w.cycle[t] - 1] for t in range(len(w.cycle) - 1)
         )
         assert (fwd, rev) == (w.forward_product, w.reverse_product)
+
+
+class TestFundamentalCycle:
+    def test_closes_a_non_tree_edge_with_tree_edges(self):
+        rng = random.Random(2031)
+        drawn = checked = 0
+        while drawn < 200:
+            A = random_gcm(rng, rng.randint(3, 14), edge_prob=rng.choice((0.2, 0.5, 0.9)))
+            if is_symmetrizable(A)[0]:
+                continue
+            drawn += 1
+            _, parent, nontree = _forest(A.rows)
+            tree = {frozenset((v, p)) for v, p in enumerate(parent) if p >= 0}
+            for u, v in nontree:
+                cycle = _fundamental_cycle(u, v, parent)
+                assert (cycle[0], cycle[-1]) == (u, v)
+                assert len(cycle) == len(set(cycle)) >= 3
+                assert all(frozenset(e) in tree for e in zip(cycle, cycle[1:]))
+                checked += 1
+        assert checked > 1000
+
+    def test_witness_is_a_fundamental_cycle(self):
+        rng = random.Random(2032)
+        for _ in range(300):
+            A = random_gcm(rng, rng.randint(3, 10), edge_prob=rng.random())
+            ok, witness = is_symmetrizable(A)
+            if ok:
+                continue
+            _, parent, _ = _forest(A.rows)
+            tree = {frozenset((v, p)) for v, p in enumerate(parent) if p >= 0}
+            steps = [frozenset((a - 1, b - 1)) for a, b in zip(witness.cycle, witness.cycle[1:])]
+            assert sum(step not in tree for step in steps) == 1
+            assert all(A.rows[min(s)][max(s)] != 0 for s in steps)
 
 
 class TestCycleOracle:

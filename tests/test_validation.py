@@ -17,6 +17,10 @@
   :class:`RankBoundError` itself, only ``gcm._is_int`` asks whether an
   integer is a ``bool``, and no function carries a ``functools`` cache that
   would see an argument before its check.
+* One walk per graph question: only ``gcm`` and ``oracles`` call
+  ``mask_connected``, only ``gcm.mask_indices`` reads the set bits of a mask
+  (no ``mask >> i & 1`` anywhere else), and the forest path of
+  :mod:`dynkin.symmetrize` has no second walker.
 """
 
 from __future__ import annotations
@@ -401,3 +405,55 @@ def test_no_function_is_cached():
         and any(_name(d) in CACHE_DECORATORS for d in child.decorator_list)
     ]
     assert cached == []
+
+
+# == one walk per graph question ==
+
+#: Modules that may call ``mask_connected``: the helpers themselves, and the
+#: oracle routes, which share nothing structural with the pruned search.
+CONNECTIVITY_CALLERS = {"gcm", "oracles"}
+
+
+def _is_bit_test(node: ast.AST) -> bool:
+    """Whether ``node`` is ``x >> i & 1`` or ``1 & x >> i``."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
+        return False
+    for shifted, other in ((node.left, node.right), (node.right, node.left)):
+        if (
+            isinstance(shifted, ast.BinOp)
+            and isinstance(shifted.op, ast.RShift)
+            and isinstance(other, ast.Constant)
+            and other.value == 1
+        ):
+            return True
+    return False
+
+
+def test_connectivity_is_asked_in_one_place():
+    callers = [
+        f"{module}.py:{child.lineno}"
+        for module, _, child in _functions()
+        if isinstance(child, ast.Call)
+        and _name(child) == "mask_connected"
+        and module not in CONNECTIVITY_CALLERS
+    ]
+    assert callers == []
+
+
+def test_set_bits_are_read_in_one_place():
+    scans = [
+        f"{module}.py:{child.lineno}"
+        for module, func, child in _functions()
+        if _is_bit_test(child) and (module, getattr(func, "name", None)) != ("gcm", "mask_indices")
+    ]
+    assert scans == []
+
+
+def test_forest_paths_have_one_walker():
+    defined = {
+        f"{module}.{child.name}"
+        for module, _, child in _functions()
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert "symmetrize._fundamental_cycle" in defined
+    assert "symmetrize._tree_path_to_root" not in defined
