@@ -21,7 +21,7 @@ import json
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .canonical import canonical_rows
 from .classify import (
@@ -300,6 +300,24 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
     each rank to run ``<rank>-001`` upwards without gaps, so a catalog with
     classes missing or renumbered fails it.
 
+    Each check is one row of a table: its name, its scope, its test and its
+    pass detail, and one runner turns every row into a :class:`PropertyCheck`.
+    The scope is one of three:
+
+    * every loadable entry, each tested on its own;
+    * the walkable entries, those of rank ``MIN_RANK..MAX_RANK``, each tested
+      on its own, with the out-of-range ids listed as offending first.  An
+      entry outside the range is never walked (``2^rank`` work, a root walk,
+      or the ``O(rank^4)`` characteristic polynomial) nor canonically
+      labelled;
+    * the whole catalog, whose test returns the failure lines.
+
+    An entry the file loader would reject (say one built with
+    ``CatalogEntry._replace``) is listed under ``well-formed``, ahead of the
+    out-of-range ids, and is in no check's scope.  ``well-formed`` also lists
+    every entry whose matrix repeats another entry's, so a class stored twice
+    under two ids fails, and every later entry that repeats an id.
+
     The ``lorentzian`` check rests on Kac, *Infinite-dimensional Lie
     algebras*, 3rd ed., Ch. 5, on the hyperbolic type (Sec. 5.10): for a
     symmetrizable GCM of hyperbolic type the invariant form on the root
@@ -332,254 +350,178 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
       would be disconnected.  The same holds for ``S_vu``, so ``det A < 0``.
 
     The check still computes ``det A`` on every entry.
-
-    ``well-formed`` lists every entry whose matrix repeats another entry's,
-    so a class stored twice under two ids fails.  An entry the file loader
-    would reject (say one built with ``CatalogEntry._replace``) is listed
-    under ``well-formed`` and tested by no other check.  An entry outside
-    ``MIN_RANK..MAX_RANK`` is never walked (``2^rank`` work, a root walk, or
-    the ``O(rank^4)`` characteristic polynomial) nor canonically labelled:
-    the checks that walk an entry list it as offending instead.
     """
-    checks: list[PropertyCheck] = []
-
-    def add(name: str, failures: list[str], ok_detail: str) -> None:
-        checks.append(PropertyCheck(name, not failures, "; ".join(failures) or ok_detail))
-
     by_id = {e.canonical_id: e for e in entries}
     loadable = [_loadable(e) for e in entries]
     unloadable = [e.canonical_id for e, ok in zip(entries, loadable) if not ok]
     entries = tuple(e for e, ok in zip(entries, loadable) if ok)  # what the other checks test
     out_of_range = [e.canonical_id for e in entries if not MIN_RANK <= e.rank <= MAX_RANK]
     walkable = [e for e in entries if MIN_RANK <= e.rank <= MAX_RANK]
-
-    def check(
-        name: str, is_bad: Callable[[CatalogEntry], bool], ok_detail: str, walks: bool = False
-    ) -> None:
-        """Add ``name`` with the entries ``is_bad`` flags.
-
-        A check that ``walks`` an entry lists the out-of-range ids first and
-        never tests those entries; any other check tests every entry.
-        """
-        bad = [e.canonical_id for e in (walkable if walks else entries) if is_bad(e)]
-        add(name, _offending(out_of_range + bad if walks else bad), ok_detail)
-
-    add("rank-bound", _offending(out_of_range), f"all ranks within {MIN_RANK}..{MAX_RANK}")
-
-    seen_ids: set[str] = set()
+    first_with_id = {e.canonical_id: e for e in reversed(walkable)}
     row_counts = Counter(e.matrix.rows for e in walkable)
+    compact = [e for e in entries if e.compact]
+    sym_entries = [e for e in entries if e.symmetrizable]
+    by_rank = {r: [e for e in entries if e.rank == r] for r in range(MIN_RANK, MAX_RANK + 1)}
+    split = [  # entries with two equal weights in two orbits
+        e.canonical_id
+        for e in sym_entries
+        if len({(d, min(e.orbit_blocks.block_of(v + 1))) for v, d in enumerate(e.symmetrizer)})
+        > len(set(e.symmetrizer))
+    ]
 
-    def malformed(e: CatalogEntry) -> bool:
+    def ill_formed(e: CatalogEntry) -> bool:
         rows = e.matrix.rows
-        ok = (
-            e.canonical_id not in seen_ids
-            and row_counts[rows] == 1
-            and e.canonical_id.startswith(f"{e.rank}-")
-            and canonical_rows(rows)[0] == rows
-            and e.orbit_semantics == semantics_for(e.symmetrizable)
+        return (
+            first_with_id[e.canonical_id] is not e
+            or row_counts[rows] != 1
+            or not e.canonical_id.startswith(f"{e.rank}-")
+            or canonical_rows(rows)[0] != rows
+            or e.orbit_semantics != semantics_for(e.symmetrizable)
         )
-        seen_ids.add(e.canonical_id)
-        return not ok
 
-    bad = [e.canonical_id for e in walkable if malformed(e)]
-    add(
-        "well-formed",
-        _offending(unloadable + out_of_range + bad),
-        "ids unique, matrices canonical, flags consistent",
-    )
-
-    check(
-        "hyperbolic",
-        lambda e: hyperbolic_compact_scan(e.matrix.rows) != (True, e.compact),
-        "every entry hyperbolic, compact flags agree with the subset scan",
-        walks=True,
-    )
-
-    def bad_symmetrizer(e: CatalogEntry) -> bool:
+    def symmetrizer_wrong(e: CatalogEntry) -> bool:
         sym, _ = is_symmetrizable(e.matrix)
-        if sym != e.symmetrizable:
-            return True
-        if not sym:
-            return False
-        d = e.symmetrizer
-        rows = e.matrix.rows
-        n = e.rank
-        balanced = all(
-            d[i] * rows[i][j] == d[j] * rows[j][i] for i in range(n) for j in range(i + 1, n)
+        d, rows = e.symmetrizer, e.matrix.rows
+        return sym != e.symmetrizable or sym and (
+            any(d[i] * rows[i][j] != d[j] * rows[j][i] for i, j in combinations(range(e.rank), 2))
+            or e.root_lengths != len(set(d))
         )
-        return not balanced or e.root_lengths != len(set(d))
-
-    check(
-        "symmetrizer",
-        bad_symmetrizer,
-        "flags match recomputation; stored weights symmetrize exactly",
-    )
 
     def not_lorentzian(e: CatalogEntry) -> bool:
         A = e.matrix
-        if is_symmetrizable(A)[0] and inertia(bilinear_form(A)) != (e.rank - 1, 1, 0):
-            return True
-        return det_int(A.rows) >= 0
+        lorentzian = not is_symmetrizable(A)[0] or inertia(bilinear_form(A)) == (e.rank - 1, 1, 0)
+        return not lorentzian or det_int(A.rows) >= 0
 
-    check(
-        "lorentzian",
-        not_lorentzian,
-        "symmetrized forms have signature (n-1, 1); det A < 0 on every entry",
-        walks=True,
-    )
-
-    def bad_dual(e: CatalogEntry) -> bool:
+    def dual_wrong(e: CatalogEntry) -> bool:
         mate = by_id.get(e.dual_id)
         transpose_canon = canonical_rows(tuple(zip(*e.matrix.rows)))[0]
         return mate is None or mate.matrix.rows != transpose_canon or mate.dual_id != e.canonical_id
 
-    check(
-        "duality",
-        bad_dual,
-        "transpose classes present, dual pairing is an involution",
-        walks=True,
-    )
-    check(
-        "affine-subdiagram-corank",
-        lambda e: any(
-            kind == AFFINE and mask.bit_count() != e.rank - 1
-            for mask, kind in subdiagram_kinds(e.matrix.rows)
-        ),
-        "every proper connected affine subdiagram has exactly rank-1 vertices",
-        walks=True,
-    )
+    def affine_sizes(e: CatalogEntry) -> Iterator[int]:
+        """The vertex count of each proper connected affine subdiagram of ``e``, lazily."""
+        kinds = subdiagram_kinds(e.matrix.rows)
+        return (mask.bit_count() for mask, kind in kinds if kind == AFFINE)
 
-    check(
-        "corank1-connected",
-        lambda e: next(connected_deletions(adjacency_bitmasks(e.matrix.rows)), None) is None,
-        "every entry keeps a connected subdiagram on rank-1 vertices",
-    )
-    check(
-        "product4-edges",
-        lambda e: e.symmetrizable
-        and (4 in _edge_products(e.matrix.rows)) != (e.rank == 3 and not e.compact),
-        "symmetrizable entries carry a product-4 edge exactly in rank 3 non-compact",
-    )
-    check(
-        "rank3-affine-edge",
-        lambda e: e.rank == 3
-        and e.symmetrizable
-        and e.compact
-        == any(
-            kind == AFFINE and mask.bit_count() == 2
-            for mask, kind in subdiagram_kinds(e.matrix.rows)
-        ),
-        "rank-3 symmetrizable entries: non-compact iff an edge subdiagram is affine",
-    )
-    check(
-        "max-edge-product",
-        lambda e: e.symmetrizable
-        and e.rank >= 4
-        and any(p > 3 for p in _edge_products(e.matrix.rows)),
-        "symmetrizable entries of rank >= 4 keep edge products <= 3",
-    )
+    def all_cut(e: CatalogEntry) -> bool:
+        return next(connected_deletions(adjacency_bitmasks(e.matrix.rows)), None) is None
 
-    compact_entries = [e for e in entries if e.compact]
-    failures: list[str] = []
-    if compact_entries:
-        if max(e.rank for e in compact_entries) != 5:
-            failures.append("max compact rank is not 5")
-        rank5 = [e for e in compact_entries if e.rank == 5]
+    def orbits_wrong(e: CatalogEntry) -> bool:
+        stored = e.orbit_blocks == orbit_partition(matrix_to_diagram(e.matrix))
+        return not stored or not orbit_partitions_agree(e.matrix)
+
+    def compact_profile() -> list[str]:
+        if not compact:
+            return ["no compact entries present"]
+        failures = [] if max(e.rank for e in compact) == 5 else ["max compact rank is not 5"]
+        rank5 = [e for e in compact if e.rank == 5]
         if len(rank5) != 1:
             failures.append(f"{len(rank5)} compact entries of rank 5")
         else:
-            e = rank5[0]
-            rows = e.matrix.rows
+            rows, ident = rank5[0].matrix.rows, clip(rank5[0].canonical_id)
             degrees = [a.bit_count() for a in adjacency_bitmasks(rows)]
             if degrees != [2] * 5 or sorted(_edge_products(rows)) != [1, 1, 1, 1, 2]:
-                failures.append(f"{clip(e.canonical_id)} is not a cycle with a unique double arrow")
-            if e.symmetrizable:
-                failures.append(f"{clip(e.canonical_id)} unexpectedly symmetrizable")
-        sym_compact = [e for e in compact_entries if e.symmetrizable]
-        if sym_compact and max(e.rank for e in sym_compact) != 4:
+                failures.append(f"{ident} is not a cycle with a unique double arrow")
+            if rank5[0].symmetrizable:
+                failures.append(f"{ident} unexpectedly symmetrizable")
+        sym_ranks = [e.rank for e in compact if e.symmetrizable]
+        if sym_ranks and max(sym_ranks) != 4:
             failures.append("max symmetrizable compact rank is not 4")
-    else:
-        failures.append("no compact entries present")
-    add(
-        "compact-profile",
-        failures,
-        "compactness stops at rank 5, symmetrizable compactness at rank 4",
+        return failures
+
+    def root_length_bound() -> list[str]:
+        bad = [e.canonical_id for e in sym_entries if e.root_lengths > 4]
+        four = [e.canonical_id for e in sym_entries if e.root_lengths == 4]
+        return _offending(bad or ([] if len(four) == 1 else four or ["<none reaches 4>"]))
+
+    def orbit_block_bound() -> list[str]:
+        most = max((e.orbit_blocks.block_count for e in entries), default=0)
+        failures = ["an entry exceeds 4 orbit blocks"] if most > 4 else []
+        return failures + ([] if most == 4 else ["no entry reaches 4 orbit blocks"])
+
+    def equal_norm_split() -> list[str]:
+        if split:
+            return []
+        return ["no symmetrizable entry separates equal-norm simple roots into distinct orbits"]
+
+    def headline_counts() -> list[str]:
+        totals = tuple(map(len, by_rank.values()))
+        sym = tuple(sum(e.symmetrizable for e in es) for es in by_rank.values())
+        failures = []
+        if totals != HEADLINE_CLASSES:
+            failures.append(f"classes {_slashed(totals)}, paper {_slashed(HEADLINE_CLASSES)}")
+        if sym != HEADLINE_SYMMETRIZABLE:
+            failures.append(
+                f"symmetrizable {_slashed(sym)}, paper {_slashed(HEADLINE_SYMMETRIZABLE)}"
+            )
+        misnumbered = [
+            str(r)
+            for r, es in by_rank.items()
+            if sorted(e.canonical_id for e in es) != [_entry_id(r, k + 1) for k in range(len(es))]
+        ]
+        if misnumbered:
+            failures.append(f"ids are not <rank>-001..N in rank {', '.join(misnumbered)}")
+        return failures
+
+    each, walk = ([], entries), (out_of_range, walkable)  # (ids listed first, entries tested)
+    table = (  # name, scope (None: the whole catalog), test, pass detail
+        ("rank-bound", each, lambda e: not MIN_RANK <= e.rank <= MAX_RANK,
+         f"all ranks within {MIN_RANK}..{MAX_RANK}"),
+        ("well-formed", (unloadable + out_of_range, walkable), ill_formed,
+         "ids unique, matrices canonical, flags consistent"),
+        ("hyperbolic", walk, lambda e: hyperbolic_compact_scan(e.matrix.rows) != (True, e.compact),
+         "every entry hyperbolic, compact flags agree with the subset scan"),
+        ("symmetrizer", each, symmetrizer_wrong,
+         "flags match recomputation; stored weights symmetrize exactly"),
+        ("lorentzian", walk, not_lorentzian,
+         "symmetrized forms have signature (n-1, 1); det A < 0 on every entry"),
+        ("duality", walk, dual_wrong,
+         "transpose classes present, dual pairing is an involution"),
+        ("affine-subdiagram-corank", walk, lambda e: any(n != e.rank - 1 for n in affine_sizes(e)),
+         "every proper connected affine subdiagram has exactly rank-1 vertices"),
+        ("corank1-connected", each, all_cut,
+         "every entry keeps a connected subdiagram on rank-1 vertices"),
+        ("product4-edges", each,
+         lambda e: e.symmetrizable
+         and (4 in _edge_products(e.matrix.rows)) != (e.rank == 3 and not e.compact),
+         "symmetrizable entries carry a product-4 edge exactly in rank 3 non-compact"),
+        ("rank3-affine-edge", each,
+         lambda e: e.rank == 3 and e.symmetrizable and e.compact == (2 in affine_sizes(e)),
+         "rank-3 symmetrizable entries: non-compact iff an edge subdiagram is affine"),
+        ("max-edge-product", each,
+         lambda e: e.symmetrizable
+         and e.rank >= 4
+         and any(p > 3 for p in _edge_products(e.matrix.rows)),
+         "symmetrizable entries of rank >= 4 keep edge products <= 3"),
+        ("compact-profile", None, compact_profile,
+         "compactness stops at rank 5, symmetrizable compactness at rank 4"),
+        ("ranks-7-10-symmetrizable", each, lambda e: e.rank >= 7 and not e.symmetrizable,
+         "every entry of rank 7..10 is symmetrizable"),
+        ("root-length-bound", None, root_length_bound,
+         "root-length counts stay at <= 4 with exactly one entry reaching 4"),
+        ("orbit-block-bound", None, orbit_block_bound,
+         "orbit block counts stay at <= 4 and attain 4"),
+        ("equal-norm-orbit-split", None, equal_norm_split,
+         f"witness: {clip(split[0])}" if split else ""),
+        ("orbit-oracle", walk, orbits_wrong,
+         "stored orbit blocks rechecked; reflection-walk orbits agree with the skeleton "
+         "partition"),
+        ("headline-counts", None, headline_counts,
+         f"ranks {MIN_RANK}..{MAX_RANK}: {_slashed(HEADLINE_CLASSES)} classes, "
+         f"{_slashed(HEADLINE_SYMMETRIZABLE)} symmetrizable, ids <rank>-001..N"),
     )
-
-    check(
-        "ranks-7-10-symmetrizable",
-        lambda e: e.rank >= 7 and not e.symmetrizable,
-        "every entry of rank 7..10 is symmetrizable",
-    )
-    sym_entries = [e for e in entries if e.symmetrizable]
-    bad = [e.canonical_id for e in sym_entries if e.root_lengths > 4]
-    four = [e.canonical_id for e in sym_entries if e.root_lengths == 4]
-    if not bad and len(four) != 1:
-        bad = four or ["<none reaches 4>"]
-    add(
-        "root-length-bound",
-        _offending(bad),
-        "root-length counts stay at <= 4 with exactly one entry reaching 4",
-    )
-
-    most = max((e.orbit_blocks.block_count for e in entries), default=0)
-    failures = ["an entry exceeds 4 orbit blocks"] if most > 4 else []
-    if most != 4:
-        failures.append("no entry reaches 4 orbit blocks")
-    add("orbit-block-bound", failures, "orbit block counts stay at <= 4 and attain 4")
-
-    split = next((e.canonical_id for e in sym_entries if _has_equal_norm_orbit_split(e)), None)
-    add(
-        "equal-norm-orbit-split",
-        ["no symmetrizable entry separates equal-norm simple roots into distinct orbits"]
-        if split is None
-        else [],
-        f"witness: {clip(split)}" if split is not None else "",
-    )
-
-    check(
-        "orbit-oracle",
-        lambda e: e.orbit_blocks != orbit_partition(matrix_to_diagram(e.matrix))
-        or not orbit_partitions_agree(e.matrix),
-        "stored orbit blocks rechecked; reflection-walk orbits agree with the skeleton partition",
-        walks=True,
-    )
-
-    def slashed(counts: tuple[int, ...]) -> str:
-        return "/".join(map(str, counts))
-
-    by_rank = {r: [e for e in entries if e.rank == r] for r in range(MIN_RANK, MAX_RANK + 1)}
-    totals = tuple(map(len, by_rank.values()))
-    sym = tuple(sum(e.symmetrizable for e in es) for es in by_rank.values())
-    failures = []
-    if totals != HEADLINE_CLASSES:
-        failures.append(f"classes {slashed(totals)}, paper {slashed(HEADLINE_CLASSES)}")
-    if sym != HEADLINE_SYMMETRIZABLE:
-        failures.append(f"symmetrizable {slashed(sym)}, paper {slashed(HEADLINE_SYMMETRIZABLE)}")
-    misnumbered = [
-        str(r)
-        for r, es in by_rank.items()
-        if sorted(e.canonical_id for e in es) != [_entry_id(r, k) for k in range(1, len(es) + 1)]
-    ]
-    if misnumbered:
-        failures.append(f"ids are not <rank>-001..N in rank {', '.join(misnumbered)}")
-    add(
-        "headline-counts",
-        failures,
-        f"ranks {MIN_RANK}..{MAX_RANK}: {slashed(HEADLINE_CLASSES)} classes, "
-        f"{slashed(HEADLINE_SYMMETRIZABLE)} symmetrizable, ids <rank>-001..N",
-    )
-
+    checks = []
+    for name, scope, test, detail in table:
+        if scope is None:
+            failures = test()
+        else:
+            listed, tested = scope
+            failures = _offending(listed + [e.canonical_id for e in tested if test(e)])
+        checks.append(PropertyCheck(name, not failures, "; ".join(failures) or detail))
     return CatalogReport(tuple(checks))
 
 
-def _has_equal_norm_orbit_split(e: CatalogEntry) -> bool:
-    d, block_of = e.symmetrizer, e.orbit_blocks.block_of
-    assert d is not None
-    return any(
-        d[i] == d[j] and block_of(i + 1) != block_of(j + 1)
-        for i, j in combinations(range(e.rank), 2)
-    )
+def _slashed(counts: tuple[int, ...]) -> str:
+    return "/".join(map(str, counts))
 
 
 # == file format ==

@@ -14,7 +14,9 @@ whitespace text or JSON form; see the parsing module.  Exit codes: 0 success,
 1 domain error (bad matrix, wrong type, unsymmetrizable where required),
 2 usage error, 3 verification failure.  ``DYNKIN_SEED`` fixes the seed of the
 randomized symmetrizability cross-check run by ``verify-catalog``; a value
-that is not an integer is a usage error, reported before the catalog is read.
+that is not an integer, or has more digits than the interpreter converts, is a
+usage error, reported before the catalog is read.  Error lines quote what
+came from the command line or the environment clipped to 40 characters.
 """
 
 from __future__ import annotations
@@ -22,12 +24,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .catalog import (
     MAX_RANK,
     MIN_RANK,
+    CatalogReport,
+    PropertyCheck,
     catalog_to_latex,
     catalog_to_lines,
     catalog_to_tsv,
@@ -52,6 +58,27 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 EQUIVALENCE_SAMPLES = 2000
+
+#: What a usage error echoes from the command line: a long list of unrecognized
+#: arguments, a value quoted as ``repr`` writes it, or a long unquoted word.
+_ECHOED = re.compile(
+    r"""(?<=^unrecognized arguments: ).{41,}|'((?:[^'\\]|\\.)*)'|"((?:[^"\\]|\\.)*)"|\S{41,}""",
+    re.S,
+)
+#: The integer syntax ``int`` accepts in base 10.
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Exit 2 with the usage, each echoed value clipped; the argument name is kept."""
+
+        def clipped(m: re.Match) -> str:
+            if m.lastindex is None:
+                return clip(m[0])
+            return clip(m[m.lastindex], lambda s: m[0][0] + s + m[0][0])
+
+        super().error(_ECHOED.sub(clipped, message))
 
 
 def _read_matrix(source: str) -> GeneralizedCartanMatrix:
@@ -185,21 +212,23 @@ def _cmd_verify_catalog(args: argparse.Namespace) -> int:
     raw_seed = os.environ.get("DYNKIN_SEED", "0")
     try:
         seed = int(raw_seed)
-    except ValueError:
-        print(f"error: DYNKIN_SEED must be an integer, got {clip(raw_seed, repr)}", file=sys.stderr)
+    except ValueError:  # not an integer, or past the interpreter's digit limit
+        problem = "has too many digits" if _INTEGER.fullmatch(raw_seed) else "must be an integer"
+        print(f"error: DYNKIN_SEED {problem}, got {clip(raw_seed, repr)}", file=sys.stderr)
         return EXIT_USAGE
     entries = read_catalog(args.infile)
-    report = verify_catalog(entries)
+    checks = verify_catalog(entries).checks
+    mismatches = cycle_criterion_agreement(EQUIVALENCE_SAMPLES, seed=seed)
+    equivalence = PropertyCheck(
+        "criterion-equivalence",
+        not mismatches,
+        f"{EQUIVALENCE_SAMPLES} random matrices, seed {seed}, "
+        f"{len(mismatches)} disagreements between the two symmetrizability routes",
+    )
+    report = CatalogReport(checks + (equivalence,))
     for line in report.format_lines():
         print(line)
-    mismatches = cycle_criterion_agreement(EQUIVALENCE_SAMPLES, seed=seed)
-    eq_ok = not mismatches
-    print(
-        f"{'PASS' if eq_ok else 'FAIL'} criterion-equivalence: "
-        f"{EQUIVALENCE_SAMPLES} random matrices, seed {seed}, "
-        f"{len(mismatches)} disagreements between the two symmetrizability routes"
-    )
-    if report.all_passed and eq_ok:
+    if report.all_passed:
         print(f"verified {len(entries)} entries: all checks passed")
         return EXIT_OK
     print("verification failed", file=sys.stderr)
@@ -210,7 +239,7 @@ def _cmd_verify_catalog(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dynkin",
         description="Classify generalized Cartan matrices and work with the "
         "catalog of hyperbolic Dynkin diagrams.",
@@ -282,7 +311,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (DynkinError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        shown = exc
+        if isinstance(exc, OSError) and exc.filename is not None:  # clipped like any input
+            shown = f"[Errno {exc.errno}] {exc.strerror}: {clip(exc.filename, repr)}"
+        print(f"error: {shown}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

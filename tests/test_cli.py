@@ -9,9 +9,10 @@ import json
 import pytest
 
 import dynkin.cli
-from dynkin import parse_matrix_input, read_catalog, write_catalog
-from dynkin.catalog import catalog_to_lines
+from dynkin import parse_matrix_input, read_catalog, validate_gcm, write_catalog
+from dynkin.catalog import CatalogEntry, catalog_to_lines
 from dynkin.cli import EXIT_VERIFY, main
+from dynkin.weyl import OrbitPartition
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -205,6 +206,27 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "argv, code, kept",
+        [
+            (["enumerate", "--min-rank", "9" * 5000, "--out", "x"], 2, "argument --min-rank: "),
+            (["classify", "--format", "x" * 3000], 2, "argument --format: invalid choice: 'xxxx"),
+            (["classify", "--input", "p" * 3000], 1, "File name too long: 'pppp"),
+            (["c" * 3000], 2, "argument command: invalid choice: 'cccc"),
+        ],
+        ids=["int-value", "choice", "path", "subcommand"],
+    )
+    def test_echoed_argument_is_clipped(self, capsys, argv, code, kept):
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse ends a usage error this way
+            got = exc.code
+        err = capsys.readouterr().err
+        assert got == code
+        assert kept in err
+        assert f"... ({max(map(len, argv))} characters)" in err
+        assert len(err) < 400
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["classify", "--input", str(tmp_path / "nope.txt")])
         assert code == 1
@@ -348,6 +370,73 @@ FULL_CATALOG_REPORT = (
     "verified 238 entries: all checks passed\n"
 )
 
+#: Every line name of the report, in order.
+REPORT_NAMES = [line.split()[1].rstrip(":") for line in FULL_CATALOG_REPORT.splitlines()[:-1]]
+
+#: A rank-4 path whose first edge has product 4, an affine subdiagram on 2 vertices.
+HEAVY_EDGE_PATH = validate_gcm([[2, -2, 0, 0], [-2, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+#: The affine 4-cycle: symmetrizable, with a null direction and det 0.
+AFFINE_SQUARE = validate_gcm([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]])
+#: Three isolated vertices: every deletion leaves a disconnected diagram.
+EDGELESS = validate_gcm([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+#: The fields of an entry that is not symmetrizable.
+NOT_SYMMETRIZABLE = {
+    "symmetrizable": False,
+    "symmetrizer": None,
+    "root_lengths": None,
+    "orbit_semantics": "unverified",
+}
+
+
+def _blocks(*blocks):
+    return OrbitPartition(tuple(map(frozenset, blocks)))
+
+
+def _with(catalog, ident, **fields):
+    return tuple(e._replace(**fields) if e.canonical_id == ident else e for e in catalog)
+
+
+def _path_entry(n):
+    """A loadable entry for the simply laced path on ``n`` vertices, id ``<n>-001``."""
+    rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    ident, d, one = f"{n}-001", (1,) * n, _blocks(range(1, n + 1))
+    return CatalogEntry(ident, n, validate_gcm(rows), False, True, d, 1, one, "verified", ident)
+
+
+def _one_orbit_when_symmetrizable(catalog):
+    return tuple(
+        e._replace(orbit_blocks=_blocks(range(1, e.rank + 1))) if e.symmetrizable else e
+        for e in catalog
+    )
+
+
+#: Report name -> (a change to the full catalog that fails that check, the id
+#: its FAIL line names, or None for a check that lists no ids).
+FAILING = {
+    "rank-bound": (lambda c: c + (_path_entry(11),), "11-001"),
+    "well-formed": (lambda c: _with(c, "3-001", orbit_semantics="verified"), "3-001"),
+    "hyperbolic": (lambda c: _with(c, "3-001", compact=True), "3-001"),
+    "symmetrizer": (lambda c: _with(c, "3-003", symmetrizer=(2, 4, 4)), "3-003"),
+    "lorentzian": (lambda c: _with(c, "4-001", matrix=AFFINE_SQUARE), "4-001"),
+    "duality": (lambda c: _with(c, "3-002", dual_id="3-001"), "3-002"),
+    "affine-subdiagram-corank": (lambda c: _with(c, "4-001", matrix=HEAVY_EDGE_PATH), "4-001"),
+    "corank1-connected": (lambda c: _with(c, "3-001", matrix=EDGELESS), "3-001"),
+    "product4-edges": (lambda c: _with(c, "3-003", compact=True), "3-003"),
+    "rank3-affine-edge": (lambda c: _with(c, "3-071", compact=False), "3-071"),
+    "max-edge-product": (lambda c: _with(c, "4-001", matrix=HEAVY_EDGE_PATH), "4-001"),
+    "compact-profile": (lambda c: _with(c, "6-001", compact=True), None),
+    "ranks-7-10-symmetrizable": (lambda c: _with(c, "7-001", **NOT_SYMMETRIZABLE), "7-001"),
+    "root-length-bound": (lambda c: _with(c, "3-003", root_lengths=5), "3-003"),
+    "orbit-block-bound": (
+        lambda c: _with(c, "5-001", orbit_blocks=_blocks([1], [2], [3], [4], [5])),
+        None,
+    ),
+    "equal-norm-orbit-split": (_one_orbit_when_symmetrizable, None),
+    "orbit-oracle": (lambda c: _with(c, "4-001", orbit_blocks=_blocks([1, 2, 3, 4])), "4-001"),
+    "headline-counts": (lambda c: tuple(e for e in c if e.canonical_id != "6-002"), None),
+    "criterion-equivalence": (lambda c: c, None),  # the cross-check is patched to disagree once
+}
+
 
 class TestVerifyCatalog:
     def test_full_catalog_report_is_pinned(self, capsys, tmp_path, catalog, monkeypatch):
@@ -369,6 +458,31 @@ class TestVerifyCatalog:
         assert "criterion-equivalence" in out
         assert "seed 123" in out
         assert lines[-1] == f"verified {len(catalog)} entries: all checks passed"
+
+    @pytest.mark.parametrize("name", REPORT_NAMES)
+    def test_each_check_fails_on_a_catalog_built_to_fail_it(
+        self, capsys, tmp_path, catalog, monkeypatch, name
+    ):
+        change, offending = FAILING[name]
+        path = tmp_path / "failing.jsonl"
+        write_catalog(change(catalog), path)
+        monkeypatch.delenv("DYNKIN_SEED", raising=False)
+        monkeypatch.setattr(dynkin.cli, "EQUIVALENCE_SAMPLES", 10)
+        if name == "criterion-equivalence":
+            disagreeing = [AFFINE_SQUARE]
+            monkeypatch.setattr(
+                dynkin.cli, "cycle_criterion_agreement", lambda *a, **k: disagreeing
+            )
+        code, out, err = run(capsys, ["verify-catalog", "--in", str(path)])
+        assert (code, err) == (EXIT_VERIFY, "verification failed\n")
+        lines = out.splitlines()
+        assert not any(line.startswith("verified") for line in lines)
+        fail = [line for line in lines if line.startswith(f"FAIL {name}: ")]
+        assert len(fail) == 1, lines
+        if offending is not None:
+            head = f"FAIL {name}: offending entries: "
+            assert fail[0].startswith(head), fail[0]
+            assert offending in fail[0][len(head) :].split(", "), fail[0]
 
     @pytest.mark.parametrize("case", ["dropped-6-002", "dropped-self-dual", "renumbered-10-004"])
     def test_missing_or_renumbered_classes_fail_headline_counts(
@@ -428,6 +542,12 @@ class TestVerifyCatalog:
         code, out, _ = run(capsys, ["verify-catalog", "--in", str(path)])
         assert code == 3  # the global checks need the full catalog
         assert "seed -5" in out
+
+    def test_seed_past_the_digit_limit_says_so(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("DYNKIN_SEED", "9" * 5000)
+        code, out, err = run(capsys, ["verify-catalog", "--in", str(tmp_path / "unread.jsonl")])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: DYNKIN_SEED has too many digits, got '999")
 
     def test_partial_catalog_fails(self, capsys, tmp_path, catalog):
         path = tmp_path / "partial.jsonl"

@@ -5,7 +5,9 @@ Every case must end in a documented exit code (0 success, 1 domain error,
 keep every stdout line and the whole of stderr within 1,000 characters, and
 never let an exception escape ``main``.  Three sources of input:
 
-* random GCMs of ranks 1..12 (``random_gcm``) into the matrix commands;
+* random GCMs of ranks 1..12 (``random_gcm``) into the matrix commands,
+  and command lines with a long option value, path, subcommand or argument,
+  or a thousand arguments;
 * hostile matrix text and JSON, and matrices whose symmetrizer weights or
   cycle products have more digits than the interpreter will print (these
   must also leave stdout empty);
@@ -60,6 +62,17 @@ HOSTILE_VALUES = [
 ]
 
 HOSTILE_SEEDS = ["", "abc", "9" * 5000, "1e3"]
+
+#: Command lines whose usage error or file error echoes a long value.
+HOSTILE_ARGV = [
+    ["enumerate", "--min-rank", "9" * 5000, "--out", "x"],
+    ["classify", "--format", "x" * 3000],
+    ["classify", "--input", "p" * 3000],
+    ["c" * 3000],
+    ["classify", "z" * 3000],
+    ["classify"] + ["a"] * 1000,
+    ["enumerate", "--m=" + "x" * 3000, "--out", "x"],
+]
 
 HOSTILE_MATRICES = [
     "",
@@ -200,7 +213,8 @@ def test_cli_fuzz(capsys, monkeypatch, tmp_path, catalog):
     rng = random.Random(SEED)
     problems = []
     cases = 0
-    for argv, text in list(_matrix_cases(rng)) + list(_hostile_cases(rng)):
+    hostile_argv = [(argv, "") for argv in HOSTILE_ARGV]
+    for argv, text in list(_matrix_cases(rng)) + list(_hostile_cases(rng)) + hostile_argv:
         code, out, err = _run(capsys, monkeypatch, argv, text)
         problems += _problems(argv, code, out, err)
         cases += 1

@@ -21,6 +21,9 @@
   ``mask_connected``, only ``gcm.mask_indices`` reads the set bits of a mask
   (no ``mask >> i & 1`` anywhere else), and the forest path of
   :mod:`dynkin.symmetrize` has no second walker.
+* One runner builds the verifier's report: :mod:`dynkin.catalog` builds a
+  ``PropertyCheck`` in one place, inside ``verify_catalog``, and defines no
+  ``add`` or ``check`` helper that would build the checks another way.
 """
 
 from __future__ import annotations
@@ -457,3 +460,23 @@ def test_forest_paths_have_one_walker():
     }
     assert "symmetrize._fundamental_cycle" in defined
     assert "symmetrize._tree_path_to_root" not in defined
+
+
+# == one runner builds the verifier's report ==
+
+
+def test_the_verifier_builds_every_check_in_one_place():
+    built = [
+        (func.name if func is not None else "<module>", child.lineno)
+        for module, func, child in _functions()
+        if module == "catalog" and isinstance(child, ast.Call) and _name(child) == "PropertyCheck"
+    ]
+    helpers = [
+        f"catalog.{child.name}"
+        for module, _, child in _functions()
+        if module == "catalog"
+        and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and child.name in ("add", "check")
+    ]
+    assert [where for where, _ in built] == ["verify_catalog"], built
+    assert helpers == []
