@@ -15,6 +15,11 @@ never let an exception escape ``main``.  Three sources of input:
   dense in-range entry that the orbit oracle walks, and hostile values of
   ``DYNKIN_SEED``.
 
+Every case's (exit code, stdout, stderr) is pinned, one line per case, in
+``tests/pinned/fuzz.txt`` (a usage error by its exit code and stdout only;
+see ``tests/pins.py``).  The cases run in the test's temporary directory
+and name their files relatively, so no record holds a temporary path.
+
 A library-level case hands ``verify_catalog`` entries built in memory with
 one field set to a type-correct value the file loader rejects; the report
 must list each under ``well-formed`` instead of raising.
@@ -33,6 +38,8 @@ from dynkin.cli import main
 from dynkin.errors import clip
 from dynkin.symmetrize import random_gcm
 from dynkin.weyl import OrbitPartition
+
+import pins
 
 SEED = 20100
 
@@ -141,7 +148,7 @@ def _run(capsys, monkeypatch, argv, stdin_text=""):
     return code, out, err
 
 
-def _problems(argv, code, out, err):
+def _problems(code, out, err):
     found = []
     if code not in EXIT_CODES:
         found.append(f"exit {code!r}")
@@ -153,7 +160,7 @@ def _problems(argv, code, out, err):
         found.append(f"a stdout line of {max(map(len, out.splitlines()))} characters")
     if "Traceback" in out + err:
         found.append("traceback")
-    return [f"{argv}: {p}" for p in found]
+    return found
 
 
 def _matrix_text(rng, rows):
@@ -207,32 +214,36 @@ def _catalog_cases(rng, lines):
     yield "\x00", []
 
 
-def test_cli_fuzz(capsys, monkeypatch, tmp_path, catalog):
+def test_cli_fuzz(capsys, monkeypatch, tmp_path, catalog, one_parser):
     # the symmetrizability cross-check of verify-catalog is not under test here
     monkeypatch.setattr(dynkin.cli, "EQUIVALENCE_SAMPLES", 10)
+    monkeypatch.chdir(tmp_path)  # files go by relative name, so no record holds the path
     rng = random.Random(SEED)
     problems = []
-    cases = 0
+    records = {}
+
+    def case(name, argv, text=""):
+        code, out, err = _run(capsys, monkeypatch, argv, text)
+        key = f"{len(records):03d} {name}"
+        records[key] = pins.record(code, out, err)
+        problems.extend(f"{key}: {p}" for p in _problems(code, out, err))
+        return code, out, err
+
     hostile_argv = [(argv, "") for argv in HOSTILE_ARGV]
     for argv, text in list(_matrix_cases(rng)) + list(_hostile_cases(rng)) + hostile_argv:
-        code, out, err = _run(capsys, monkeypatch, argv, text)
-        problems += _problems(argv, code, out, err)
-        cases += 1
+        case(clip(" ".join(argv)), argv, text)
     for rows in _huge_output_matrices():
         for fmt in ("text", "json"):
             argv = ["symmetrize", "--format", fmt]
-            code, out, err = _run(capsys, monkeypatch, argv, json.dumps(rows))
-            problems += _problems(argv, code, out, err)
+            name = f"symmetrize --format {fmt} rank {len(rows)}"
+            code, out, err = case(name, argv, json.dumps(rows))
             if code != 1 or out or err.count("error:") != 1:
-                problems.append(f"{argv} rank {len(rows)}: exit {code!r}, stdout {out[:40]!r}")
-            cases += 1
+                problems.append(f"{name}: exit {code!r}, stdout {out[:40]!r}")
     path = tmp_path / "fuzz.jsonl"
+    argv = ["verify-catalog", "--in", path.name]
     for header, entry_lines in _catalog_cases(rng, catalog_to_lines(catalog).splitlines()):
         path.write_text("\n".join([header, *entry_lines]) + "\n", encoding="utf-8")
-        argv = ["verify-catalog", "--in", str(path)]
-        code, out, err = _run(capsys, monkeypatch, argv)
-        problems += _problems(argv, code, out, err)
-        cases += 1
+        case("verify-catalog", argv)
     # in range, so the orbit oracle walks it (4,015 roots in its height-8
     # window); K_10 with single edges is not hyperbolic, so the report fails
     n = 10
@@ -249,26 +260,19 @@ def test_cli_fuzz(capsys, monkeypatch, tmp_path, catalog):
         "dual_id": "10-001",
     }
     path.write_text(catalog_to_lines(()) + json.dumps(dense) + "\n", encoding="utf-8")
-    argv = ["verify-catalog", "--in", str(path)]
-    code, out, err = _run(capsys, monkeypatch, argv)
-    problems += _problems(argv, code, out, err) + ([] if code == 3 else [f"K_10: exit {code!r}"])
-    cases += 1
+    code, out, err = case("verify-catalog K_10", argv)
+    problems += [] if code == 3 else [f"K_10: exit {code!r}"]
     path.write_text(catalog_to_lines(catalog[:3]), encoding="utf-8")
-    argv = ["verify-catalog", "--in", str(path)]
     for seed in HOSTILE_SEEDS:
         monkeypatch.setenv("DYNKIN_SEED", seed)
-        code, out, err = _run(capsys, monkeypatch, argv)
-        found = _problems(argv, code, out, err)
-        problems += [f"DYNKIN_SEED={clip(seed, repr)}: {p}" for p in found]
-        cases += 1
+        case(f"verify-catalog DYNKIN_SEED={clip(seed, repr)}", argv)
     monkeypatch.delenv("DYNKIN_SEED")
     path.write_bytes(b"\xff\xfe not utf-8\n")
-    for argv in (["classify", "--input", str(path)], ["verify-catalog", "--in", str(path)]):
-        code, out, err = _run(capsys, monkeypatch, argv)
-        problems += _problems(argv, code, out, err)
-        cases += 1
-    assert cases >= 400
+    for argv in (["classify", "--input", path.name], ["verify-catalog", "--in", path.name]):
+        case(f"{' '.join(argv)} not utf-8", argv)
+    assert len(records) >= 400
     assert not problems, "\n".join(problems[:20])
+    pins.check("fuzz", records)
 
 
 def _unloadable_fields(e, other):
