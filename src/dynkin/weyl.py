@@ -35,7 +35,7 @@ tests walk the roots with it against the closure.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError, DynkinError, WrongTypeError
 from .gcm import (
@@ -79,15 +79,25 @@ class RootVector(NamedTuple):
 class OrbitPartition(FrozenRecord):
     """Partition of the 1-based simple-root indices into orbit blocks.
 
-    Blocks are stored sorted by smallest member, so equal partitions compare
-    equal structurally.
+    Built from any iterable of blocks, each a non-empty set of integers;
+    anything else raises :class:`DynkinError` naming the block.  Blocks are
+    stored as frozensets sorted by smallest member, so equal partitions
+    compare equal structurally.
     """
 
     __slots__ = ("blocks",)
     blocks: tuple[frozenset[int], ...]
 
-    def __init__(self, blocks: tuple[frozenset[int], ...]) -> None:
-        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=lambda b: min(b))))
+    def __init__(self, blocks: Iterable[frozenset[int]]) -> None:
+        try:
+            blocks = tuple(blocks)
+        except TypeError as exc:  # the blocks are not iterable
+            raise DynkinError(f"orbit blocks: {exc}") from None
+        for b in blocks:
+            if not (isinstance(b, (set, frozenset)) and b and all(map(_is_int, b))):
+                shown = _shown(b, repr)
+                raise DynkinError(f"orbit block {shown} is not a non-empty set of integers")
+        object.__setattr__(self, "blocks", tuple(sorted(map(frozenset, blocks), key=min)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

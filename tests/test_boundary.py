@@ -35,6 +35,7 @@ from dynkin import (
     DynkinError,
     EdgeLabel,
     GeneralizedCartanMatrix,
+    OrbitPartition,
     RankBoundError,
     RootVector,
     bilinear_form,
@@ -237,7 +238,6 @@ OTHER_CALLABLES = {
     "CartanType",
     "CatalogEntry",
     "EdgeLabel",
-    "OrbitPartition",
     "RootVector",
     "Symmetrization",
     "enumerate_hyperbolic",
@@ -257,7 +257,7 @@ def test_every_public_callable_is_swept():
         and not isinstance(obj, types.ModuleType)
         and not (isinstance(obj, type) and issubclass(obj, BaseException))
     }
-    assert public == set(MATRIX_CALLS) | OTHER_CALLABLES
+    assert public == set(MATRIX_CALLS) | {"OrbitPartition"} | OTHER_CALLABLES
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX_CALLS))
@@ -275,6 +275,36 @@ def test_matrix_argument(name):
         if elapsed > DOCUMENTED_BOUND_S.get((name, family), CALL_BOUND_S):
             slow.append((family, n, round(elapsed, 2)))
     assert slow == []
+
+
+# == orbit blocks ==
+
+#: name -> (blocks that are not each a non-empty set of plain integers, the
+#: block the error names, or ``None`` where it is not iterable or too long to quote).
+HOSTILE_BLOCKS = {
+    "empty block": ((frozenset(),), frozenset()),
+    "string vertex": ((frozenset({1}), frozenset({"x"})), frozenset({"x"})),
+    "string block": (("ab",), "ab"),
+    "list block": ((frozenset({1}), [2]), [2]),
+    "bool vertex": ((frozenset({True}),), frozenset({True})),
+    "float vertex": ((frozenset({2.0}),), frozenset({2.0})),
+    "None block": ((None,), None),
+    "long block": ((frozenset({"x" * 1000}),), None),
+    "int blocks": (5, None),
+    "None blocks": (None, None),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_BLOCKS)
+def test_orbit_partition_blocks(name):
+    blocks, named = HOSTILE_BLOCKS[name]
+    assert OrbitPartition((frozenset({3}), {1, 2})).blocks == (frozenset({1, 2}), frozenset({3}))
+    assert OrbitPartition(()).blocks == ()
+    with pytest.raises(DynkinError) as info:
+        OrbitPartition(blocks)
+    assert len(str(info.value)) < 200
+    if named is not None:
+        assert repr(named) in str(info.value)
 
 
 # == diagram rank ==
