@@ -6,9 +6,10 @@ symmetrizers and simple-root orbit structure, performs affine extension and
 overextension, and enumerates every hyperbolic diagram class of rank 3 to 10.
 
 This namespace holds the API the README documents, the symmetrized bilinear
-form and real-root data, the diagram view, principal minors, and every
-exception class.  Each other public name has one import path, the module
-that defines it:
+form and real-root data, principal minors, and every exception class.  A GCM
+is its diagram: ``matrix_to_diagram`` returns its argument and stays only
+for the benchmark harness.  Each other public name has one import path, the
+module that defines it:
 
 * :mod:`dynkin.catalog` -- the catalog file format (``catalog_to_lines``,
   ``catalog_from_lines``, the TSV and LaTeX tables) and the verifier
@@ -47,7 +48,7 @@ from .errors import (
     RankBoundError,
     WrongTypeError,
 )
-from .gcm import DynkinDiagram, EdgeLabel, GeneralizedCartanMatrix, matrix_to_diagram, validate_gcm
+from .gcm import GeneralizedCartanMatrix, matrix_to_diagram, validate_gcm
 from .parsing import parse_matrix_input
 from .symmetrize import Symmetrization, bilinear_form, is_symmetrizable, symmetrizer
 from .weyl import OrbitPartition, RootVector, highest_root, orbit_partition, real_roots_up_to_height

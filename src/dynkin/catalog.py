@@ -43,7 +43,6 @@ from .gcm import (
     adjacency_bitmasks,
     connected_deletions,
     is_indecomposable,
-    matrix_to_diagram,
     validate_gcm,
 )
 from .parsing import load_json
@@ -154,7 +153,7 @@ def _rank_entries(rank: int, mats: tuple[tuple[tuple[int, ...], ...], ...]) -> l
                 symmetrizable=sym,
                 symmetrizer=d,
                 root_lengths=len(set(d)) if d else None,
-                orbit_blocks=orbit_partition(matrix_to_diagram(A)),
+                orbit_blocks=orbit_partition(A),
                 orbit_semantics=semantics_for(sym),
                 dual_id=dual_id,
             )
@@ -406,7 +405,7 @@ def verify_catalog(entries: tuple[CatalogEntry, ...]) -> CatalogReport:
         return next(connected_deletions(adjacency_bitmasks(e.matrix.rows)), None) is None
 
     def orbits_wrong(e: CatalogEntry) -> bool:
-        stored = e.orbit_blocks == orbit_partition(matrix_to_diagram(e.matrix))
+        stored = e.orbit_blocks == orbit_partition(e.matrix)
         return not stored or not orbit_partitions_agree(e.matrix)
 
     def compact_profile() -> list[str]:

@@ -46,7 +46,7 @@ from .catalog import (
 )
 from .classify import classify, kind_of_rows
 from .errors import DecomposableError, DynkinError, clip
-from .gcm import GeneralizedCartanMatrix, is_indecomposable, matrix_to_diagram
+from .gcm import GeneralizedCartanMatrix, is_indecomposable
 from .oracles import search_ranks_oracle
 from .parsing import format_matrix_text, parse_matrix_input
 from .symmetrize import _weights_or_witness, cycle_criterion_agreement, is_symmetrizable
@@ -155,7 +155,7 @@ def _cmd_symmetrize(args: argparse.Namespace) -> int:
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
     A = _read_matrix(args.input)
-    part = orbit_partition(matrix_to_diagram(A))
+    part = orbit_partition(A)
     semantics = semantics_for(is_symmetrizable(A)[0])
     if args.format == "json":
         obj = {

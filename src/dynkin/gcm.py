@@ -1,4 +1,4 @@
-"""Core data model: generalized Cartan matrices and Dynkin diagrams.
+"""Core data model: generalized Cartan matrices and their graphs.
 
 A generalized Cartan matrix (GCM) is an integer square matrix ``A`` with
 
@@ -8,11 +8,9 @@ A generalized Cartan matrix (GCM) is an integer square matrix ``A`` with
 
 The entry ``A[i][j]`` is the pairing of the j-th simple root against the i-th
 simple coroot.  Vertices are numbered 1..n in every public interface; the
-underlying storage is 0-based tuples.
-
-A Dynkin diagram is the equivalent edge-labelled graph: vertices 1..n, and for
-each off-diagonal pair with nonzero entries an undirected edge ``{i, j}``
-carrying the label ``(p, q) = (-A[i][j], -A[j][i])`` recorded for ``i < j``.
+underlying storage is 0-based tuples.  A GCM is its Dynkin diagram: the
+package has no second data model for the diagram, and every diagram question
+reads the rows.
 
 Where the axioms are checked
 ----------------------------
@@ -35,8 +33,6 @@ again.  ``GeneralizedCartanMatrix._trusted`` wraps such rows unchecked, and it
 is called only where a docstring says why the rows hold the axioms: the
 affine extension and the overextension of a validated matrix, the catalog
 entries built from the search's rows, the random sampler and the JSON parser.
-:func:`matrix_to_diagram` likewise builds its diagram without re-checking the
-edges of a validated matrix.
 
 Graph questions
 ---------------
@@ -53,22 +49,20 @@ vertices the search's parent rule keys, and the verifier's
 component at a time.
 
 All types in this module are immutable and hashable; functions are pure.
-Plain records are :class:`typing.NamedTuple` classes; the types that check
-their input on construction are ``__slots__`` classes built on
-:class:`FrozenRecord`, which compare equal only to their own type.  Neither
-needs :mod:`dataclasses`, which is slow to import.
+The package's types that check their input on construction are
+``__slots__`` classes built on :class:`FrozenRecord`, which compare equal
+only to their own type; its plain records are :class:`typing.NamedTuple`
+classes.  Neither needs :mod:`dataclasses`, which is slow to import.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DynkinError, MatrixValidationError, clip
 
 __all__ = [
-    "EdgeLabel",
-    "DynkinDiagram",
     "GeneralizedCartanMatrix",
     "validate_gcm",
     "matrix_to_diagram",
@@ -101,90 +95,6 @@ class FrozenRecord:
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, k) for k in self.__slots__)
-
-
-# == Dynkin diagrams ==
-
-
-class EdgeLabel(NamedTuple):
-    """Label ``(p, q)`` of the edge ``{i, j}`` with ``i < j``.
-
-    ``p = -A[i][j]`` and ``q = -A[j][i]``; both are positive integers for a
-    genuine edge.
-    """
-
-    p: int
-    q: int
-
-
-DIAGRAM_RANK_LIMIT = 2**14  # the largest rank a diagram is built with from outside
-
-
-class DynkinDiagram(FrozenRecord):
-    """Edge-labelled graph form of a GCM.
-
-    Built from a rank in ``1..DIAGRAM_RANK_LIMIT`` and any iterable of
-    ``(i, j, label)`` triples, which is read once; ``edges`` holds them as a
-    tuple, ``1 <= i < j <= rank``, sorted by ``(i, j)``.  The limit bounds
-    :func:`dynkin.weyl.orbit_partition`, whose component masks hold about
-    ``rank**2 / 2`` bits on an edgeless diagram: about 20 MB at the limit.
-    :func:`matrix_to_diagram` is not limited, since its matrix already holds
-    ``rank**2`` entries.
-    """
-
-    __slots__ = ("rank", "edges")
-    rank: int
-    edges: tuple[tuple[int, int, EdgeLabel], ...]
-
-    def __init__(self, rank: int, edges: Iterable[tuple[int, int, EdgeLabel]]) -> None:
-        message = "diagram rank must be a positive integer, got {}; the limit is "
-        message += str(DIAGRAM_RANK_LIMIT)
-        _check_range(rank, 1, DIAGRAM_RANK_LIMIT, DynkinError, message, repr)
-        try:
-            edges = tuple(edges)
-        except TypeError as exc:  # the edges are not iterable
-            raise DynkinError(f"diagram edges: {exc}") from None
-        seen = set()
-        for edge in edges:
-            i, j, label = _edge_fields(edge)
-            if not (1 <= i < j <= rank):
-                raise DynkinError(f"edge ({_shown(i)}, {_shown(j)}) out of range for rank {rank}")
-            if (i, j) in seen:
-                raise DynkinError(f"duplicate edge ({i}, {j})")
-            if label.p < 1 or label.q < 1:
-                p, q = map(_shown, label)
-                raise DynkinError(f"edge ({i}, {j}) has non-positive label EdgeLabel(p={p}, q={q})")
-            seen.add((i, j))
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda e: (e[0], e[1]))))
-
-    @classmethod
-    def _trusted(cls, rank: int, edges: tuple[tuple[int, int, EdgeLabel], ...]) -> DynkinDiagram:
-        """Wrap ``edges``, already well formed and sorted by ``(i, j)``, without checks."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "edges", edges)
-        return self
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rank == other.rank and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.edges))
-
-
-def _edge_fields(edge: object) -> tuple[int, int, EdgeLabel]:
-    """``(i, j, label)`` of one diagram edge, or :class:`DynkinError` naming it."""
-    if isinstance(edge, tuple) and len(edge) == 3:
-        i, j, label = edge
-        if isinstance(label, EdgeLabel) and all(map(_is_int, (i, j, *label))):
-            return i, j, label
-    raise DynkinError(
-        f"malformed edge {_shown(edge, repr)}: "
-        "expected (i, j, EdgeLabel(p, q)) with integer entries"
-    )
 
 
 # == generalized Cartan matrices ==
@@ -355,17 +265,15 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_range(
-    v: object, lo: int, hi: int, error: type[DynkinError], message: str, render: Callable = str
-) -> None:
-    """Raise ``error(message.format(_shown(v, render)))`` unless ``v`` is an integer in ``lo..hi``.
+def _check_range(v: object, lo: int, hi: int, error: type[DynkinError], message: str) -> None:
+    """Raise ``error(message.format(_shown(v)))`` unless ``v`` is an integer in ``lo..hi``.
 
     The one check of every rank, vertex, height and budget argument, so a
     ``bool``, a float, a string or an integer past the interpreter's digit
     limit each ends in the caller's :class:`DynkinError` subclass.
     """
     if not (_is_int(v) and lo <= v <= hi):
-        raise error(message.format(_shown(v, render)))
+        raise error(message.format(_shown(v)))
 
 
 def validate_gcm(entries: Sequence[Sequence[int]]) -> GeneralizedCartanMatrix:
@@ -380,20 +288,14 @@ def validate_gcm(entries: Sequence[Sequence[int]]) -> GeneralizedCartanMatrix:
 # == conversions ==
 
 
-def matrix_to_diagram(A: GeneralizedCartanMatrix) -> DynkinDiagram:
-    """Dynkin diagram of ``A``: one labelled edge per nonzero pair ``i < j``.
+def matrix_to_diagram(A: GeneralizedCartanMatrix) -> GeneralizedCartanMatrix:
+    """``A`` itself: a GCM is its Dynkin diagram.
 
-    The edges are valid by construction, so they are not checked again: each
-    pair ``i < j`` comes once and in order, and the sign and zero-symmetry
-    axioms of the validated ``A`` make both labels positive.
+    Kept only for the benchmark harness, whose worker calls
+    ``orbit_partition(matrix_to_diagram(A))``; no module of the package calls
+    it, and it goes together with that call.
     """
-    edges = []
-    n = A.rank
-    for i in range(n):
-        for j in range(i + 1, n):
-            if A.rows[i][j] != 0:
-                edges.append((i + 1, j + 1, EdgeLabel(-A.rows[i][j], -A.rows[j][i])))
-    return DynkinDiagram._trusted(n, tuple(edges))
+    return A
 
 
 # == connectivity and subdiagrams ==

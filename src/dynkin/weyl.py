@@ -16,21 +16,23 @@ stays among the long roots and ends at a dominant one, and the only dominant
 long root is the highest root.
 
 Orbit structure: two simple roots land in the same Weyl orbit whenever they
-are joined by a path of single (label ``(1, 1)``) edges, since such an edge
-gives ``r_i r_j`` mapping one endpoint to the other.  The converse holds for
-every GCM, symmetrizable or not.  ``W(A)`` is a Coxeter group on the simple
-reflections, with ``m_ij`` = 2, 3, 4, 6 or infinity as ``a_ij a_ji`` is 0, 1,
-2, 3 or at least 4 (Kac, *Infinite-dimensional Lie algebras*, Prop. 3.13).
-In a Coxeter group ``r_i`` and ``r_j`` are conjugate iff a path of odd
-``m_kl`` joins them (Bourbaki, *Lie*, Ch. IV, Sec. 1, Ex. 3); odd ``m`` means
-``m = 3``, a single edge.  If ``w alpha_i = +-alpha_j`` then
-``w r_i w^-1 = r_j``, and ``-alpha_j = r_j alpha_j``, so simple roots in one
-orbit have conjugate reflections.  Hence the orbit blocks are exactly the
-components of the single-edge skeleton, which is how :func:`orbit_partition`
-computes them.  :func:`orbit_partition_bruteforce` recomputes the blocks from
-an actual root walk so the two can be compared.  The closure applies ``r_i``
-inline; :func:`dynkin.oracles.reflect` applies it by the definition, and the
-tests walk the roots with it against the closure.
+are joined by a path of single edges, pairs with ``a_ij = a_ji = -1``, since
+such an edge gives ``r_i r_j`` mapping one endpoint to the other.  The
+converse holds for every GCM, symmetrizable or not.  ``W(A)`` is a Coxeter
+group on the simple reflections, with ``m_ij`` = 2, 3, 4, 6 or infinity as
+``a_ij a_ji`` is 0, 1, 2, 3 or at least 4 (Kac, *Infinite-dimensional Lie
+algebras*, Prop. 3.13).  In a Coxeter group ``r_i`` and ``r_j`` are
+conjugate iff a path of odd ``m_kl`` joins them (Bourbaki, *Lie*, Ch. IV,
+Sec. 1, Ex. 3); odd ``m`` means ``m = 3``, a single edge.  If
+``w alpha_i = +-alpha_j`` then ``w r_i w^-1 = r_j``, and
+``-alpha_j = r_j alpha_j``, so simple roots in one orbit have conjugate
+reflections.  Hence the orbit blocks are exactly the components of the
+single-edge skeleton, which is how :func:`orbit_partition` computes them,
+reading the pairs straight from the matrix.
+:func:`orbit_partition_bruteforce` recomputes the blocks from an actual root
+walk so the two can be compared.  The closure applies ``r_i`` inline;
+:func:`dynkin.oracles.reflect` applies it by the definition, and the tests
+walk the roots with it against the closure.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError, DynkinError, WrongTypeError
 from .gcm import (
-    DynkinDiagram,
     FrozenRecord,
     GeneralizedCartanMatrix,
     _check_range,
@@ -47,7 +48,6 @@ from .gcm import (
     _shown,
     graph_components,
     is_indecomposable,
-    matrix_to_diagram,
 )
 from .classify import FINITE, kind_of_rows
 from .symmetrize import _symmetrizing_weights
@@ -247,17 +247,23 @@ def _climb(rows: tuple[tuple[int, ...], ...], d: list[int]) -> tuple[list[int], 
 # == orbit partitions ==
 
 
-def orbit_partition(D: DynkinDiagram) -> OrbitPartition:
+def orbit_partition(A: GeneralizedCartanMatrix) -> OrbitPartition:
     """Orbit blocks of the simple roots: components of the single-edge skeleton.
 
-    Reads the single (label ``(1, 1)``) edges of ``D`` directly into one
-    adjacency bitmask per vertex.
+    Reads the pairs with ``A[i][j] == A[j][i] == -1`` straight from the rows
+    into one adjacency bitmask per vertex, in one O(n^2) pass: each row is
+    scanned past its diagonal for ``-1`` by ``list.count`` and ``list.index``,
+    so only the ``-1`` entries cost a step of Python.
     """
-    adj = [0] * D.rank
-    for i, j, label in D.edges:
-        if label.p == label.q == 1:
-            adj[i - 1] |= 1 << (j - 1)
-            adj[j - 1] |= 1 << (i - 1)
+    rows = A.rows
+    adj = [0] * len(rows)
+    for i, row in enumerate(rows):
+        j = i
+        for _ in range(row[i + 1 :].count(-1)):
+            j = row.index(-1, j + 1)
+            if rows[j][i] == -1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
     return OrbitPartition(graph_components(adj))
 
 
@@ -294,7 +300,7 @@ def orbit_partitions_agree(A: GeneralizedCartanMatrix) -> bool:
     A budget overflow counts as disagreement: the claim could not be verified
     within bounds.
     """
-    target = orbit_partition(matrix_to_diagram(A))
+    target = orbit_partition(A)
     try:
         return orbit_partition_bruteforce(A, 8) == target
     except BudgetExceededError:

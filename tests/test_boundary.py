@@ -1,6 +1,6 @@
 """Every public call ends in an answer or a :class:`DynkinError`, in bounded work.
 
-Two sweeps, both in process:
+Three sweeps, all in process:
 
 * Integer arguments.  Every rank, vertex, height and budget argument gets
   values that are not integers in its range: floats, a ``bool``, a string,
@@ -17,9 +17,10 @@ Two sweeps, both in process:
   gives where a docstring states the cost.  The ranks run from 1 to 30: all
   of 1..13, which hold the rank caps of :func:`principal_minors` (12) and the
   cycle oracle (8), then 20 and 30.
-* Diagram rank.  A diagram takes ranks up to ``DIAGRAM_RANK_LIMIT`` and no
-  more, and the orbit blocks of an edgeless diagram at 8,000 vertices and at
-  the limit each take at most ``CALL_BOUND_S`` of CPU time.
+* Orbit blocks.  ``OrbitPartition`` gets blocks that are not non-empty sets
+  of plain integers, and blocks that are not iterable; each must raise
+  :class:`DynkinError` naming the block.  And :func:`orbit_partition` reads
+  an edgeless matrix and a path at rank 2,000 within ``CALL_BOUND_S`` each.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ import pytest
 
 import dynkin
 from dynkin import (
-    DynkinDiagram,
     DynkinError,
-    EdgeLabel,
     GeneralizedCartanMatrix,
     OrbitPartition,
     RankBoundError,
@@ -56,7 +55,6 @@ from dynkin import (
     validate_gcm,
 )
 from dynkin.enumeration import finite_affine_classes
-from dynkin.gcm import DIAGRAM_RANK_LIMIT
 from dynkin.oracles import (
     finite_affine_oracle,
     reflect,
@@ -110,22 +108,8 @@ INTEGER_ARGUMENTS = {
         DynkinError,
         (0, -1),
     ),
-    "DynkinDiagram rank": (lambda v: DynkinDiagram(v, ()), 2, DynkinError, ()),
-    "DynkinDiagram edge": (
-        lambda v: DynkinDiagram(2, ((1, v, EdgeLabel(1, 3)),)),
-        2,
-        DynkinError,
-        (),
-    ),
-    # a label is a matrix entry, so a huge one is a valid label
-    "DynkinDiagram label": (
-        lambda v: DynkinDiagram(2, ((1, 2, EdgeLabel(v, 3)),)),
-        1,
-        DynkinError,
-        (HUGE,),
-    ),
     "OrbitPartition.block_of": (
-        lambda v: orbit_partition(matrix_to_diagram(G2)).block_of(v),
+        lambda v: orbit_partition(G2).block_of(v),
         2,
         DynkinError,
         (),
@@ -215,7 +199,6 @@ def _matrices():
 MATRIX_CALLS = {
     "GeneralizedCartanMatrix": lambda rows, A: GeneralizedCartanMatrix(rows),
     "validate_gcm": lambda rows, A: validate_gcm(rows),
-    "DynkinDiagram": lambda rows, A: DynkinDiagram(A.rank, matrix_to_diagram(A).edges),
     "bilinear_form": lambda rows, A: bilinear_form(A),
     "canonical_form": lambda rows, A: canonical_form(A),
     "classify": lambda rows, A: classify(A),
@@ -224,7 +207,7 @@ MATRIX_CALLS = {
     "highest_root": lambda rows, A: highest_root(A),
     "is_symmetrizable": lambda rows, A: is_symmetrizable(A),
     "matrix_to_diagram": lambda rows, A: matrix_to_diagram(A),
-    "orbit_partition": lambda rows, A: orbit_partition(matrix_to_diagram(A)),
+    "orbit_partition": lambda rows, A: orbit_partition(A),
     "overextend_affine": lambda rows, A: overextend_affine(A),
     "principal_minors": lambda rows, A: principal_minors(A),
     "real_roots_up_to_height": lambda rows, A: real_roots_up_to_height(A, 6),
@@ -237,7 +220,6 @@ MATRIX_CALLS = {
 OTHER_CALLABLES = {
     "CartanType",
     "CatalogEntry",
-    "EdgeLabel",
     "RootVector",
     "Symmetrization",
     "enumerate_hyperbolic",
@@ -307,20 +289,22 @@ def test_orbit_partition_blocks(name):
         assert repr(named) in str(info.value)
 
 
-# == diagram rank ==
+# == large rank ==
+
+#: Rank of the matrices :func:`orbit_partition` reads within ``CALL_BOUND_S``.
+LARGE_RANK = 2000
 
 
-@pytest.mark.parametrize("n", [8000, DIAGRAM_RANK_LIMIT])
-def test_edgeless_orbit_partition(n):
-    D = DynkinDiagram(n, ())
+@pytest.mark.parametrize("family", ["edgeless", "path"])
+def test_orbit_partition_at_large_rank(family):
+    n = LARGE_RANK
+    rows = _path(n) if family == "path" else [[2 * (i == j) for j in range(n)] for i in range(n)]
+    A = validate_gcm(rows)
     t0 = time.process_time()
-    blocks = orbit_partition(D).blocks
+    blocks = orbit_partition(A).blocks
     elapsed = time.process_time() - t0
-    assert blocks == tuple(frozenset((v,)) for v in range(1, n + 1))
+    if family == "path":
+        assert blocks == (frozenset(range(1, n + 1)),)
+    else:
+        assert blocks == tuple(frozenset((v,)) for v in range(1, n + 1))
     assert elapsed <= CALL_BOUND_S
-
-
-def test_rank_past_the_limit():
-    message = f"positive integer, got {DIAGRAM_RANK_LIMIT + 1}; the limit is {DIAGRAM_RANK_LIMIT}"
-    with pytest.raises(DynkinError, match=message):
-        DynkinDiagram(DIAGRAM_RANK_LIMIT + 1, ())

@@ -1,4 +1,4 @@
-"""Core data model: validation, diagrams, connectivity, subdiagram masks.
+"""Core data model: validation, connectivity, subdiagram masks.
 
 The graph walks (:func:`mask_indices`, :func:`connected_deletions`) are
 checked against plain scans over every bit and every vertex, on seeded random
@@ -8,19 +8,15 @@ graphs of ranks 0..70, so that the masks pass 64 bits.
 from __future__ import annotations
 
 import random
-import re
 
 import pytest
 
 from dynkin import (
-    DynkinDiagram,
-    EdgeLabel,
     MatrixValidationError,
     classify,
     matrix_to_diagram,
     validate_gcm,
 )
-from dynkin.errors import DynkinError
 from dynkin.gcm import (
     adjacency_bitmasks,
     connected_deletions,
@@ -105,49 +101,8 @@ class TestValidation:
             A.rows = ()
 
 
-class TestDiagramRoundTrip:
-    def test_example_labels(self, unbalanced_triangle):
-        D = matrix_to_diagram(unbalanced_triangle)
-        assert D.rank == 3
-        assert D.edges == (
-            (1, 2, EdgeLabel(1, 2)),
-            (1, 3, EdgeLabel(1, 2)),
-            (2, 3, EdgeLabel(2, 1)),
-        )
-
-    def test_diagram_validation(self):
-        with pytest.raises(DynkinError):
-            DynkinDiagram(rank=2, edges=((1, 1, EdgeLabel(1, 1)),))
-        with pytest.raises(DynkinError):
-            DynkinDiagram(rank=2, edges=((1, 3, EdgeLabel(1, 1)),))
-
-    @pytest.mark.parametrize(
-        "edge",
-        [(1, 2, (1, 1)), (1, 2), (1, 2, EdgeLabel("1", 1))],
-        ids=["plain-label", "two-tuple", "string-entry"],
-    )
-    def test_malformed_edge_is_named(self, edge):
-        with pytest.raises(DynkinError, match=re.escape(f"malformed edge {edge!r}")):
-            DynkinDiagram(rank=2, edges=(edge,))
-
-    @pytest.mark.parametrize("rank", ["3", 2.5])
-    def test_non_integer_rank(self, rank):
-        with pytest.raises(DynkinError, match=re.escape(f"positive integer, got {rank!r}")):
-            DynkinDiagram(rank=rank, edges=())
-
-    def test_edges_are_read_once(self):
-        edges = [(2, 3, EdgeLabel(1, 2)), (1, 2, EdgeLabel(1, 1))]
-        D = DynkinDiagram(3, (e for e in edges))
-        assert D.edges == ((1, 2, EdgeLabel(1, 1)), (2, 3, EdgeLabel(1, 2)))
-        assert D == DynkinDiagram(3, edges) == DynkinDiagram(3, tuple(edges))
-        with pytest.raises(DynkinError, match="duplicate edge"):
-            DynkinDiagram(3, (e for e in edges + edges))
-
-    @pytest.mark.parametrize("edges", [None, 5])
-    def test_non_iterable_edges(self, edges):
-        message = f"diagram edges: '{type(edges).__name__}' object is not iterable"
-        with pytest.raises(DynkinError, match=re.escape(message)):
-            DynkinDiagram(3, edges)
+def test_the_diagram_of_a_matrix_is_the_matrix(unbalanced_triangle):
+    assert matrix_to_diagram(unbalanced_triangle) is unbalanced_triangle
 
 
 class TestConnectivity:

@@ -1,8 +1,8 @@
 """Record types: immutable, compared and hashed by value, shown as ``Name(field=value)``.
 
-Ten plain records are named tuples.  ``GeneralizedCartanMatrix``,
-``DynkinDiagram`` and ``OrbitPartition`` check or normalise their input, so
-they are slot classes that compare equal only to their own type.
+Nine plain records are named tuples.  ``GeneralizedCartanMatrix`` and
+``OrbitPartition`` check and normalise their input, so they are slot classes
+that compare equal only to their own type.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ import pytest
 from dynkin import (
     CartanType,
     CatalogEntry,
-    DynkinDiagram,
-    DynkinError,
-    EdgeLabel,
     GeneralizedCartanMatrix,
     MatrixValidationError,
     OrbitPartition,
@@ -35,7 +32,6 @@ CHECK = PropertyCheck("rank-bound", True, "all ranks within 3..10")
 BLOCKS = OrbitPartition((frozenset({1, 2}),))
 
 NAMED_TUPLES = [
-    EdgeLabel(1, 2),
     RootVector((1, 0, 1)),
     FINITE_TYPE,
     ComponentType(frozenset({1, 2}), FINITE_TYPE),
@@ -46,7 +42,7 @@ NAMED_TUPLES = [
     CHECK,
     CatalogReport((CHECK,)),
 ]
-SLOT_RECORDS = [A2, DynkinDiagram(2, ((1, 2, EdgeLabel(1, 1)),)), BLOCKS]
+SLOT_RECORDS = [A2, BLOCKS]
 RECORDS = NAMED_TUPLES + SLOT_RECORDS
 
 
@@ -83,7 +79,6 @@ class TestEveryRecord:
 
 
 def test_repr_pinned():
-    assert repr(EdgeLabel(1, 2)) == "EdgeLabel(p=1, q=2)"
     assert repr(A2) == "GeneralizedCartanMatrix(rows=((2, -1), (-1, 2)))"
     assert repr(BLOCKS) == "OrbitPartition(blocks=(frozenset({1, 2}),))"
     assert repr(CHECK) == (
@@ -91,9 +86,7 @@ def test_repr_pinned():
     )
 
 
-def test_edge_labels_and_roots_order_field_by_field():
-    labels = [EdgeLabel(2, 1), EdgeLabel(1, 3), EdgeLabel(1, 2)]
-    assert sorted(labels) == [EdgeLabel(1, 2), EdgeLabel(1, 3), EdgeLabel(2, 1)]
+def test_roots_order_field_by_field():
     roots = [RootVector((1, 1)), RootVector((0, 2)), RootVector((1, 0))]
     assert sorted(roots) == [RootVector((0, 2)), RootVector((1, 0)), RootVector((1, 1))]
     assert RootVector((1, 0)) < RootVector((1, 0, 0))
@@ -109,25 +102,14 @@ def test_validating_records_are_not_tuples(r):
         iter(r)
 
 
-def test_matrix_and_diagram_still_validate():
+def test_matrix_still_validates():
     with pytest.raises(MatrixValidationError):
         GeneralizedCartanMatrix(((2, 1), (-1, 2)))
     with pytest.raises(MatrixValidationError):
         GeneralizedCartanMatrix(())
-    for rank, edges in (
-        (0, ()),
-        (2, ((1, 3, EdgeLabel(1, 1)),)),
-        (2, ((1, 2, EdgeLabel(1, 1)), (1, 2, EdgeLabel(1, 1)))),
-        (2, ((1, 2, EdgeLabel(0, 1)),)),
-    ):
-        with pytest.raises(DynkinError):
-            DynkinDiagram(rank, edges)
 
 
-def test_diagram_and_partition_normalise_order():
-    e12, e23 = (1, 2, EdgeLabel(1, 1)), (2, 3, EdgeLabel(1, 2))
-    assert DynkinDiagram(3, (e23, e12)).edges == (e12, e23)
-    assert DynkinDiagram(3, (e23, e12)) == DynkinDiagram(rank=3, edges=(e12, e23))
+def test_partition_normalises_order():
     part = OrbitPartition((frozenset({3}), frozenset({1, 2})))
     assert part.blocks == (frozenset({1, 2}), frozenset({3}))
     assert part == OrbitPartition((frozenset({1, 2}), frozenset({3})))

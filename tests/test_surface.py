@@ -33,7 +33,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PUBLIC_NAMES = (
     "BudgetExceededError", "CartanType", "CatalogEntry", "CatalogFormatError",
-    "DecomposableError", "DynkinDiagram", "DynkinError", "EdgeLabel", "GeneralizedCartanMatrix",
+    "DecomposableError", "DynkinError", "GeneralizedCartanMatrix",
     "MatrixParseError", "MatrixValidationError", "NotSymmetrizableError", "OrbitPartition",
     "RankBoundError", "RootVector", "Symmetrization", "WrongTypeError", "bilinear_form",
     "canonical_form", "classify", "classify_indecomposable", "enumerate_hyperbolic",
@@ -74,11 +74,12 @@ MOVED_NAMES = {
 }
 
 #: Names kept off the surface: no code calls them.  ``reflect`` stays in
-#: ``dynkin.oracles`` as the reference route for the root closure.
+#: ``dynkin.oracles`` as the reference route for the root closure.  A GCM is
+#: its diagram, so ``DynkinDiagram`` and ``EdgeLabel`` are gone too.
 REMOVED_NAMES = (
-    "HyperbolicityWitness", "components", "dual", "hyperbolicity_witness",
-    "induced_subdiagram", "is_compact_hyperbolic", "is_hyperbolic", "is_symmetric",
-    "reflect", "root_length_count", "root_norm",
+    "DynkinDiagram", "EdgeLabel", "HyperbolicityWitness", "components", "dual",
+    "hyperbolicity_witness", "induced_subdiagram", "is_compact_hyperbolic", "is_hyperbolic",
+    "is_symmetric", "reflect", "root_length_count", "root_norm",
 )
 
 

@@ -14,7 +14,6 @@ from dynkin import (
     WrongTypeError,
     bilinear_form,
     highest_root,
-    matrix_to_diagram,
     orbit_partition,
     real_roots_up_to_height,
     validate_gcm,
@@ -198,26 +197,26 @@ class TestHighestRoot:
 
 class TestOrbitPartition:
     def test_skeleton_keeps_single_edges_only(self, arrow_chain):
-        part = orbit_partition(matrix_to_diagram(arrow_chain))
+        part = orbit_partition(arrow_chain)
         assert part.blocks == (frozenset({1, 2}), frozenset({3}))
 
     def test_simply_laced_single_orbit(self):
         for name in ("A5", "D6", "E7"):
-            part = orbit_partition(matrix_to_diagram(fixture(name)))
+            part = orbit_partition(fixture(name))
             assert part.block_count == 1
 
     def test_b4_two_orbits(self):
-        part = orbit_partition(matrix_to_diagram(fixture("B4")))
+        part = orbit_partition(fixture("B4"))
         assert part.blocks == (frozenset({1, 2, 3}), frozenset({4}))
         assert part.block_of(3) == frozenset({1, 2, 3})
 
     def test_block_of_unknown_vertex(self):
-        part = orbit_partition(matrix_to_diagram(fixture("A2")))
+        part = orbit_partition(fixture("A2"))
         with pytest.raises(DynkinError):
             part.block_of(7)
 
     def test_triangle_without_single_edges(self, unbalanced_triangle):
-        part = orbit_partition(matrix_to_diagram(unbalanced_triangle))
+        part = orbit_partition(unbalanced_triangle)
         assert part.block_count == 3
 
     def test_bruteforce_affine_rank2(self):
@@ -229,7 +228,7 @@ class TestOrbitPartition:
         for name in ("A4", "B3", "C4", "D4", "G2", "F4"):
             A = fixture(name)
             h = HIGHEST_ROOT_HEIGHTS[name]
-            expected = orbit_partition(matrix_to_diagram(A))
+            expected = orbit_partition(A)
             assert orbit_partition_bruteforce(A, height=h) == expected, name
 
     def test_window_two_matches_skeleton(self, catalog):
@@ -241,7 +240,7 @@ class TestOrbitPartition:
             rank, label = rng.randint(2, 6), rng.choice((1, 2, 4))
             mats.append(random_gcm(rng, rank, max_label=label, edge_prob=rng.random()))
         for A in mats:
-            assert orbit_partition_bruteforce(A, 2) == orbit_partition(matrix_to_diagram(A)), A.rows
+            assert orbit_partition_bruteforce(A, 2) == orbit_partition(A), A.rows
 
     def test_agreement_helper(self):
         for name in ("A3", "B3", "G2"):
