@@ -251,8 +251,8 @@ def orbit_partition(A: GeneralizedCartanMatrix) -> OrbitPartition:
     """Orbit blocks of the simple roots: components of the single-edge skeleton.
 
     Reads the pairs with ``A[i][j] == A[j][i] == -1`` straight from the rows
-    into one adjacency bitmask per vertex, in one O(n^2) pass: each row is
-    scanned past its diagonal for ``-1`` by ``list.count`` and ``list.index``,
+    into one adjacency bitmask per vertex, in one O(n^2) pass: the row
+    tuple's own ``count`` and ``index`` scan it past the diagonal for ``-1``,
     so only the ``-1`` entries cost a step of Python.
     """
     rows = A.rows
