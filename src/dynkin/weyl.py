@@ -79,8 +79,9 @@ class RootVector(NamedTuple):
 class OrbitPartition(FrozenRecord):
     """Partition of the 1-based simple-root indices into orbit blocks.
 
-    Built from any iterable of blocks, each a non-empty set of integers;
-    anything else raises :class:`DynkinError` naming the block.  Blocks are
+    Built from any iterable of blocks, each a non-empty set of integers that
+    shares no integer with an earlier block; anything else raises
+    :class:`DynkinError` naming the block.  Blocks are
     stored as frozensets sorted by smallest member, so equal partitions
     compare equal structurally.
     """
@@ -93,10 +94,14 @@ class OrbitPartition(FrozenRecord):
             blocks = tuple(blocks)
         except TypeError as exc:  # the blocks are not iterable
             raise DynkinError(f"orbit blocks: {exc}") from None
+        seen: set[int] = set()
         for b in blocks:
             if not (isinstance(b, (set, frozenset)) and b and all(map(_is_int, b))):
                 shown = _shown(b, repr)
                 raise DynkinError(f"orbit block {shown} is not a non-empty set of integers")
+            if not seen.isdisjoint(b):
+                raise DynkinError(f"orbit block {_shown(b, repr)} meets an earlier block")
+            seen |= b
         object.__setattr__(self, "blocks", tuple(sorted(map(frozenset, blocks), key=min)))
 
     def __eq__(self, other: object) -> bool:

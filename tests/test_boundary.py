@@ -18,9 +18,11 @@ Three sweeps, all in process:
   of 1..13, which hold the rank caps of :func:`principal_minors` (12) and the
   cycle oracle (8), then 20 and 30.
 * Orbit blocks.  ``OrbitPartition`` gets blocks that are not non-empty sets
-  of plain integers, and blocks that are not iterable; each must raise
-  :class:`DynkinError` naming the block.  And :func:`orbit_partition` reads
-  an edgeless matrix and a path at rank 2,000 within ``CALL_BOUND_S`` each.
+  of plain integers, blocks that share an integer, and blocks that are not
+  iterable; each must raise :class:`DynkinError` naming the block.  And
+  :func:`orbit_partition` reads an edgeless matrix, a path and a matrix with
+  ``-1`` above the diagonal and ``-2`` below it at rank 2,000 within
+  ``CALL_BOUND_S`` each.
 """
 
 from __future__ import annotations
@@ -261,8 +263,8 @@ def test_matrix_argument(name):
 
 # == orbit blocks ==
 
-#: name -> (blocks that are not each a non-empty set of plain integers, or
-#: are not iterable at all; what the error quotes).
+#: name -> (blocks that are not each a non-empty set of plain integers, that
+#: share an integer, or are not iterable at all; what the error quotes).
 HOSTILE_BLOCKS = {
     "empty block": ((frozenset(),), "block frozenset() "),
     "string vertex": ((frozenset({1}), frozenset({"x"})), "block frozenset({'x'}) "),
@@ -272,6 +274,8 @@ HOSTILE_BLOCKS = {
     "float vertex": ((frozenset({2.0}),), "block frozenset({2.0}) "),
     "None block": ((None,), "block None "),
     "long block": ((frozenset({"x" * 1000}),), "... (1015 characters) "),
+    "overlapping blocks": ((frozenset({1, 2}), frozenset({2, 3})), "block frozenset({2, 3}) "),
+    "repeated block": ((frozenset({1}), frozenset({1})), "block frozenset({1}) meets"),
     "int blocks": (5, "'int' object is not iterable"),
     "None blocks": (None, "'NoneType' object is not iterable"),
 }
@@ -294,11 +298,20 @@ def test_orbit_partition_blocks(name):
 LARGE_RANK = 2000
 
 
-@pytest.mark.parametrize("family", ["edgeless", "path"])
+#: family -> entry ``(i, j)`` off the diagonal.  ``one-sided`` puts ``-1``
+#: at every entry above the diagonal and ``-2`` below it: the scan meets
+#: n(n-1)/2 entries ``-1``, and none of them is a single edge.
+LARGE_FAMILIES = {
+    "edgeless": lambda i, j: 0,
+    "path": lambda i, j: -1 if abs(i - j) == 1 else 0,
+    "one-sided": lambda i, j: -1 if i < j else -2,
+}
+
+
+@pytest.mark.parametrize("family", LARGE_FAMILIES)
 def test_orbit_partition_at_large_rank(family):
-    n = LARGE_RANK
-    rows = _path(n) if family == "path" else [[2 * (i == j) for j in range(n)] for i in range(n)]
-    A = validate_gcm(rows)
+    n, entry = LARGE_RANK, LARGE_FAMILIES[family]
+    A = validate_gcm([[2 if i == j else entry(i, j) for j in range(n)] for i in range(n)])
     t0 = time.process_time()
     blocks = orbit_partition(A).blocks
     elapsed = time.process_time() - t0

@@ -16,6 +16,7 @@ from dynkin import (
     highest_root,
     orbit_partition,
     real_roots_up_to_height,
+    symmetrizer,
     validate_gcm,
 )
 from dynkin.enumeration import finite_affine_classes
@@ -241,6 +242,19 @@ class TestOrbitPartition:
             mats.append(random_gcm(rng, rank, max_label=label, edge_prob=rng.random()))
         for A in mats:
             assert orbit_partition_bruteforce(A, 2) == orbit_partition(A), A.rows
+
+    @pytest.mark.parametrize("name", sorted(FINITE_FIXTURES))
+    def test_finite_blocks_are_the_root_lengths(self, name):
+        # in a finite irreducible root system W is transitive on the roots of
+        # each length, and the simple root alpha_i has (alpha_i, alpha_i) = 2 d_i;
+        # the walk to the highest root's height closes every positive root
+        A = fixture(name)
+        d = symmetrizer(A).d
+        lengths = {frozenset(i + 1 for i in range(A.rank) if d[i] == x) for x in set(d)}
+        part = orbit_partition(A)
+        assert set(part.blocks) == lengths
+        assert part.block_count == (1 if name[0] in "ADE" else 2)
+        assert orbit_partition_bruteforce(A, HIGHEST_ROOT_HEIGHTS[name]) == part
 
     def test_agreement_helper(self):
         for name in ("A3", "B3", "G2"):
