@@ -17,6 +17,9 @@ randomized symmetrizability cross-check run by ``verify-catalog``; a value
 that is not an integer, or has more digits than the interpreter converts, is a
 usage error, reported before the catalog is read.  Error lines quote what
 came from the command line or the environment clipped to 40 characters.
+
+The parser is built once, at import.  Only ``enumerate --oracle`` loads the
+oracle routes of :mod:`dynkin.oracles`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .catalog import (
 from .classify import classify, kind_of_rows
 from .errors import DecomposableError, DynkinError, clip
 from .gcm import GeneralizedCartanMatrix, is_indecomposable
-from .oracles import search_ranks_oracle
 from .parsing import format_matrix_text, parse_matrix_input
 from .symmetrize import _weights_or_witness, cycle_criterion_agreement, is_symmetrizable
 from .weyl import orbit_partition
@@ -187,19 +189,15 @@ def _cmd_extend(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     entries = enumerate_hyperbolic(args.min_rank, args.max_rank)
-    if args.table_format == "jsonl":
-        payload = catalog_to_lines(entries)
-    elif args.table_format == "tsv":
-        payload = catalog_to_tsv(entries)
-    else:
-        payload = catalog_to_latex(entries)
-    Path(args.out).write_text(payload, encoding="utf-8")
+    Path(args.out).write_text(_TABLE_FORMATS[args.table_format](entries), encoding="utf-8")
     sym = sum(1 for e in entries if e.symmetrizable)
     print(
         f"ranks {args.min_rank}..{args.max_rank}: {len(entries)} classes, "
         f"{sym} symmetrizable -> {args.out}"
     )
     if args.oracle:
+        from .oracles import search_ranks_oracle  # the oracle routes load only here
+
         for rank, slow in search_ranks_oracle(args.min_rank, args.max_rank):
             if tuple(e.matrix.rows for e in entries if e.rank == rank) != slow:
                 print(f"FAIL oracle disagreement at rank {rank}", file=sys.stderr)
@@ -237,8 +235,31 @@ def _cmd_verify_catalog(args: argparse.Namespace) -> int:
 
 # == parser wiring ==
 
+#: ``enumerate --format``: each choice, in the order usage errors list them, and its emitter.
+_TABLE_FORMATS = {"jsonl": catalog_to_lines, "tsv": catalog_to_tsv, "latex": catalog_to_latex}
+
+#: ``extend``'s own options, added after ``--input`` and ``--format``: flag and keywords.
+_EXTEND_OPTIONS = {
+    "--mode": dict(choices=("affine", "overextend"), required=True, help="extension kind"),
+    "--zero-vertex": dict(
+        type=int,
+        default=1,
+        metavar="K",
+        help="attachment vertex for --mode overextend (1-based, default 1)",
+    ),
+}
+
+#: The matrix commands: name, handler, help and the options of their own.
+_MATRIX_COMMANDS = (
+    ("classify", _cmd_classify, "Cartan type of each connected component", {}),
+    ("symmetrize", _cmd_symmetrize, "symmetrizer weights or an unbalanced cycle", {}),
+    ("orbits", _cmd_orbits, "orbit blocks of the simple roots", {}),
+    ("extend", _cmd_extend, "affine extension or overextension", _EXTEND_OPTIONS),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process as :data:`_PARSER`."""
     parser = _Parser(
         prog="dynkin",
         description="Classify generalized Cartan matrices and work with the "
@@ -246,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def matrix_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, func, help_text, options in _MATRIX_COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--input",
@@ -257,29 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
-        return p
-
-    p = matrix_command("classify", "Cartan type of each connected component")
-    p.set_defaults(func=_cmd_classify)
-
-    p = matrix_command("symmetrize", "symmetrizer weights or an unbalanced cycle")
-    p.set_defaults(func=_cmd_symmetrize)
-
-    p = matrix_command("orbits", "orbit blocks of the simple roots")
-    p.set_defaults(func=_cmd_orbits)
-
-    p = matrix_command("extend", "affine extension or overextension")
-    p.add_argument(
-        "--mode", choices=("affine", "overextend"), required=True, help="extension kind"
-    )
-    p.add_argument(
-        "--zero-vertex",
-        type=int,
-        default=1,
-        metavar="K",
-        help="attachment vertex for --mode overextend (1-based, default 1)",
-    )
-    p.set_defaults(func=_cmd_extend)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("enumerate", help="write the hyperbolic catalog to a file")
     p.add_argument("--min-rank", type=int, default=MIN_RANK)
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format",
         dest="table_format",
-        choices=("jsonl", "tsv", "latex"),
+        choices=_TABLE_FORMATS,
         default="jsonl",
         help="output format (jsonl is the loadable catalog format)",
     )
@@ -306,8 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The one parser :func:`main` uses: a parse leaves it as it was.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (DynkinError, OSError, UnicodeDecodeError) as exc:

@@ -19,10 +19,10 @@ Every matrix that comes from outside is checked once, when it is wrapped:
 :func:`validate_gcm` and ``GeneralizedCartanMatrix(rows)`` accept any
 sequence of rows, turn them into tuples and check them, and so do the text
 and JSON parsers and the catalog loader, which build through them (the JSON
-parser runs the one-pass check itself, so that its own message for a
-non-integer entry keeps coming first).  The check makes one pass over the
-entries and, only when that pass finds a fault, the ordered passes that name
-the first violated axiom.
+parser looks for a non-integer entry only after the check has failed, so
+that its own message for one keeps coming first).  The check makes one pass
+over the entries and, only when that pass finds a fault, the ordered passes
+that name the first violated axiom.
 
 Every rank, vertex, height and budget argument of the package is a plain
 integer (an ``int`` that is not a ``bool``) in a stated range, and
@@ -32,7 +32,7 @@ A matrix the package builds from rows it has already checked is not checked
 again.  ``GeneralizedCartanMatrix._trusted`` wraps such rows unchecked, and it
 is called only where a docstring says why the rows hold the axioms: the
 affine extension and the overextension of a validated matrix, the catalog
-entries built from the search's rows, the random sampler and the JSON parser.
+entries built from the search's rows and the random sampler.
 
 Graph questions
 ---------------
@@ -109,10 +109,9 @@ class GeneralizedCartanMatrix(FrozenRecord):
     ``shape``.  ``rows`` is stored as a tuple of row tuples.
 
     The package's own constructions from checked rows (affine extension,
-    overextension, catalog entries, the random sampler) and the JSON parser,
-    after its one-pass check, wrap their rows with the unchecked
-    :meth:`_trusted` instead; each says in its docstring why the rows hold
-    the axioms.
+    overextension, catalog entries, the random sampler) wrap their rows with
+    the unchecked :meth:`_trusted` instead; each says in its docstring why
+    the rows hold the axioms.
     """
 
     __slots__ = ("rows",)

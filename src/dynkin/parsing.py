@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 
-from .errors import DynkinError, MatrixParseError, clip
-from .gcm import GeneralizedCartanMatrix, _axioms_hold, _is_int, validate_gcm
+from .errors import DynkinError, MatrixParseError, MatrixValidationError, clip
+from .gcm import GeneralizedCartanMatrix, _is_int, validate_gcm
 
 __all__ = [
     "parse_matrix_text",
@@ -57,10 +57,10 @@ def load_json(text: str, error: type[DynkinError], where: str = "") -> object:
 def parse_matrix_json(text: str) -> GeneralizedCartanMatrix:
     """Parse a JSON array of arrays, bare or under a ``"matrix"`` key.
 
-    The rows are checked once: when the one-pass axiom check accepts them they
-    are valid and wrapped as they are.  Otherwise a non-integer entry is
-    reported first, as a :class:`MatrixParseError`, and then the axioms are
-    checked in order.
+    The rows go through ``GeneralizedCartanMatrix`` like any other input.
+    Only when it rejects them is the first non-integer entry, in row order,
+    looked for: it is reported as a :class:`MatrixParseError`, and without
+    one the :class:`MatrixValidationError` stands.
     """
     obj = load_json(text, MatrixParseError)
     if isinstance(obj, dict):
@@ -69,14 +69,16 @@ def parse_matrix_json(text: str) -> GeneralizedCartanMatrix:
         obj = obj["matrix"]
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise MatrixParseError("JSON matrix must be an array of arrays")
-    rows = tuple(map(tuple, obj))
-    if _axioms_hold(rows):
-        return GeneralizedCartanMatrix._trusted(rows)
-    for i, row in enumerate(rows, start=1):
-        for j, v in enumerate(row, start=1):
-            if not _is_int(v):
-                raise MatrixParseError(f"entry {clip(repr(v))} at ({i}, {j}) is not an integer")
-    return validate_gcm(rows)
+    try:
+        return GeneralizedCartanMatrix(obj)
+    except MatrixValidationError:
+        for i, row in enumerate(obj, start=1):
+            for j, v in enumerate(row, start=1):
+                if not _is_int(v):
+                    raise MatrixParseError(
+                        f"entry {clip(repr(v))} at ({i}, {j}) is not an integer"
+                    ) from None
+        raise
 
 
 def parse_matrix_input(text: str) -> GeneralizedCartanMatrix:

@@ -1,10 +1,9 @@
-"""Shared fixtures: small pinned matrices, the session-wide catalog, one CLI parser."""
+"""Shared fixtures: small pinned matrices and the session-wide catalog."""
 
 from __future__ import annotations
 
 import pytest
 
-import dynkin.cli
 from dynkin import enumerate_hyperbolic, validate_gcm
 
 
@@ -30,14 +29,3 @@ def catalog():
     """Full hyperbolic catalog, built once per test session."""
     return enumerate_hyperbolic(3, 10)
 
-
-@pytest.fixture
-def one_parser(monkeypatch):
-    """``dynkin.cli.main`` reuses one parser for the test's many runs.
-
-    Building the parser takes about 0.8 ms and parsing a command line 0.03 ms,
-    so a test of a thousand command lines spends most of its time building.
-    A parse leaves the parser as it was, so the runs print the same bytes.
-    """
-    parser = dynkin.cli.build_parser()
-    monkeypatch.setattr(dynkin.cli, "build_parser", lambda: parser)

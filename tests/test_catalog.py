@@ -27,7 +27,7 @@ from dynkin.catalog import (
     verify_catalog,
 )
 from dynkin.errors import DynkinError
-from dynkin.weyl import OrbitPartition
+from dynkin.weyl import OrbitPartition, orbit_partitions_agree
 
 from lie_fixtures import FINITE_FIXTURES, path_with_heavy_end
 
@@ -298,6 +298,40 @@ class TestVerification:
             by_name = {c.name: c for c in report.checks}
             assert not by_name["well-formed"].passed
             assert by_name["duality"].passed  # the mate's dual is still found by id
+
+    @pytest.mark.parametrize(
+        "fields, detail",
+        [
+            (
+                dict(
+                    symmetrizable=True,
+                    symmetrizer=(1,) * 5,
+                    root_lengths=1,
+                    orbit_semantics="verified",
+                ),
+                "5-012 unexpectedly symmetrizable; max symmetrizable compact rank is not 4",
+            ),
+            (
+                dict(matrix=validate_gcm(FINITE_FIXTURES["A5"])),
+                "5-012 is not a cycle with a unique double arrow",
+            ),
+        ],
+        ids=["symmetrizable", "path"],
+    )
+    def test_compact_profile_names_the_rank5_entry(self, catalog, fields, detail):
+        # 5-012 is the one compact entry of rank 5, a cycle with one double arrow
+        changed = tuple(e._replace(**fields) if e.canonical_id == "5-012" else e for e in catalog)
+        assert [e.canonical_id for e in changed if e.compact and e.rank == 5] == ["5-012"]
+        assert catalog_from_lines(catalog_to_lines(changed)) == changed  # loadable
+        check = next(c for c in verify_catalog(changed).checks if c.name == "compact-profile")
+        assert (check.passed, check.detail) == (False, detail)
+
+    def test_orbit_walk_past_its_budget_fails_orbit_oracle(self, catalog, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("dynkin.weyl"), "DEFAULT_BUDGET", 1)
+        assert orbit_partitions_agree(catalog[0].matrix) is False
+        failed = [c for c in verify_catalog(catalog).checks if not c.passed]
+        assert [c.name for c in failed] == ["orbit-oracle"]
+        assert failed[0].detail.startswith("offending entries: 3-001, 3-002, ")
 
     def test_out_of_range_entry_is_never_walked(self, catalog, monkeypatch):
         n = 22

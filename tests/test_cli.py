@@ -1,14 +1,20 @@
-"""Command line behaviour: output shapes, exit codes, file round trips."""
+"""Command line behaviour: output shapes, exit codes, file round trips, the parser."""
 
 from __future__ import annotations
 
 import importlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import dynkin.cli
+import dynkin.oracles
 from dynkin import parse_matrix_input, read_catalog, validate_gcm, write_catalog
 from dynkin.catalog import CatalogEntry, catalog_to_lines
 from dynkin.cli import EXIT_VERIFY, main
@@ -280,7 +286,7 @@ class TestEnumerate:
 
     def test_oracle_disagreement(self, capsys, monkeypatch, tmp_path):
         # the written catalog is what the oracle checks: one class short fails
-        monkeypatch.setattr(dynkin.cli, "search_ranks_oracle", lambda lo, hi: iter([(3, ())]))
+        monkeypatch.setattr(dynkin.oracles, "search_ranks_oracle", lambda lo, hi: iter([(3, ())]))
         argv = ["enumerate", "--min-rank", "3", "--max-rank", "3", "--out", str(tmp_path / "c")]
         code, _, err = run(capsys, argv + ["--oracle"])
         assert code == EXIT_VERIFY
@@ -634,3 +640,66 @@ class TestVerifyCatalog:
         code, _, err = run(capsys, ["verify-catalog", "--in", str(path)])
         assert code == 1
         assert "error:" in err
+
+
+class TestParser:
+    #: What ``--help`` names: every subcommand at the top level, every option of each
+    #: subcommand.  The wording is argparse's and differs across Python versions.
+    HELP_NAMES = {
+        "dynkin": ["classify", "symmetrize", "orbits", "extend", "enumerate", "verify-catalog"],
+        "classify": ["--input", "--format"],
+        "symmetrize": ["--input", "--format"],
+        "orbits": ["--input", "--format"],
+        "extend": ["--input", "--format", "--mode", "--zero-vertex"],
+        "enumerate": ["--min-rank", "--max-rank", "--out", "--format", "--oracle"],
+        "verify-catalog": ["--in"],
+    }
+
+    @pytest.mark.parametrize("command", list(HELP_NAMES))
+    def test_help_names_every_subcommand_and_option(self, capsys, command):
+        argv = ["--help"] if command == "dynkin" else [command, "--help"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit_info.value.code, err) == (0, "")
+        words = set(re.findall(r"[\w-]+", out))
+        assert [n for n in ["--help"] + self.HELP_NAMES[command] if n not in words] == []
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(dynkin.cli, "build_parser", refuse)
+        code, out, err = run(capsys, ["orbits", "--format", "json"], "2 -1\n-1 2\n", monkeypatch)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"orbit_blocks": [[1, 2]], "orbit_semantics": "verified"}
+
+
+def _run_module(argv, stdin_text, cwd):
+    """``python -m dynkin.cli ARGV`` in a fresh interpreter, as the ``dynkin`` script starts."""
+    src = str(Path(dynkin.cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "dynkin.cli", *argv],
+        input=stdin_text,
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_module_entry_point(tmp_path):
+    done = _run_module(["classify", "--format", "json"], "2 -1\n-4 2\n", tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        '{"components": [{"compact_hyperbolic": false, "hyperbolic": false, "kind": "affine", '
+        '"vertices": [1, 2]}], "indecomposable": true, "rank": 2}\n'
+    )
+    done = _run_module(["enumerate"], "", tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "--out" in done.stderr
+    assert list(tmp_path.iterdir()) == []
+    done = _run_module(["classify"], "2 1\n-1 2\n", tmp_path)  # main's own exit code
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: off-diagonal entry 1 at (1, 2)")

@@ -214,7 +214,7 @@ def _catalog_cases(rng, lines):
     yield "\x00", []
 
 
-def test_cli_fuzz(capsys, monkeypatch, tmp_path, catalog, one_parser):
+def test_cli_fuzz(capsys, monkeypatch, tmp_path, catalog):
     # the symmetrizability cross-check of verify-catalog is not under test here
     monkeypatch.setattr(dynkin.cli, "EQUIVALENCE_SAMPLES", 10)
     monkeypatch.chdir(tmp_path)  # files go by relative name, so no record holds the path

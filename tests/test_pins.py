@@ -48,7 +48,7 @@ def test_catalog_lines_equal_the_reference(catalog):
     assert catalog_to_lines(catalog).encode("utf-8") == REFERENCE.read_bytes()
 
 
-def test_catalog_tables_and_enumerate(catalog, capsys, monkeypatch, tmp_path, one_parser):
+def test_catalog_tables_and_enumerate(catalog, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(
         dynkin.cli,
@@ -87,7 +87,7 @@ def _matrix_corpus(catalog):
         yield f"random-{k:03d}", A.to_lists()
 
 
-def test_matrix_command_records(catalog, capsys, monkeypatch, one_parser):
+def test_matrix_command_records(catalog, capsys, monkeypatch):
     cases = {}
     for name, rows in _matrix_corpus(catalog):
         text = json.dumps(rows)

@@ -60,6 +60,8 @@ class TestEveryRecord:
         for name in field_names(r):
             with pytest.raises(AttributeError):
                 setattr(r, name, None)
+            with pytest.raises(AttributeError):
+                delattr(r, name)
         with pytest.raises(AttributeError):
             r.extra = 1
 

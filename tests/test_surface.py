@@ -10,7 +10,8 @@
   deliberate diff here.  Every other public name has one import path, its
   module, as ``MOVED_NAMES`` pins, and every module's ``__all__`` names only
   what the module defines or imports.
-* ``import dynkin`` leaves the oracle routes of ``dynkin.oracles`` unloaded.
+* ``import dynkin`` and ``import dynkin.cli`` leave the oracle routes of
+  ``dynkin.oracles`` unloaded; only ``enumerate --oracle`` loads them.
 * ``import dynkin.cli`` stays integer-only: it loads neither ``fractions``
   nor ``decimal``.  It also stays cheap to start: the records are named
   tuples and slot classes, so neither ``dataclasses`` nor ``inspect`` loads.
@@ -200,6 +201,7 @@ def test_cli_import_loads_no_rational_arithmetic():
 
 def test_package_import_loads_no_oracle_routes():
     assert _fresh_modules("import dynkin", {"dynkin.oracles"}) == []
+    assert _fresh_modules("import dynkin.cli", {"dynkin.oracles"}) == []
     assert _fresh_modules("import dynkin.oracles", {"dynkin.oracles"}) == ["dynkin.oracles"]
 
 

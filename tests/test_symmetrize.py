@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 import random
@@ -121,6 +122,15 @@ class TestCycleOracle:
 
     def test_random_agreement(self):
         assert cycle_criterion_agreement(samples=300, seed=9) == []
+
+    def test_disagreements_are_returned_in_draw_order(self, monkeypatch):
+        # a cycle oracle that is always wrong: every draw disagrees, and the
+        # draws are reproducible from the seed alone
+        module = importlib.import_module("dynkin.symmetrize")
+        monkeypatch.setattr(module, "kac_cycle_oracle", lambda A: not kac_cycle_oracle(A))
+        rng = random.Random(1)
+        drawn = [random_gcm(rng, rng.randint(4, 6)) for _ in range(5)]
+        assert cycle_criterion_agreement(5, seed=1) == drawn
 
 
 class TestSymmetrizer:

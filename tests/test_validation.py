@@ -279,7 +279,6 @@ UNCHECKED_CALLERS = {
     ("catalog", "overextend_affine"): "one ``(-1, -1)`` pair",
     ("catalog", "_rank_entries"): "builds each one as a valid GCM",
     ("symmetrize", "random_gcm"): "is valid by construction",
-    ("parsing", "parse_matrix_json"): "one-pass axiom check accepts them",
 }
 
 
