@@ -18,8 +18,11 @@ that is not an integer, or has more digits than the interpreter converts, is a
 usage error, reported before the catalog is read.  Error lines quote what
 came from the command line or the environment clipped to 40 characters.
 
-The parser is built once, at import.  Only ``enumerate --oracle`` loads the
-oracle routes of :mod:`dynkin.oracles`.
+Each matrix command is two functions: one from the matrix (and the command's
+own options) to an exit code and a JSON record, and one from that record to
+its text lines.  One runner reads and parses the input, renders the record in
+the chosen format and prints it.  The parser is built once, at import.  Only
+``enumerate --oracle`` loads the oracle routes of :mod:`dynkin.oracles`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
@@ -83,108 +87,98 @@ class _Parser(argparse.ArgumentParser):
         super().error(_ECHOED.sub(clipped, message))
 
 
-def _read_matrix(source: str) -> GeneralizedCartanMatrix:
-    text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
-    return parse_matrix_input(text)
+# == matrix commands: a record from the matrix, and text lines from the record ==
 
 
-def _blocks_text(blocks) -> str:
-    return " ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in blocks)
-
-
-# == subcommands ==
-
-
-def _cmd_classify(args: argparse.Namespace) -> int:
-    A = _read_matrix(args.input)
+def _classify_record(A: GeneralizedCartanMatrix) -> tuple[int, dict]:
     comps = classify(A)
-    if args.format == "json":
-        obj = {
-            "rank": A.rank,
-            "indecomposable": len(comps) == 1,
-            "components": [
-                {
-                    "vertices": sorted(c.vertices),
-                    "kind": c.type.kind,
-                    "hyperbolic": c.type.hyperbolic,
-                    "compact_hyperbolic": c.type.compact_hyperbolic,
-                }
-                for c in comps
-            ],
+    components = [
+        {
+            "vertices": sorted(c.vertices),
+            "kind": c.type.kind,
+            "hyperbolic": c.type.hyperbolic,
+            "compact_hyperbolic": c.type.compact_hyperbolic,
         }
-        print(json.dumps(obj, sort_keys=True))
-        return EXIT_OK
-    for c in comps:
-        prefix = "" if len(comps) == 1 else f"component {{{','.join(map(str, sorted(c.vertices)))}}}: "
-        print(f"{prefix}kind: {c.type.kind}")
-        print(f"{prefix}hyperbolic: {'yes' if c.type.hyperbolic else 'no'}")
-        print(f"{prefix}compact_hyperbolic: {'yes' if c.type.compact_hyperbolic else 'no'}")
-    return EXIT_OK
+        for c in comps
+    ]
+    return EXIT_OK, {"rank": A.rank, "indecomposable": len(comps) == 1, "components": components}
 
 
-def _cmd_symmetrize(args: argparse.Namespace) -> int:
-    A = _read_matrix(args.input)
+def _classify_lines(record: dict) -> list[str]:
+    lines = []
+    for c in record["components"]:
+        vertices = ",".join(map(str, c["vertices"]))
+        prefix = "" if record["indecomposable"] else f"component {{{vertices}}}: "
+        lines += [
+            f"{prefix}kind: {c['kind']}",
+            f"{prefix}hyperbolic: {'yes' if c['hyperbolic'] else 'no'}",
+            f"{prefix}compact_hyperbolic: {'yes' if c['compact_hyperbolic'] else 'no'}",
+        ]
+    return lines
+
+
+def _symmetrize_record(A: GeneralizedCartanMatrix) -> tuple[int, dict]:
     d, witness = _weights_or_witness(A.rows)
-    ok = witness is None
-    if ok:
-        if not is_indecomposable(A):
-            raise DecomposableError("symmetrizer requires an indecomposable matrix")
-        obj = {"symmetrizable": True, "symmetrizer": d, "root_lengths": len(set(d))}
-    else:
-        assert witness is not None
-        obj = {"symmetrizable": False, "witness": witness._asdict()}
-    try:  # the whole text first, so a failed conversion prints nothing
-        if args.format == "json":
-            text = json.dumps(obj, sort_keys=True)
-        elif ok:
-            text = (
-                "symmetrizable: yes\n"
-                f"symmetrizer: {' '.join(map(str, d))}\n"
-                f"root_lengths: {len(set(d))}"
-            )
-        else:
-            text = (
-                "symmetrizable: no\n"
-                f"unbalanced cycle: {' '.join(map(str, witness.cycle))}\n"
-                f"forward_product: {witness.forward_product}\n"
-                f"reverse_product: {witness.reverse_product}"
-            )
+    if witness is not None:
+        return EXIT_DOMAIN, {"symmetrizable": False, "witness": witness._asdict()}
+    if not is_indecomposable(A):
+        raise DecomposableError("symmetrizer requires an indecomposable matrix")
+    return EXIT_OK, {"symmetrizable": True, "symmetrizer": d, "root_lengths": len(set(d))}
+
+
+def _symmetrize_lines(record: dict) -> list[str]:
+    if record["symmetrizable"]:
+        return [
+            "symmetrizable: yes",
+            f"symmetrizer: {' '.join(map(str, record['symmetrizer']))}",
+            f"root_lengths: {record['root_lengths']}",
+        ]
+    w = record["witness"]
+    return [
+        "symmetrizable: no",
+        f"unbalanced cycle: {' '.join(map(str, w['cycle']))}",
+        f"forward_product: {w['forward_product']}",
+        f"reverse_product: {w['reverse_product']}",
+    ]
+
+
+def _orbits_record(A: GeneralizedCartanMatrix) -> tuple[int, dict]:
+    blocks = [sorted(b) for b in orbit_partition(A).blocks]
+    semantics = semantics_for(is_symmetrizable(A)[0])
+    return EXIT_OK, {"orbit_blocks": blocks, "orbit_semantics": semantics}
+
+
+def _orbits_lines(record: dict) -> list[str]:
+    blocks = " ".join("{" + ",".join(map(str, b)) + "}" for b in record["orbit_blocks"])
+    return [f"orbit_blocks: {blocks}", f"orbit_semantics: {record['orbit_semantics']}"]
+
+
+def _extend_record(A: GeneralizedCartanMatrix, mode: str, zero_vertex: int) -> tuple[int, dict]:
+    B = extend_finite_to_affine(A) if mode == "affine" else overextend_affine(A, zero_vertex)
+    return EXIT_OK, {"matrix": B.to_lists(), "kind": kind_of_rows(B.rows)}
+
+
+def _extend_lines(record: dict) -> list[str]:
+    return [format_matrix_text(record["matrix"]), f"# kind: {record['kind']}"]
+
+
+def _run_matrix_command(record_of, lines_of, keywords, args: argparse.Namespace) -> int:
+    """Read and parse the matrix, build its record and print it once, as JSON or text.
+
+    The whole output is rendered before anything is printed, so an integer
+    past the interpreter's digit limit prints one error and no partial record.
+    """
+    text = sys.stdin.read() if args.input == "-" else Path(args.input).read_text(encoding="utf-8")
+    code, record = record_of(parse_matrix_input(text), **{k: getattr(args, k) for k in keywords})
+    try:
+        lines = lines_of(record) if args.format == "text" else [json.dumps(record, sort_keys=True)]
     except ValueError:  # an integer past the interpreter's digit limit
         raise DynkinError("an output integer has too many digits to print") from None
-    print(text)
-    return EXIT_OK if ok else EXIT_DOMAIN
+    print("\n".join(lines))
+    return code
 
 
-def _cmd_orbits(args: argparse.Namespace) -> int:
-    A = _read_matrix(args.input)
-    part = orbit_partition(A)
-    semantics = semantics_for(is_symmetrizable(A)[0])
-    if args.format == "json":
-        obj = {
-            "orbit_blocks": [sorted(b) for b in part.blocks],
-            "orbit_semantics": semantics,
-        }
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        print(f"orbit_blocks: {_blocks_text(part.blocks)}")
-        print(f"orbit_semantics: {semantics}")
-    return EXIT_OK
-
-
-def _cmd_extend(args: argparse.Namespace) -> int:
-    A = _read_matrix(args.input)
-    if args.mode == "affine":
-        B = extend_finite_to_affine(A)
-    else:
-        B = overextend_affine(A, args.zero_vertex)
-    kind = kind_of_rows(B.rows)
-    if args.format == "json":
-        obj = {"matrix": B.to_lists(), "kind": kind}
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        print(format_matrix_text(B))
-        print(f"# kind: {kind}")
-    return EXIT_OK
+# == the other commands ==
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -238,10 +232,11 @@ def _cmd_verify_catalog(args: argparse.Namespace) -> int:
 #: ``enumerate --format``: each choice, in the order usage errors list them, and its emitter.
 _TABLE_FORMATS = {"jsonl": catalog_to_lines, "tsv": catalog_to_tsv, "latex": catalog_to_latex}
 
-#: ``extend``'s own options, added after ``--input`` and ``--format``: flag and keywords.
+#: ``extend``'s own options, added after ``--input`` and ``--format``: the keyword
+#: its record function takes (``--`` and dashes make the flag) and the flag's keywords.
 _EXTEND_OPTIONS = {
-    "--mode": dict(choices=("affine", "overextend"), required=True, help="extension kind"),
-    "--zero-vertex": dict(
+    "mode": dict(choices=("affine", "overextend"), required=True, help="extension kind"),
+    "zero_vertex": dict(
         type=int,
         default=1,
         metavar="K",
@@ -249,12 +244,14 @@ _EXTEND_OPTIONS = {
     ),
 }
 
-#: The matrix commands: name, handler, help and the options of their own.
+#: The matrix commands: name, record function, text function, help and own options.
 _MATRIX_COMMANDS = (
-    ("classify", _cmd_classify, "Cartan type of each connected component", {}),
-    ("symmetrize", _cmd_symmetrize, "symmetrizer weights or an unbalanced cycle", {}),
-    ("orbits", _cmd_orbits, "orbit blocks of the simple roots", {}),
-    ("extend", _cmd_extend, "affine extension or overextension", _EXTEND_OPTIONS),
+    ("classify", _classify_record, _classify_lines, "Cartan type of each connected component", {}),
+    ("symmetrize", _symmetrize_record, _symmetrize_lines,
+     "symmetrizer weights or an unbalanced cycle", {}),
+    ("orbits", _orbits_record, _orbits_lines, "orbit blocks of the simple roots", {}),
+    ("extend", _extend_record, _extend_lines,
+     "affine extension or overextension", _EXTEND_OPTIONS),
 )
 
 
@@ -267,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, help_text, options in _MATRIX_COMMANDS:
+    for name, record_of, lines_of, help_text, options in _MATRIX_COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--input",
@@ -278,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
-        for flag, keywords in options.items():
-            p.add_argument(flag, **keywords)
-        p.set_defaults(func=func)
+        for keyword, settings in options.items():
+            p.add_argument("--" + keyword.replace("_", "-"), **settings)
+        p.set_defaults(func=partial(_run_matrix_command, record_of, lines_of, tuple(options)))
 
     p = sub.add_parser("enumerate", help="write the hyperbolic catalog to a file")
     p.add_argument("--min-rank", type=int, default=MIN_RANK)

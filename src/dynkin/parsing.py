@@ -10,6 +10,7 @@ back with positions attached.
 from __future__ import annotations
 
 import json
+from typing import Sequence
 
 from .errors import DynkinError, MatrixParseError, MatrixValidationError, clip
 from .gcm import GeneralizedCartanMatrix, _is_int, validate_gcm
@@ -89,8 +90,8 @@ def parse_matrix_input(text: str) -> GeneralizedCartanMatrix:
     return parse_matrix_text(text)
 
 
-def format_matrix_text(A: GeneralizedCartanMatrix) -> str:
-    """Render a matrix in the text input format, columns right-aligned."""
-    cells = [[str(v) for v in row] for row in A.rows]
+def format_matrix_text(rows: Sequence[Sequence[int]]) -> str:
+    """Render matrix rows in the text input format, columns right-aligned."""
+    cells = [[str(v) for v in row] for row in rows]
     width = max(len(c) for row in cells for c in row)
     return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)

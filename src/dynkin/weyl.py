@@ -259,6 +259,11 @@ def orbit_partition(A: GeneralizedCartanMatrix) -> OrbitPartition:
     into one adjacency bitmask per vertex, in one O(n^2) pass: the row
     tuple's own ``count`` and ``index`` scan it past the diagonal for ``-1``,
     so only the ``-1`` entries cost a step of Python.
+
+    Cost: each single edge costs a Python step and two big-integer ORs, so
+    the worst case has ``-1`` at every off-diagonal entry.  At rank 2,000
+    that takes 0.53-0.75 s of CPU time (``time.process_time``), against
+    0.025 s for the path (CPython 3.11, one core of an Intel Xeon host).
     """
     rows = A.rows
     adj = [0] * len(rows)

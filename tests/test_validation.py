@@ -24,6 +24,9 @@
 * One runner builds the verifier's report: :mod:`dynkin.catalog` builds a
   ``PropertyCheck`` in one place, inside ``verify_catalog``, and defines no
   ``add`` or ``check`` helper that would build the checks another way.
+* One runner serves the matrix commands: in :mod:`dynkin.cli` only it
+  parses matrix input, dumps JSON and guards the digit limit of the output,
+  and it prints for all four of them.
 """
 
 from __future__ import annotations
@@ -478,6 +481,25 @@ def test_the_verifier_builds_every_check_in_one_place():
     ]
     assert [where for where, _ in built] == ["verify_catalog"], built
     assert helpers == []
+
+
+# == one runner reads, renders and prints every matrix command ==
+
+#: The :mod:`dynkin.cli` functions that may call ``print``: the matrix-command
+#: runner, the two commands that take no matrix, and ``main``'s error line.
+CLI_PRINTERS = {"_run_matrix_command", "_cmd_enumerate", "_cmd_verify_catalog", "main"}
+
+
+def test_matrix_commands_have_one_runner():
+    callers: dict[str | None, set[str]] = {}
+    for module, func, child in _functions():
+        if module == "cli" and isinstance(child, (ast.Call, ast.Constant)):
+            key = _name(child) if isinstance(child, ast.Call) else child.value
+            callers.setdefault(key, set()).add(func.name if func is not None else "<module>")
+    assert callers["parse_matrix_input"] == {"_run_matrix_command"}
+    assert callers["dumps"] == {"_run_matrix_command"}
+    assert callers["an output integer has too many digits to print"] == {"_run_matrix_command"}
+    assert callers["print"] == CLI_PRINTERS
 
 
 # == a GCM is its diagram ==
