@@ -91,10 +91,10 @@ def _swapped(line: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def canonical_rows(
+def _label(
     rows: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Canonical row tuple and a realizing permutation, for raw row tuples."""
+) -> tuple[tuple[tuple[int, ...], ...], list[_State], list[int]]:
+    """The canonical rows, the live states that end the search, and the twin classes."""
     twin = _twin_classes(rows)
     states: list[_State] = [((), [tuple(range(len(rows)))])]
     out = []
@@ -132,7 +132,51 @@ def canonical_rows(
                 f"canonical labelling state explosion: {len(states)} live states "
                 f"exceed the cap of {_STATE_CAP}; matrix too symmetric"
             )
-    return tuple(out), states[0][0]
+    return tuple(out), states, twin
+
+
+def canonical_rows(
+    rows: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Canonical row tuple and a realizing permutation, for raw row tuples."""
+    out, states, _ = _label(rows)
+    return out, states[0][0]
+
+
+def _canonical_group(
+    rows: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, ...]]]:
+    """Canonical rows of ``rows`` and every automorphism of them, from one labelling.
+
+    An automorphism of the canonical rows ``C`` is a vertex map ``g`` with
+    ``C[g[r]][g[c]] == C[r][c]``.  Every state that ends the labelling is a
+    permutation ``p`` realizing ``C`` from ``rows``; with ``p0`` the first,
+    ``p0^-1 p`` is an automorphism of ``C``.  Without twin pruning the end
+    states would be every such ``p``, so these maps would be the whole group.
+    With it, every pruned leaf is the image of a kept one under a product of
+    twin swaps (the module docstring), so the kept maps and the twin swaps,
+    carried over by ``p0^-1``, generate the group.  It is closed here by
+    multiplying out from the identity and returned sorted, identity first.
+
+    The group can have ``n!`` elements (``2·I_n``), so this is for small
+    diagrams only: the classes the hyperbolic search attaches to have at most
+    10 vertices and at most 24 automorphisms.
+    """
+    out, states, twin = _label(rows)
+    at = [0] * len(rows)  # at[v]: the canonical position of original vertex v
+    for r, v in enumerate(states[0][0]):
+        at[v] = r
+    gens = [tuple(at[v] for v in perm) for perm, _ in states[1:]]
+    for v, u in enumerate(twin):
+        if u != v:
+            swap = list(range(len(rows)))
+            swap[at[u]], swap[at[v]] = at[v], at[u]
+            gens.append(tuple(swap))
+    group = frontier = {tuple(range(len(rows)))}
+    while frontier:
+        frontier = {tuple(map(g.__getitem__, s)) for g in frontier for s in gens} - group
+        group = group | frontier
+    return out, sorted(group)
 
 
 def canonical_form(A: GeneralizedCartanMatrix) -> CanonicalForm:

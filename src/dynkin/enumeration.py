@@ -69,16 +69,39 @@ safe to apply early: ``u``'s key is its base key in every completion, ``u``
 stays non-cut (``v`` is joined to ``base - u``, which is connected), and
 ``v``'s sums only fall as more slots take edges.
 
+Two more rules act at a leaf, where the whole attachment is known:
+
+* the orbit rule.  The attachment is the list of the new vertex's pairs
+  ``(down[i], up[i])`` against the base.  An automorphism ``g`` of the base
+  maps it to the list whose slot ``i`` holds the pair of slot ``g[i]``, and
+  the two candidates are isomorphic by ``g`` with ``v`` fixed.  A leaf is
+  kept only if its attachment is the lexicographically largest of its images
+  under Aut(base).  Each level keeps the automorphisms of its classes, read
+  off the labelling that found them (:func:`dynkin.canonical._canonical_group`);
+* the strict parent rule.  A leaf is kept only if no non-cut vertex of the
+  candidate has a larger key than ``v``; ties are kept.  It also sees the
+  vertices that the early cut cannot: those joined to ``v``, and the base
+  cut vertices that ``v`` makes non-cut.
+
+The early cut is a leaf condition too: a leaf survives it iff no non-cut base
+vertex without an edge to ``v`` has a larger key than ``v``'s final key.  So
+the parent rule in both forms depends only on the candidate up to an
+isomorphism that fixes ``v``, and is invariant under Aut(base).
+
 The invariant is that every class keeps at least one branch.  Take a target
 class ``T`` and a non-cut vertex ``u*`` of ``T`` with the largest key.
 ``T - u*`` is connected, and finite (at level ``k``) or finite or affine (at
 rank ``n``), so its canonical form is a base of that step.  The first three
 rules cut no branch that leads to an admissible target, so some candidate
 from that base is isomorphic to ``T`` with ``v`` in the place of ``u*``.
-Along its branch no key can beat ``v``'s final key, the key of ``u*``, so the
-parent rule cuts it nowhere either.  The classes found therefore do not
-depend on the pruning, and the canonical forms still remove the duplicates
-that the parent rule leaves (ties in the key, and vertices it does not see).
+Every image of its attachment under Aut(base) gives ``T`` with ``v`` in the
+same place, so the first three rules keep the largest image too.  In that
+candidate no non-cut vertex has a larger key than ``v``, so neither form of
+the parent rule cuts it, and the orbit rule keeps it by its choice.  The
+classes found therefore do not depend on the pruning.  The canonical forms
+still remove the duplicates that the rules leave: a class whose largest key
+is held by non-cut vertices in more than one orbit of its own automorphisms
+is built once from each of those orbits.
 
 Candidate filtering uses :func:`dynkin.classify.hyperbolic_fast_flags`, the
 corank-1 criterion: a connected indefinite diagram is hyperbolic iff every
@@ -87,16 +110,16 @@ connected subdiagrams are then finite, by the argument above).  It is the
 same test the public classification API runs.
 
 The independent routes that re-derive the levels and every rank 3..11
-without any of this pruning live in :mod:`dynkin.oracles` and share nothing
-with this module.
+without any of this pruning live in :mod:`dynkin.oracles`.  They share none
+of these rules; they do share the labeller, ``canonical_rows``.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from operator import or_
+from operator import add, or_
 
-from .canonical import canonical_rows
+from .canonical import _canonical_group, canonical_rows
 from .classify import AFFINE, FINITE, INDEFINITE, hyperbolic_fast_flags, kind_of_rows
 from .errors import RankBoundError
 from .gcm import _check_range, adjacency_bitmasks, connected_deletions, mask_indices
@@ -170,9 +193,14 @@ def _attach_extensions(base: Rows, finite_max: int):
     that an admissible target can complete.  The parent rule (module
     docstring) cuts a branch once a decided non-cut base vertex with no edge
     to the new vertex has a larger ``(row sum, column sum)`` key than the new
-    vertex has so far; every class still keeps the branch whose new vertex is
-    one of its largest-key non-cut vertices.  Depth-first over the attachment
-    slots, so a branch dies at its first bad pair, key or triple.
+    vertex has so far.  At a leaf the orbit rule keeps only the largest
+    attachment of its orbit under the base automorphisms ``moves``, and the
+    strict parent rule asks which vertices of the candidate are non-cut only
+    if some vertex has a larger key (``now``) than the new vertex.  Every class
+    still keeps a branch whose new vertex is one of its largest-key non-cut
+    vertices.  Depth-first over the attachment slots, so a branch dies at its
+    first bad pair, key or triple.  ``base`` must be a class of
+    :func:`finite_affine_classes`, whose level holds its automorphisms.
     Slot ``i`` takes no edge or a label ``(p, q)``, held as the matrix entries
     ``up[i] = -p`` above the new diagonal entry and ``down[i] = -q`` left of it.
     """
@@ -184,11 +212,13 @@ def _attach_extensions(base: Rows, finite_max: int):
     near = [1 << i for i in range(k)]
     for _ in range(finite_max - 2):
         near = [reduce(or_, (adj[j] for j in mask_indices(ball)), ball) for ball in near]
+    row_sums, col_sums = list(map(sum, base)), list(map(sum, zip(*base)))
     # (row sum, column sum) of each non-cut base vertex; () for a cut vertex,
     # since the empty tuple sorts below every key
     keys = [()] * k
     for u in connected_deletions(adj):
-        keys[u] = (sum(base[u]), sum(row[u] for row in base))
+        keys[u] = (row_sums[u], col_sums[u])
+    moves = _LEVELS[k][2][base][1:]  # every automorphism but the identity
     up, down = [0] * k, [0] * k
     options = ((0, 0),) + labels
 
@@ -197,8 +227,20 @@ def _attach_extensions(base: Rows, finite_max: int):
         # to the new vertex; (row_sum, col_sum), the new vertex's key so far,
         # only falls from here; blocked holds the slots too close to a joined one
         if i == k:
-            if any(down):
-                yield tuple([r + (u,) for r, u in zip(base, up)] + [tuple(down) + (2,)])
+            if not any(down):
+                return
+            if moves:
+                pairs = list(zip(down, up))
+                if any([pairs[j] for j in g] > pairs for g in moves):
+                    return  # the orbit rule: a larger image of the attachment stands for it
+            cand = tuple([r + (u,) for r, u in zip(base, up)] + [tuple(down) + (2,)])
+            # every vertex's key in the candidate, the new vertex's last
+            now = [*zip(map(add, row_sums, up), map(add, col_sums, down)), (row_sum, col_sum)]
+            if max(now) > now[k] and any(
+                now[u] > now[k] for u in connected_deletions(adjacency_bitmasks(cand))
+            ):
+                return  # the strict parent rule: a non-cut vertex has a larger key
+            yield cand
             return
         for p, q in options:
             up[i], down[i] = -p, -q
@@ -218,8 +260,14 @@ def _attach_extensions(base: Rows, finite_max: int):
 # == connected finite and affine classes, by vertex count ==
 
 
-#: The levels built so far, filled only after a level's argument is checked.
-_LEVELS: dict[int, tuple[tuple[Rows, ...], tuple[Rows, ...]]] = {1: ((((2,),),), ())}
+Groups = dict[Rows, list[tuple[int, ...]]]
+
+#: The levels built so far, filled only after a level's argument is checked:
+#: the finite classes, the affine classes, and the automorphisms of each class
+#: read off the labelling that found it.
+_LEVELS: dict[int, tuple[tuple[Rows, ...], tuple[Rows, ...], Groups]] = {
+    1: ((((2,),),), (), {((2,),): [(0,)]})
+}
 
 
 def finite_affine_classes(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
@@ -232,13 +280,16 @@ def finite_affine_classes(k: int) -> tuple[tuple[Rows, ...], tuple[Rows, ...]]:
     _check_range(k, 1, _SEARCH_RANK_LIMIT - 1, RankBoundError, message)
     if k not in _LEVELS:
         found: dict[str, set[Rows]] = {FINITE: set(), AFFINE: set()}
+        groups: Groups = {}
         for base in finite_affine_classes(k - 1)[0]:
             for cand in _attach_extensions(base, k - 1):
                 kind = kind_of_rows(cand)
                 if kind in found:
-                    found[kind].add(canonical_rows(cand)[0])
-        _LEVELS[k] = tuple(sorted(found[FINITE])), tuple(sorted(found[AFFINE]))
-    return _LEVELS[k]
+                    rows, group = _canonical_group(cand)
+                    found[kind].add(rows)
+                    groups[rows] = group
+        _LEVELS[k] = tuple(sorted(found[FINITE])), tuple(sorted(found[AFFINE])), groups
+    return _LEVELS[k][:2]
 
 
 # == the hyperbolic search ==

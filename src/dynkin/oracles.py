@@ -2,13 +2,16 @@
 
 These routes re-derive :func:`dynkin.enumeration.search_rank` and
 :func:`dynkin.enumeration.finite_affine_classes` without any of their
-pruning, so that the two can falsify each other.  They share nothing
-structural with the pruned search: no corank lemma, no girth or triple rule,
-no ``classify.kind_of_rows`` and no corank-1 filter.  They classify with the
-definitional recursion (:func:`definitional_kind`: determinant sign, plus
-every one-vertex deletion componentwise finite; Kac, *Infinite-dimensional
-Lie algebras*, Lemma 4.4), memoized per oracle call, so the cross-checks test
-``kind_of_rows`` as well:
+pruning, so that the two can falsify each other.  They share none of the
+pruned search's rules: no corank lemma, no girth, triple, parent or orbit
+rule, no ``classify.kind_of_rows`` and no corank-1 filter.  They do share the
+labeller: classes are told apart by ``canonical.canonical_rows``, so a
+labeller that merged or split classes would mislead both alike (ROADMAP
+item 2 gives the oracle an isomorphism test of its own).  They classify with
+the definitional recursion (:func:`definitional_kind`: determinant sign,
+plus every one-vertex deletion componentwise finite; Kac,
+*Infinite-dimensional Lie algebras*, Lemma 4.4), memoized per oracle call,
+so the cross-checks test ``kind_of_rows`` as well:
 
 * ``finite_affine_oracle(k)`` (1..10 vertices) and ``search_rank_oracle(n)``
   (ranks 3..11) grow connected diagrams one vertex at a time from the single

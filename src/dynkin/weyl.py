@@ -147,6 +147,23 @@ def _positive_closure(
     classes.  Two roots end up in one class iff a chain of simple reflections
     inside the window joins them.
 
+    Only upward steps are taken: ``r_i`` is applied to ``beta`` only when
+    ``(A beta)_i < 0``, so that ``r_i beta = beta - (A beta)_i e_i`` is
+    higher.  Nothing is lost, for two reasons:
+
+    * the window holds the same roots.  A positive root whose pairings
+      ``(A beta)_i`` are all ``<= 0`` is imaginary (its support is connected,
+      so it lies in the set ``K`` of Kac, *Infinite-dimensional Lie
+      algebras*, Thm 5.4).  So a positive real root ``beta`` that is not
+      simple has some ``i`` with ``(A beta)_i > 0``, and ``r_i beta`` is
+      positive (Lemma 3.7: ``r_i`` permutes the positive roots other than
+      ``alpha_i``) and lower.  By induction on the height, an upward chain
+      from a simple root reaches ``beta`` without leaving the window;
+    * the classes are the same.  A link ``{beta, r_i beta}`` between two
+      roots of the window is an upward step from its lower end, since the
+      two pairings with ``alpha_i`` have opposite signs, and every root of
+      the window is expanded.
+
     A frontier item ``(gamma, A beta, i)`` names the root and how it was
     reached: ``gamma = r_i beta`` from its parent ``beta``.  The children of
     one root share its ``A beta``, and ``A gamma = A beta - (A beta)_i A e_i``
@@ -174,14 +191,9 @@ def _positive_closure(
             h = sum(beta)
             for i in range(n):
                 pairing = a_beta[i]
-                ci = beta[i] - pairing
-                if ci < 0:
-                    continue  # negative root (or off the positive cone)
-                if pairing == 0:
-                    continue  # fixed by this reflection
-                if h - pairing > height:
-                    continue
-                gamma = beta[:i] + (ci,) + beta[i + 1 :]
+                if pairing >= 0 or h - pairing > height:
+                    continue  # not an upward step, or one out of the window
+                gamma = beta[:i] + (beta[i] - pairing,) + beta[i + 1 :]
                 if gamma in parent:
                     parent[_find(parent, gamma)] = _find(parent, beta)
                     continue

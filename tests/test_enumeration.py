@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import ast
 import importlib
-from itertools import islice
+import random
+from itertools import islice, permutations
 from pathlib import Path
 
 import pytest
 
 from dynkin import RankBoundError
-from dynkin.canonical import canonical_rows
+from dynkin import enumeration
+from dynkin.canonical import _canonical_group, canonical_rows
 from dynkin.classify import AFFINE, FINITE, kind_of_rows
 from dynkin.enumeration import (
     LABELS,
+    _LEVELS,
     _attach_extensions,
     finite_affine_classes,
     hyperbolic_fast_flags,
@@ -135,8 +138,8 @@ class TestSearchRank:
 
 
 #: Candidates ``search_rank(n)`` hands to the hyperbolicity filter.
-CANDIDATES_PER_RANK = {3: 363, 4: 150, 5: 109, 6: 120, 7: 123, 8: 148, 9: 167, 10: 177, 11: 185}
-CANDIDATES_PER_LEVEL = {2: 8, 3: 91, 4: 25, 5: 41, 6: 36, 7: 46, 8: 51, 9: 56, 10: 52}
+CANDIDATES_PER_RANK = {3: 133, 4: 72, 5: 49, 6: 71, 7: 70, 8: 90, 9: 100, 10: 110, 11: 108}
+CANDIDATES_PER_LEVEL = {2: 5, 3: 40, 4: 16, 5: 23, 6: 23, 7: 30, 8: 37, 9: 41, 10: 37}
 
 
 def _short_cycle_through_last(rows, limit):
@@ -261,6 +264,124 @@ class TestParentRule:
                 assert target in offered[parent], (target, u)
 
 
+#: ``canonical_rows`` calls of ``search_rank(n)``: one per candidate that passes the filter.
+CANONICAL_CALLS_PER_RANK = {3: 124, 4: 59, 5: 28, 6: 34, 7: 8, 8: 10, 9: 11, 10: 10, 11: 0}
+
+
+def test_search_labels_few_duplicates(monkeypatch):
+    # The work the search's rules save, counted without a clock: a rule that
+    # stops pruning shows up here as more labelling calls.
+    finite_affine_classes(10)  # the levels are kept, so only the ranks count below
+    calls = []
+    monkeypatch.setattr(
+        enumeration, "canonical_rows", lambda rows: calls.append(rows) or canonical_rows(rows)
+    )
+    counted, classes = {}, 0
+    for n in CANONICAL_CALLS_PER_RANK:
+        calls.clear()
+        classes += len(search_rank(n))
+        counted[n] = len(calls)
+    assert counted == CANONICAL_CALLS_PER_RANK
+    assert sum(counted.values()) == 284
+    assert sum(counted.values()) - classes == 46
+
+
+def _all_bases():
+    """Every class the search attaches to: levels 1..10, finite and affine."""
+    return [rows for k in range(1, 11) for rows in sum(finite_affine_classes(k), ())]
+
+
+def _group(rows):
+    """The automorphisms the search reads for ``rows``, kept with its level."""
+    return _LEVELS[len(rows)][2][rows]
+
+
+def _is_automorphism(rows, g):
+    return all(tuple(map(rows[g[r]].__getitem__, g)) == rows[r] for r in range(len(rows)))
+
+
+def _backtracked_automorphisms(rows):
+    """Every automorphism of ``rows``: vertex images chosen one at a time.
+
+    Vertex ``r`` may go to ``w`` only if the diagonal entries agree and each
+    pair with an earlier vertex keeps its two entries.
+    """
+    n = len(rows)
+    found = []
+
+    def extend(image):
+        r = len(image)
+        if r == n:
+            found.append(tuple(image))
+            return
+        for w in range(n):
+            if w in image or rows[w][w] != rows[r][r]:
+                continue
+            if all(
+                rows[w][image[s]] == rows[r][s] and rows[image[s]][w] == rows[s][r]
+                for s in range(r)
+            ):
+                extend(image + [w])
+
+    extend([])
+    return sorted(found)
+
+
+class TestBaseAutomorphisms:
+    """The automorphisms the orbit rule reads, against two routes of the test's own."""
+
+    def test_every_level_class_has_its_group(self):
+        assert len(_all_bases()) == 100
+        for k in range(1, 11):
+            fin, aff, groups = _LEVELS[k]
+            assert set(groups) == set(fin + aff), k
+            for rows in fin + aff:
+                assert _canonical_group(rows) == (rows, groups[rows]), rows
+
+    def test_matches_all_permutations_up_to_seven_vertices(self):
+        checked = 0
+        for rows in _all_bases():
+            if len(rows) <= 7:
+                every = [p for p in permutations(range(len(rows))) if _is_automorphism(rows, p)]
+                assert _group(rows) == every, rows
+                checked += 1
+        assert checked == 64
+
+    def test_matches_backtracking_on_every_base(self):
+        for rows in _all_bases():
+            assert _group(rows) == _backtracked_automorphisms(rows), rows
+
+    def test_largest_group(self):
+        # the affine D_4: the four leaves around the centre permute freely
+        sizes = [len(_group(rows)) for rows in _all_bases()]
+        assert max(sizes) == 24
+        assert sizes.count(24) == 1
+
+    def test_groups_of_relabelled_classes(self):
+        # read off a labelling that does not start at the canonical rows
+        rng = random.Random(7)
+        for rows in _all_bases():
+            perm = list(range(len(rows)))
+            rng.shuffle(perm)
+            shuffled = tuple(tuple(rows[a][b] for b in perm) for a in perm)
+            assert _canonical_group(shuffled) == (rows, _group(rows)), rows
+
+    def test_no_two_candidates_of_a_base_are_related(self):
+        steps = [(finite_affine_classes(k - 1)[0], k - 1) for k in range(2, 11)]
+        steps += [(sum(finite_affine_classes(n - 1), ()), n - 2) for n in range(3, 12)]
+        for bases, finite_max in steps:
+            for base in bases:
+                # each candidate's (down, up) pairs against the base
+                attached = {
+                    tuple((cand[-1][i], cand[i][-1]) for i in range(len(base)))
+                    for cand in _attach_extensions(base, finite_max)
+                }
+                for pairs in attached:
+                    for g in _group(base):
+                        image = tuple(pairs[j] for j in g)
+                        assert image == pairs or image not in attached, (base, pairs, g)
+
+
 class TestFastFlags:
     def test_agrees_with_definition_on_search_output(self):
         for n in (3, 4):
@@ -309,7 +430,11 @@ def _identifiers(tree):
 
 
 class TestOracleBoundary:
-    """The oracle routes and the pruned search share nothing."""
+    """The oracle routes use none of the pruned search's rules.
+
+    They do share the labeller, ``canonical_rows``, to tell classes apart; an
+    isomorphism test of the oracle's own would end that (ROADMAP item 2).
+    """
 
     def test_oracles_do_not_reach_into_the_pruned_search(self):
         tree = _module_tree("dynkin.oracles")
@@ -323,6 +448,7 @@ class TestOracleBoundary:
             "LABELS",
             "finite_affine_classes",
             "search_rank",
+            "_canonical_group",
         }
         assert not pruned & set(_identifiers(tree))
 
